@@ -867,6 +867,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.window = _parse_window(args.window)
+        if args.degcap < 0:
+            raise InputError(f"--degcap must be non-negative; got {args.degcap}")
     except InputError as exc:
         _emit({"error": str(exc), "tool": "sdga", "version": __version__}, args.format)
         return 2

@@ -565,7 +565,10 @@ class _Parser:
     def parse_atom(self) -> Element:
         kind, value = self.take()
         if kind == "number":
-            return Element.scalar(self.table, Fraction(value))
+            try:
+                return Element.scalar(self.table, Fraction(value))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {value!r}") from None
         if kind == "ident":
             if value not in self.table.index:
                 raise ParseError(f"unknown generator {value!r}")
@@ -586,10 +589,6 @@ def parse(table: GeneratorTable, text: str) -> Element:
     return result
 
 
-def _sort_key(table: GeneratorTable, mono: tuple[int, ...]):
-    return mono
-
-
 def render(element: Element) -> str:
     """Deterministic printer; parse(render(x)) == x.
 
@@ -599,7 +598,7 @@ def render(element: Element) -> str:
     if not element.terms:
         return "0"
     table = element.table
-    monos = sorted(element.terms, key=lambda m: _sort_key(table, m), reverse=True)
+    monos = sorted(element.terms, reverse=True)
     pieces: list[str] = []
     for k, mono in enumerate(monos):
         coeff = element.terms[mono]

@@ -294,16 +294,24 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
     }
 
     report = CohomologyReport(w_min, w_max, cap)
+    # d into (w, p) is d out of (w - 1, p + 1): past the first weight its
+    # matrix and rank come from the previous weight's pass
+    outgoing: dict[int, tuple[linalg.Matrix, int]] = {}
     for w in range(w_min, w_max + 1):
+        incoming, outgoing = outgoing, {}
         for p in (EVEN, ODD):
             cur = bases[(w, p)]
             prev = bases[(w - 1, (p + 1) % 2)]
             nxt = bases[(w + 1, (p + 1) % 2)]
             mat_out = _differential_matrix(table, d, cur, nxt)
-            mat_in = _differential_matrix(table, d, prev, cur)
             kernel = linalg.nullspace(mat_out, len(cur))
+            outgoing[p] = (mat_out, len(cur) - len(kernel))
+            if w == w_min:
+                mat_in = _differential_matrix(table, d, prev, cur)
+                rank_in = linalg.rank(mat_in)
+            else:
+                mat_in, rank_in = incoming[(p + 1) % 2]
             image = [[mat_in[i][j] for i in range(len(cur))] for j in range(len(prev))]
-            rank_in = linalg.rank(mat_in)
             dim_h = len(kernel) - rank_in
             reps = linalg.quotient_representatives(kernel, image, len(cur))
             rep_strings = []

@@ -1,9 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows of Fractions.  A matrix represents a linear map
-column-wise: column j is the image of the j-th source basis vector.  Nothing
-here is clever; the point is that every pivot decision is exact, so ranks,
-kernels and solutions carry no floating-point doubt.
+column-wise: column j is the image of the j-th source basis vector.  Every
+pivot decision is exact, so ranks, kernels and solutions carry no
+floating-point doubt.
+
+Elimination stores rows sparse, as dicts from column to nonzero entry, so a
+zero is never stored, multiplied or subtracted.  `rref` is the one
+elimination kernel: `rank`, `nullspace` and `solve_with_certificate` read its
+result, and `RowSpan` keeps its basis in the same sparse rows and reduces
+with the same row update.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from fractions import Fraction
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+SparseRow = dict[int, Fraction]  # column -> nonzero entry
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -26,10 +33,6 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         mat[i][i] = ONE
     return mat
-
-
-def copy_matrix(mat: Matrix) -> Matrix:
-    return [row[:] for row in mat]
 
 
 def mat_vec(mat: Matrix, vec: Vector) -> Vector:
@@ -73,33 +76,65 @@ def mats_agree(a: Matrix, b: Matrix) -> bool:
     return True
 
 
+def _sparse(vec: Vector) -> SparseRow:
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def _dense(row: SparseRow, ncols: int) -> Vector:
+    vec = [ZERO] * ncols
+    for j, x in row.items():
+        vec[j] = x
+    return vec
+
+
+def _normalized(row: SparseRow, col: int) -> SparseRow:
+    """row scaled so that its entry in col is 1."""
+    inv = ONE / row[col]
+    return {j: x * inv for j, x in row.items()}
+
+
+def _subtract_multiple(row: SparseRow, factor: Fraction, pivot: SparseRow) -> None:
+    """row -= factor * pivot, in place; entries that cancel are dropped."""
+    for j, x in pivot.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = -factor * x
+        else:
+            y -= factor * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+
+
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    m = copy_matrix(mat)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    """Reduced row echelon form; returns (rref matrix, pivot column list).
+
+    Columns are taken in order, and a column's pivot is the first remaining
+    row with a nonzero entry there.  A remaining row has no entry left of the
+    column being eliminated, so its leading column says whether it qualifies,
+    and only rows that held the pivot column need their lead read again.
+    """
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    rows = [_sparse(vec) for vec in mat]
+    lead = [min(row, default=ncols) for row in rows]  # ncols marks a zero row
     pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
+    for top in range(nrows):
+        col = min(lead[top:])
+        if col == ncols:
             break
-        pivot_row = None
-        for r in range(row, nrows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = ONE / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        found = lead.index(col, top)
+        rows[top], rows[found] = rows[found], rows[top]
+        lead[top], lead[found] = lead[found], lead[top]
+        pivot = rows[top] = _normalized(rows[top], col)
+        for r, row in enumerate(rows):
+            if r != top and col in row:
+                _subtract_multiple(row, row[col], pivot)
+                if r > top:
+                    lead[r] = min(row, default=ncols)
         pivots.append(col)
-        row += 1
-    return m, pivots
+    return [_dense(row, ncols) for row in rows], pivots
 
 
 def rank(mat: Matrix) -> int:
@@ -171,28 +206,26 @@ class RowSpan:
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[Vector] = []
+        self.rows: list[SparseRow] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec: Vector) -> Vector:
-        v = vec[:]
+    def reduce(self, vec: Vector) -> SparseRow:
+        """vec minus its component in the span, as a sparse row."""
+        v = _sparse(vec)
         for row, piv in zip(self.rows, self.pivots):
-            if v[piv] != 0:
-                factor = v[piv]
-                v = [a - factor * b for a, b in zip(v, row)]
+            if piv in v:
+                _subtract_multiple(v, v[piv], row)
         return v
 
     def add(self, vec: Vector) -> bool:
         v = self.reduce(vec)
-        piv = next((j for j, x in enumerate(v) if x != 0), None)
-        if piv is None:
+        if not v:
             return False
-        inv = ONE / v[piv]
-        v = [x * inv for x in v]
-        for i, row in enumerate(self.rows):
-            if row[piv] != 0:
-                factor = row[piv]
-                self.rows[i] = [a - factor * b for a, b in zip(row, v)]
+        piv = min(v)
+        v = _normalized(v, piv)
+        for row in self.rows:
+            if piv in row:
+                _subtract_multiple(row, row[piv], v)
         self.rows.append(v)
         self.pivots.append(piv)
         return True

@@ -268,13 +268,18 @@ def cell_catalog(n_range=range(-3, 4)) -> dict[str, Complex]:
 def cohomology_dims(c: Complex) -> dict[Key, int]:
     """Exact cohomology dimensions (finite support, complete bases)."""
     out = {}
+    ranks: dict[Key, int] = {}  # d into key is d out of _prev_key(key)
+
+    def rank_out(key: Key) -> int:
+        if key not in ranks:
+            ranks[key] = linalg.rank(c.d_block(key))
+        return ranks[key]
+
     for key in c.shift_keys():
         n = c.dim(key)
         if n == 0:
             continue
-        d_out = c.d_block(key)
-        d_in = c.d_block(_prev_key(key))
-        h = (n - linalg.rank(d_out)) - linalg.rank(d_in)
+        h = (n - rank_out(key)) - rank_out(_prev_key(key))
         if h:
             out[key] = h
     return out

@@ -827,11 +827,13 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
                             if c != 0:
                                 big[fi * len(fb_big) + big_idx[mono]] = c
                     padded_targets.append(big)
-                mat = [[columns[j][i] for j in range(len(columns))]
+                # rank(columns) == rank(columns + targets): one elimination,
+                # since the pivots of the leading columns alone are those of
+                # the augmented system that fall among them
+                aug = [[vec[i] for vec in columns] + [tv[i] for tv in padded_targets]
                        for i in range(ncols_big)]
-                aug = [mat[i] + [tv[i] for tv in padded_targets]
-                       for i in range(ncols_big)]
-                if linalg.rank(mat) == linalg.rank(aug):
+                _, pivots = linalg.rref(aug)
+                if all(col < len(columns) for col in pivots):
                     entry["surjective"] = True
                     entry["cap_used"] = cap_dom
                     break

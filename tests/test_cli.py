@@ -338,3 +338,49 @@ def test_bad_window(tmp_path, capsys):
     code, env = run_json(capsys, "check", "--input", path, "--window", "3:-3")
     assert code == 2
     assert "window" in env["error"]
+
+
+def test_zero_denominator_in_differential(tmp_path, capsys):
+    doc = {
+        "generators": [
+            {"name": "t", "weight": 0, "parity": "even"},
+            {"name": "s", "weight": 1, "parity": "odd"},
+        ],
+        "differential": {"t": "1/0 * s"},
+    }
+    path = write_doc(tmp_path, "zero.json", doc)
+    code, env = run_json(capsys, "check", "--input", path)
+    assert code == 2
+    assert env["ok"] is False
+    assert "zero denominator" in env["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("simplicial", "dupont", "--n", "1", "--form", "1/0 * t1 * dt1"),
+    ("simplicial", "project", "--n", "1", "--form", "t1 + 3/0"),
+])
+def test_zero_denominator_in_form(capsys, argv):
+    code, env = run_json(capsys, *argv)
+    assert code == 2
+    assert "zero denominator" in env["error"]
+
+
+def test_zero_denominator_in_expr(tmp_path, capsys):
+    path = write_doc(tmp_path, "line.json", LINE_DOC)
+    code, env = run_json(capsys, "integrate", "--input", path,
+                         "--expr", "2/0 * x", "--var", "x")
+    assert code == 2
+    assert "zero denominator" in env["error"]
+
+
+@pytest.mark.parametrize("command", [
+    ("cohomology",), ("check",),
+    ("cotensor", "--n", "2", "--shape", "horn", "--horn-vertex", "0"),
+])
+def test_negative_degcap(tmp_path, capsys, command):
+    path = write_doc(tmp_path, "koszul.json", KOSZUL_DOC)
+    code, env = run_json(capsys, *command, "--input", path, "--degcap", "-5")
+    assert code == 2
+    assert "--degcap" in env["error"]
+    code, env = run_json(capsys, *command, "--input", path, "--degcap", "0")
+    assert code == 0

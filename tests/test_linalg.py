@@ -101,3 +101,153 @@ def test_mats_agree_is_entrywise_equality(seed):
     bumped = [row[:] for row in mat]
     bumped[1][2] += 1
     assert not linalg.mats_agree(mat, bumped)
+
+
+# -- the sparse kernel against the dense elimination it replaced ---------------
+
+
+def dense_rref_oracle(mat):
+    """The dense Gauss-Jordan elimination linalg.rref used to run: every row
+    update touches every entry.  Kept as the reference for the sparse kernel."""
+    m = [row[:] for row in mat]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        pivot_row = None
+        for r in range(row, nrows):
+            if m[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[row], m[pivot_row] = m[pivot_row], m[row]
+        inv = linalg.ONE / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(nrows):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+    return m, pivots
+
+
+def oracle_rank(rows):
+    return len(dense_rref_oracle(rows)[1])
+
+
+def _entry(rng, density):
+    """Zero with probability 1 - density, else a rational that is rarely 1."""
+    if rng.random() >= density:
+        return Fraction(0)
+    return Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 4))
+
+
+def _fill(rng, nrows, ncols, density):
+    return [[_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def oracle_panel(seed):
+    """Named matrices for one seed: each shape and rank pattern the kernel
+    must get right, as (name, matrix, ncols)."""
+    rng = random.Random(7000 + seed)
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 9)
+    yield "dense", _fill(rng, nrows, ncols, 1.0), ncols
+    wide = rng.randint(10, 24)
+    yield "very sparse", _fill(rng, rng.randint(6, 14), wide, 0.08), wide
+    r = rng.randint(0, min(nrows, ncols))
+    left, right = _fill(rng, nrows, r, 0.7), _fill(rng, r, ncols, 0.7)
+    product = [[sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0))
+                for j in range(ncols)] for i in range(nrows)]
+    yield "rank deficient", product, ncols
+    base = _fill(rng, rng.randint(1, 4), ncols, 0.6)
+    dup = base + [[x * rng.choice([1, -2, Fraction(1, 3)]) for x in rng.choice(base)]
+                  for _ in range(rng.randint(1, 4))]
+    rng.shuffle(dup)
+    yield "duplicate rows", dup, ncols
+    holes = _fill(rng, nrows + 1, ncols + 1, 0.8)
+    zero_row, zero_col = rng.randrange(nrows + 1), rng.randrange(ncols + 1)
+    holes[zero_row] = [Fraction(0)] * (ncols + 1)
+    for row in holes:
+        row[zero_col] = Fraction(0)
+    yield "zero row and column", holes, ncols + 1
+    yield "0 x n", [], ncols
+    yield "n x 0", [[] for _ in range(nrows)], 0
+
+
+def oracle_nullspace(mat, ncols):
+    reduced, pivots = dense_rref_oracle(mat)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -reduced[r][free]
+        basis.append(vec)
+    return basis
+
+
+def oracle_solve(mat, rhs, ncols):
+    reduced, pivots = dense_rref_oracle([row + [b] for row, b in zip(mat, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    sol = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        sol[col] = reduced[r][ncols]
+    return sol
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_sparse_kernel_matches_dense_oracle(seed):
+    rng = random.Random(seed)
+    inconsistent = 0
+    for name, mat, ncols in oracle_panel(seed):
+        assert linalg.rref(mat) == dense_rref_oracle(mat), name
+        assert linalg.rank(mat) == oracle_rank(mat), name
+        assert linalg.nullspace(mat, ncols) == oracle_nullspace(mat, ncols), name
+        x = [_entry(rng, 0.7) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in mat]
+        sol, cert = linalg.solve_with_certificate(mat, rhs)
+        if mat:
+            assert sol == oracle_solve(mat, rhs, ncols), name
+            assert linalg.mat_vec(mat, sol) == rhs, name
+            assert cert == {"rank": oracle_rank(mat), "rank_augmented": oracle_rank(mat),
+                            "consistent": True}, name
+        noise = [_entry(rng, 0.9) for _ in mat]
+        sol, cert = linalg.solve_with_certificate(mat, noise)
+        if mat:
+            assert sol == oracle_solve(mat, noise, ncols), name
+        aug_rank = oracle_rank([row + [b] for row, b in zip(mat, noise)])
+        if aug_rank > oracle_rank(mat):
+            inconsistent += 1
+            assert sol is None, name
+            assert cert == {"rank": aug_rank - 1, "rank_augmented": aug_rank,
+                            "consistent": False}, name
+    assert inconsistent, "the panel should hold an inconsistent system"
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_row_span_matches_dense_oracle(seed):
+    rng = random.Random(500 + seed)
+    for name, mat, ncols in oracle_panel(seed):
+        span = linalg.RowSpan(ncols)
+        for i, vec in enumerate(mat):
+            grew = oracle_rank(mat[: i + 1]) > oracle_rank(mat[:i])
+            assert span.add(vec) == grew, name
+        reduced, pivots = dense_rref_oracle(mat)
+        assert span.dim == len(pivots), name
+        basis = sorted(zip(span.pivots, span.rows))
+        assert [piv for piv, _ in basis] == pivots, name
+        for (piv, row), expected in zip(basis, reduced):
+            assert [row.get(j, 0) for j in range(ncols)] == expected, name
+        cut = rng.randint(0, len(mat))
+        image, kernel = mat[:cut], mat[cut:]
+        chosen = []
+        for vec in kernel:
+            if oracle_rank(image + chosen + [vec]) > oracle_rank(image + chosen):
+                chosen.append(vec)
+        assert linalg.quotient_representatives(kernel, image, ncols) == chosen, name
