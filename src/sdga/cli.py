@@ -35,6 +35,7 @@ from .dg import DGAlgebra, Derivation
 from .forms import Cylinder, FormsAlgebra, PathObject, berezin, integrate
 from . import sampling
 from .simplicial import (
+    SubShapeCotensor,
     ZERO_ALGEBRA,
     barycentric_table,
     barycentric_whitney,
@@ -560,11 +561,17 @@ def cmd_cotensor(args) -> dict:
     if shape == "horn" and args.horn_vertex is None:
         raise InputError("--shape horn needs --horn-vertex")
     horn_vertex = args.horn_vertex if shape == "horn" else None
+    if shape == "simplex" or coefficients == ZERO_ALGEBRA:
+        return cotensor_report(coefficients, args.n, shape, horn_vertex,
+                               w_min, w_max, args.degcap)
+    # filling first: the cotensor keeps the dimension of each kernel it
+    # eliminates, and the cotensor entries read them from there
+    cot = SubShapeCotensor(coefficients, args.n, shape, horn_vertex)
+    filling = filling_report(coefficients, args.n, shape, horn_vertex,
+                             w_min, w_max, args.degcap, cotensor=cot)
     out = cotensor_report(coefficients, args.n, shape, horn_vertex,
-                          w_min, w_max, args.degcap)
-    if shape != "simplex" and coefficients != ZERO_ALGEBRA:
-        out["filling"] = filling_report(coefficients, args.n, shape, horn_vertex,
-                                        w_min, w_max, args.degcap)
+                          w_min, w_max, args.degcap, cotensor=cot)
+    out["filling"] = filling
     return out
 
 

@@ -11,8 +11,10 @@ equality is dictionary equality and printing is deterministic.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, islice, repeat
 
 Scalar = Fraction
 
@@ -583,7 +585,11 @@ class _Parser:
 def parse(table: GeneratorTable, text: str) -> Element:
     tokens = _tokenize(text)
     parser = _Parser(table, tokens)
-    result = parser.parse_expr()
+    try:
+        result = parser.parse_expr()
+    except RecursionError:
+        # the parser recurses once per open parenthesis
+        raise ParseError("expression nested too deeply") from None
     if parser.pos != len(tokens):
         raise ParseError(f"trailing input after position {parser.pos}")
     return result
@@ -640,13 +646,76 @@ def monomials_of_degree_at_most(table: GeneratorTable, cap: int) -> list[tuple[i
     return results
 
 
+def _suffix_weight_bounds(table: GeneratorTable, cap: int) -> list[tuple[list[int], list[int]]]:
+    """Entry i is (lo, hi) for the generators from table position i on.
+
+    lo[d] and hi[d], d = 0..cap, are the least and greatest weight of a
+    monomial in those generators of degree <= d.  Each factor adds one
+    generator weight, an odd generator's at most once and an even
+    generator's any number of times, so once the odd weights beyond the
+    extreme even weight are used up that even weight repeats.
+    """
+    bounds = [([0] * (cap + 1), [0] * (cap + 1))]
+    top = bottom = 0
+    odds: list[int] = []
+    for w, p in zip(reversed(table.weights), reversed(table.parities)):
+        if p == ODD:
+            insort(odds, w)
+        else:
+            top, bottom = max(top, w), min(bottom, w)
+        up = chain((x for x in reversed(odds) if x > top), repeat(top))
+        down = chain((x for x in odds if x < bottom), repeat(bottom))
+        bounds.append((list(accumulate(islice(down, cap), initial=0)),
+                       list(accumulate(islice(up, cap), initial=0))))
+    bounds.reverse()
+    return bounds
+
+
 def monomial_basis(table: GeneratorTable, weight: int, parity: int, cap: int) -> list[tuple[int, ...]]:
-    """Canonical monomials of the given bidegree with total degree <= cap."""
-    return [
-        m
-        for m in monomials_of_degree_at_most(table, cap)
-        if table.monomial_weight(m) == weight and table.monomial_parity(m) == parity
-    ]
+    """Canonical monomials of the given bidegree with total degree <= cap.
+
+    The list is in ascending lexicographic order of exponent tuples; matrix
+    rows and columns are indexed in this order.  One depth-first pass over
+    the generators in table order counts each exponent up from 0, which yields
+    that order directly, and generates only monomials of the bidegree: a
+    branch is cut when the residual weight lies outside the least and greatest
+    weight the remaining generators reach within the remaining degree, or when
+    no odd generator is left and the parity is wrong.
+    """
+    if cap < 0:
+        return []
+    n = len(table)
+    weights, parities = table.weights, table.parities
+    bounds = _suffix_weight_bounds(table, cap)
+    odd_left = [ODD in parities[i:] for i in range(n + 1)]
+    results: list[tuple[int, ...]] = []
+    exps = [0] * n
+
+    def rec(i: int, budget: int, residual: int, par: int):
+        w = weights[i]
+        odd = parities[i] == ODD
+        lo, hi = bounds[i + 1]
+        free = odd_left[i + 1]
+        last = i + 1 == n
+        for e in range(min(1, budget) + 1 if odd else budget + 1):
+            b = budget - e
+            r = residual - e * w
+            if lo[b] <= r <= hi[b]:
+                p = par ^ e if odd else par
+                if free or p == parity:
+                    exps[i] = e
+                    if last:
+                        results.append(tuple(exps))
+                    else:
+                        rec(i + 1, b, r, p)
+
+    lo, hi = bounds[0]
+    if lo[cap] <= weight <= hi[cap] and (odd_left[0] or parity == EVEN):
+        if n:
+            rec(0, cap, weight, EVEN)
+        else:
+            results.append(())
+    return results
 
 
 def weight_degree_bound(table: GeneratorTable, weight: int) -> int | None:

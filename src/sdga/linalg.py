@@ -42,19 +42,16 @@ def mat_vec(mat: Matrix, vec: Vector) -> Vector:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a:
         return []
-    inner = len(b)
     cols = len(b[0]) if b else 0
+    # each row of b once, as (column, entry) pairs of its nonzero entries
+    b_rows = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = zeros(len(a), cols)
-    for i, row in enumerate(a):
-        for k in range(inner):
+    for row, orow in zip(a, out):
+        for k, brow in enumerate(b_rows):
             aik = row[k]
-            if aik == 0:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(cols):
-                if brow[j] != 0:
-                    orow[j] += aik * brow[j]
+            if aik:
+                for j, x in brow:
+                    orow[j] += aik * x
     return out
 
 

@@ -683,6 +683,8 @@ class SubShapeCotensor:
         self.facet_forms = tensor_forms(coefficients, n - 1)
         self.overlap_forms = tensor_forms(coefficients, n - 2) if n >= 2 else None
         self._restrictions: dict[tuple[int, int], AlgebraMap] = {}
+        # (weight, parity, cap) -> dimension, left by each kernel computed
+        self._dims: dict[tuple[int, int, int], int] = {}
 
     def _restriction(self, facet: int, face: int) -> AlgebraMap:
         key = (facet, face)
@@ -713,34 +715,39 @@ class SubShapeCotensor:
         return families
 
     def dimension(self, weight: int, parity: int, cap: int) -> int:
-        vectors, _ = self._kernel(weight, parity, cap)
-        return len(vectors)
+        key = (weight, parity, cap)
+        if key not in self._dims:
+            self._kernel(weight, parity, cap)
+        return self._dims[key]
 
     def _kernel(self, weight: int, parity: int, cap: int):
         fb = self.facet_basis(weight, parity, cap)
         nfac = len(self.facets)
         ncols = nfac * len(fb)
         if self.n < 2 or not fb:
-            return [linalg.unit_vector(ncols, j) for j in range(ncols)], fb
-        ob = monomial_basis(self.overlap_forms.table, weight, parity, cap)
-        oidx = {m: i for i, m in enumerate(ob)}
-        rows: list[list[Fraction]] = []
-        for a in range(nfac):
-            for b in range(a + 1, nfac):
-                j, jp = self.facets[a], self.facets[b]
-                ra = self._restriction(j, jp - 1)
-                rb = self._restriction(jp, j)
-                block = [[Fraction(0)] * ncols for _ in range(len(ob))]
-                for bi, mono in enumerate(fb):
-                    elem = Element.monomial(self.facet_forms.table, mono)
-                    va = ra(elem)
-                    vb = rb(elem)
-                    for m, c in va.terms.items():
-                        block[oidx[m]][a * len(fb) + bi] += c
-                    for m, c in vb.terms.items():
-                        block[oidx[m]][b * len(fb) + bi] -= c
-                rows.extend(block)
-        return linalg.nullspace(rows, ncols), fb
+            vectors = [linalg.unit_vector(ncols, j) for j in range(ncols)]
+        else:
+            ob = monomial_basis(self.overlap_forms.table, weight, parity, cap)
+            oidx = {m: i for i, m in enumerate(ob)}
+            rows: list[list[Fraction]] = []
+            for a in range(nfac):
+                for b in range(a + 1, nfac):
+                    j, jp = self.facets[a], self.facets[b]
+                    ra = self._restriction(j, jp - 1)
+                    rb = self._restriction(jp, j)
+                    block = [[Fraction(0)] * ncols for _ in range(len(ob))]
+                    for bi, mono in enumerate(fb):
+                        elem = Element.monomial(self.facet_forms.table, mono)
+                        va = ra(elem)
+                        vb = rb(elem)
+                        for m, c in va.terms.items():
+                            block[oidx[m]][a * len(fb) + bi] += c
+                        for m, c in vb.terms.items():
+                            block[oidx[m]][b * len(fb) + bi] -= c
+                    rows.extend(block)
+            vectors = linalg.nullspace(rows, ncols)
+        self._dims[(weight, parity, cap)] = len(vectors)
+        return vectors, fb
 
     def restriction_vector(self, element: Element, weight: int, parity: int, cap: int):
         """Coordinates of the facet restrictions of a global form."""
@@ -758,12 +765,15 @@ class SubShapeCotensor:
 
 
 def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
-                   w_min: int, w_max: int, cap: int, max_extra: int = 3) -> dict:
+                   w_min: int, w_max: int, cap: int, max_extra: int = 3,
+                   cotensor: SubShapeCotensor | None = None) -> dict:
     """Check surjectivity of B tensor Omega_n onto the sub-shape cotensor.
 
     For each bidegree in the window, every compatible family of total degree
     at most cap must be the restriction of a global form; the domain degree
-    cap escalates up to cap + max_extra before reporting failure.
+    cap escalates up to cap + max_extra before reporting failure.  A given
+    `cotensor` (built from the same arguments) keeps each kernel's dimension,
+    so a cotensor_report on it afterwards eliminates nothing again.
     """
     out: dict = {
         "shape": shape,
@@ -782,7 +792,7 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
                      "surjective": True, "cap_used": cap}
                 )
         return out
-    cot = SubShapeCotensor(coefficients, n, shape, horn_vertex)
+    cot = cotensor or SubShapeCotensor(coefficients, n, shape, horn_vertex)
     total = tensor_forms(coefficients, n)
     for w in range(w_min, w_max + 1):
         for p in (EVEN, ODD):
@@ -844,8 +854,13 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
 
 
 def cotensor_report(coefficients, n: int, shape: str, horn_vertex: int | None,
-                    w_min: int, w_max: int, cap: int) -> dict:
-    """Dimensions per bidegree of B^K on truncated bases."""
+                    w_min: int, w_max: int, cap: int,
+                    cotensor: SubShapeCotensor | None = None) -> dict:
+    """Dimensions per bidegree of B^K on truncated bases.
+
+    For a boundary or horn, a given `cotensor` (built from the same arguments)
+    supplies the dimensions of kernels it has already computed.
+    """
     out: dict = {
         "shape": shape,
         "n": n,
@@ -870,7 +885,7 @@ def cotensor_report(coefficients, n: int, shape: str, horn_vertex: int | None,
                     {"weight": w, "parity": parity_name(p), "dim": dim}
                 )
         return out
-    cot = SubShapeCotensor(coefficients, n, shape, horn_vertex)
+    cot = cotensor or SubShapeCotensor(coefficients, n, shape, horn_vertex)
     for w in range(w_min, w_max + 1):
         for p in (EVEN, ODD):
             out["entries"].append(

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from sdga.cli import main
+from sdga import simplicial
+from sdga.cli import build_algebra, main
 
 
 KOSZUL_DOC = {
@@ -371,6 +372,62 @@ def test_zero_denominator_in_expr(tmp_path, capsys):
                          "--expr", "2/0 * x", "--var", "x")
     assert code == 2
     assert "zero denominator" in env["error"]
+
+
+def nested(text, depth=2000):
+    return "(" * depth + text + ")" * depth
+
+
+def test_deep_nesting_in_differential(tmp_path, capsys):
+    path = write_doc(tmp_path, "deep.json", dict(LINE_DOC, differential={"x": nested("xi")}))
+    code, env = run_json(capsys, "check", "--input", path)
+    assert code == 2
+    assert env["ok"] is False
+    assert "nested too deeply" in env["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("simplicial", "project", "--n", "3", "--form", nested("t1")),
+    ("simplicial", "dupont", "--n", "1", "--form", nested("t1 * dt1")),
+])
+def test_deep_nesting_in_form(capsys, argv):
+    code, env = run_json(capsys, *argv)
+    assert code == 2
+    assert "nested too deeply" in env["error"]
+
+
+def test_deep_nesting_in_expr(tmp_path, capsys):
+    path = write_doc(tmp_path, "line.json", LINE_DOC)
+    code, env = run_json(capsys, "integrate", "--input", path,
+                         "--expr", nested("x"), "--var", "x")
+    assert code == 2
+    assert "nested too deeply" in env["error"]
+
+
+@pytest.mark.parametrize("shape", [("horn", "--horn-vertex", "1"), ("boundary",)])
+def test_cotensor_eliminates_each_kernel_once(tmp_path, capsys, monkeypatch, shape):
+    calls = []
+    kernel = simplicial.SubShapeCotensor._kernel
+
+    def spy(self, weight, parity, cap):
+        calls.append((weight, parity, cap))
+        return kernel(self, weight, parity, cap)
+
+    monkeypatch.setattr(simplicial.SubShapeCotensor, "_kernel", spy)
+    path = write_doc(tmp_path, "line.json", LINE_DOC)
+    code, env = run_json(capsys, "cotensor", "--input", path, "--n", "2",
+                         "--shape", *shape, "--window", "0:2", "--degcap", "3")
+    assert code == 0
+    assert sorted(calls) == [(w, p, 3) for w in range(3) for p in (0, 1)]
+    # the same reports as each function on its own cotensor
+    monkeypatch.undo()
+    dga, _ = build_algebra(LINE_DOC)
+    vertex = 1 if shape[0] == "horn" else None
+    expected = simplicial.cotensor_report(dga, 2, shape[0], vertex, 0, 2, 3)
+    expected["filling"] = simplicial.filling_report(dga, 2, shape[0], vertex, 0, 2, 3)
+    assert env["report"] == expected
+    assert [e["dim"] for e in expected["entries"]] == \
+        [e["target_dim"] for e in expected["filling"]["entries"]]
 
 
 @pytest.mark.parametrize("command", [

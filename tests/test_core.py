@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from sdga.core import (
+    EVEN,
+    ODD,
     AlgebraError,
     AlgebraMap,
     Element,
@@ -157,6 +159,59 @@ def test_monomial_basis_respects_bidegree(table):
     assert len(basis) == len([m for m in monomials_of_degree_at_most(table, 3)
                               if table.monomial_weight(m) == 1
                               and table.monomial_parity(m) == 1])
+
+
+# -- the bidegree enumerator against the filter it replaced ------------------
+
+
+def filter_basis_oracle(table, weight, parity, cap):
+    """What monomial_basis used to run: every monomial of degree <= cap,
+    sorted, then filtered by bidegree.  Kept as the reference for the
+    enumerator."""
+    return [m for m in monomials_of_degree_at_most(table, cap)
+            if table.monomial_weight(m) == weight and table.monomial_parity(m) == parity]
+
+
+def basis_panel(seed):
+    """Named generator tables for one seed, each with a degree cap: the
+    weight and parity patterns the enumerator's pruning must get right."""
+    rng = random.Random(8000 + seed)
+
+    def table(specs):
+        return GeneratorTable([Generator(f"g{i}", w, p) for i, (w, p) in enumerate(specs)])
+
+    def draw(n, weights, parities=(EVEN, ODD)):
+        return [(rng.choice(weights), rng.choice(parities)) for _ in range(n)]
+
+    mixed = draw(rng.randint(2, 5), range(-3, 4))
+    yield "mixed signs", table(mixed), rng.randint(1, 6)
+    zero_even = draw(rng.randint(1, 4), range(-2, 3))
+    zero_even.insert(rng.randint(0, len(zero_even)), (0, EVEN))
+    yield "even of weight 0", table(zero_even), rng.randint(1, 6)
+    yield "all odd", table(draw(rng.randint(1, 7), range(-2, 4), (ODD,))), rng.randint(1, 8)
+    positive = draw(rng.randint(1, 4), range(1, 4), (EVEN,))
+    yield "all even, positive", table(positive), rng.randint(1, 7)
+    yield "empty table", table([]), rng.randint(0, 3)
+    yield "cap 0", table(draw(rng.randint(1, 4), range(-2, 3))), 0
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_monomial_basis_matches_filter_oracle(seed):
+    sizes = []
+    for name, table, cap in basis_panel(seed):
+        for weight in range(-7, 8):
+            for parity in (EVEN, ODD):
+                expected = filter_basis_oracle(table, weight, parity, cap)
+                assert monomial_basis(table, weight, parity, cap) == expected, \
+                    (name, table, weight, parity, cap)
+                sizes.append(len(expected))
+    assert 0 in sizes and max(sizes) > 1, "the panel should hold empty and larger bases"
+
+
+def test_monomial_basis_below_degree_zero_is_empty(table):
+    assert monomial_basis(table, 0, EVEN, -1) == []
+    assert monomial_basis(GeneratorTable([]), 0, EVEN, -1) == []
+    assert monomial_basis(GeneratorTable([]), 0, EVEN, 0) == [()]
 
 
 def test_weight_degree_bound_finite_for_positive_weights():

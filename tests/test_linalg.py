@@ -230,6 +230,23 @@ def test_sparse_kernel_matches_dense_oracle(seed):
     assert inconsistent, "the panel should hold an inconsistent system"
 
 
+def naive_mat_mul(a, b):
+    """Every product a[i][k] * b[k][j], zero or not, summed in k order."""
+    cols = len(b[0]) if b else 0
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(cols)] for i in range(len(a))]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_mat_mul_matches_naive_product(seed):
+    rng = random.Random(900 + seed)
+    for name, mat, ncols in oracle_panel(seed):
+        right = _fill(rng, ncols, rng.randint(1, 5), rng.choice([0.2, 0.7]))
+        assert linalg.mat_mul(mat, right) == naive_mat_mul(mat, right), name
+        left = _fill(rng, rng.randint(1, 5), len(mat), rng.choice([0.2, 0.7]))
+        assert linalg.mat_mul(left, mat) == naive_mat_mul(left, mat), name
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_row_span_matches_dense_oracle(seed):
     rng = random.Random(500 + seed)
