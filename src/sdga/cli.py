@@ -97,10 +97,7 @@ def build_table(doc: dict) -> GeneratorTable:
         if not isinstance(name, str) or not isinstance(weight, int):
             raise InputError(f"bad generator entry {item!r}")
         gens.append(Generator(name, weight, _parse_parity(item.get("parity", "even"))))
-    try:
-        return GeneratorTable(gens, even_mode=bool(doc.get("even_mode", False)))
-    except AlgebraError as exc:
-        raise InputError(str(exc)) from exc
+    return GeneratorTable(gens, even_mode=bool(doc.get("even_mode", False)))
 
 
 def build_algebra(doc: dict) -> tuple[DGAlgebra | None, dict | None]:
@@ -363,16 +360,10 @@ def cmd_cartan_check(args) -> dict:
 def cmd_integrate(args) -> dict:
     dga = _require_algebra(args)
     table = dga.table
-    try:
-        expr = parse(table, args.expr)
-        lower = parse(table, args.lower)
-        upper = parse(table, args.upper)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        value = integrate(expr, args.var, lower, upper)
-    except AlgebraError as exc:
-        raise InputError(str(exc)) from exc
+    expr = parse(table, args.expr)
+    lower = parse(table, args.lower)
+    upper = parse(table, args.upper)
+    value = integrate(expr, args.var, lower, upper)
     return {
         "expression": render(expr),
         "variable": args.var,
@@ -384,28 +375,16 @@ def cmd_integrate(args) -> dict:
 
 def cmd_berezin(args) -> dict:
     dga = _require_algebra(args)
-    try:
-        expr = parse(dga.table, args.expr)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        value = berezin(expr, args.var)
-    except AlgebraError as exc:
-        raise InputError(str(exc)) from exc
+    expr = parse(dga.table, args.expr)
+    value = berezin(expr, args.var)
     return {"expression": render(expr), "variable": args.var,
             "integral": render(value)}
 
 
 def cmd_cylinder_contract(args) -> dict:
     dga = _require_algebra(args)
-    try:
-        cyl = Cylinder(dga, var=args.var)
-    except AlgebraError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        expr = parse(cyl.table, args.expr)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    cyl = Cylinder(dga, var=args.var)
+    expr = parse(cyl.table, args.expr)
     h = cyl.contract(expr)
     defect = cyl.homotopy_defect(expr)
     if not defect.is_zero():
@@ -422,11 +401,7 @@ def cmd_cylinder_contract(args) -> dict:
 
 
 def _simplicial_expr(args, forms) -> Element:
-    try:
-        raw = parse(barycentric_table(forms.n), args.form)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
-    return eliminate(forms, raw)
+    return eliminate(forms, parse(barycentric_table(forms.n), args.form))
 
 
 def _tuple_str(indices) -> str:

@@ -394,6 +394,64 @@ def partial(element: Element, name: str) -> Element:
     return Element(table, terms)
 
 
+# -- table extensions ---------------------------------------------------------
+
+
+class TableExtension:
+    """The free algebra on a base table plus new generators placed after it.
+
+    An exponent tuple of the extension table is a base tuple followed by the
+    exponents of the new generators, so the base algebra includes by padding
+    with zeros, and an element free of the new generators restricts by
+    slicing.  Every construction that adjoins generators to a table builds on
+    this: Kahler differentials, square-zero extensions, forms, cylinders and
+    coefficient-tensored simplex forms.
+    """
+
+    def __init__(self, base: GeneratorTable, new_generators):
+        self.base = base
+        self.nbase = len(base)
+        self.table = GeneratorTable(list(base.generators) + list(new_generators),
+                                    allow_d_names=True)
+        self._pad = (0,) * (len(self.table) - self.nbase)
+
+    @staticmethod
+    def d_generators(base: GeneratorTable, weight_shift: int, parity_shift: int):
+        """A generator dg of bidegree shifted by (weight_shift, parity_shift) per g."""
+        return [
+            Generator("d" + g.name, g.weight + weight_shift, (g.parity + parity_shift) % 2)
+            for g in base.generators
+        ]
+
+    def include(self, element: Element) -> Element:
+        """The base algebra into the extension."""
+        if element.table != self.base:
+            raise AlgebraError("element is not over the base table")
+        pad = self._pad
+        return Element(self.table, {m + pad: c for m, c in element.terms.items()})
+
+    def restrict(self, element: Element) -> Element:
+        """An extension element free of the new generators back to the base."""
+        n = self.nbase
+        terms = {}
+        for m, c in element.terms.items():
+            if any(m[n:]):
+                name = self.table.names[next(i for i in range(n, len(m)) if m[i])]
+                raise AlgebraError(f"element contains the extension generator {name!r}")
+            terms[m[:n]] = c
+        return Element(self.base, terms)
+
+    def project(self, element: Element) -> Element:
+        """The extension onto the base, every new generator sent to 0."""
+        n = self.nbase
+        terms = {m[:n]: c for m, c in element.terms.items() if not any(m[n:])}
+        return Element(self.base, terms)
+
+    def extension_degree(self, mono: tuple[int, ...]) -> int:
+        """Total exponent of the new generators in a monomial."""
+        return sum(mono[self.nbase:])
+
+
 # -- algebra maps -----------------------------------------------------------
 
 
@@ -479,8 +537,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-class ParseError(ValueError):
-    pass
+class ParseError(AlgebraError):
+    """A malformed expression string."""
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:

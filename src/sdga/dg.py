@@ -24,10 +24,13 @@ from .core import (
     AlgebraError,
     AlgebraMap,
     Element,
+    Generator,
     GeneratorTable,
+    TableExtension,
     as_scalar,
     monomial_basis,
     parity_name,
+    parity_of,
     partial,
     render,
     weight_degree_bound,
@@ -340,7 +343,7 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
 # -- square-zero extensions ---------------------------------------------------
 
 
-class SquareZeroExtension:
+class SquareZeroExtension(TableExtension):
     """A[eps] = A + A*eps with eps^2 = 0, for a formal symbol eps.
 
     Sections of the projection correspond to derivations: a bidegree (s, e)
@@ -349,49 +352,28 @@ class SquareZeroExtension:
     """
 
     def __init__(self, table: GeneratorTable, eps_name: str, eps_weight: int, eps_parity):
-        from .core import Generator, parity_of
-
         eps_parity = parity_of(eps_parity)
         if eps_name in table.index:
             raise AlgebraError(f"symbol {eps_name!r} already names a generator")
-        gens = list(table.generators) + [Generator(eps_name, eps_weight, eps_parity)]
-        self.base = table
+        super().__init__(table, [Generator(eps_name, eps_weight, eps_parity)])
         self.eps_name = eps_name
         self.eps_weight = eps_weight
         self.eps_parity = eps_parity
-        self.table = GeneratorTable(gens, allow_d_names=True)
-        self._eps_pos = self.table.position(eps_name)
 
     def truncate(self, element: Element) -> Element:
         """Kill every monomial containing eps at least twice."""
-        pos = self._eps_pos
-        terms = {m: c for m, c in element.terms.items() if m[pos] < 2}
+        terms = {m: c for m, c in element.terms.items() if self.extension_degree(m) < 2}
         return Element(self.table, terms)
 
     def multiply(self, a: Element, b: Element) -> Element:
         return self.truncate(a * b)
-
-    def include(self, element: Element) -> Element:
-        """A -> A[eps]."""
-        if element.table != self.base:
-            raise AlgebraError("element is not over the base table")
-        terms = {m + (0,): c for m, c in element.terms.items()}
-        return Element(self.table, terms)
-
-    def project(self, element: Element) -> Element:
-        """A[eps] -> A, eps -> 0."""
-        pos = self._eps_pos
-        terms = {m[:-1]: c for m, c in element.terms.items() if m[pos] == 0}
-        return Element(self.base, terms)
 
     def eps(self) -> Element:
         return Element.generator(self.table, self.eps_name)
 
     def eps_coefficient(self, element: Element) -> Element:
         """The A-part m of eps * m inside an extension element."""
-        stripped = partial(element, self.eps_name)
-        terms = {m[:-1]: c for m, c in stripped.terms.items()}
-        return Element(self.base, terms)
+        return self.project(partial(element, self.eps_name))
 
     def derivation_to_section(self, D: Derivation) -> AlgebraMap:
         """Algebra section g -> g + eps * D(g) of the projection."""
@@ -437,7 +419,7 @@ class SquareZeroExtension:
 # -- Kahler differentials ------------------------------------------------------
 
 
-class KahlerModule:
+class KahlerModule(TableExtension):
     """The module of Kahler differentials of a free algebra.
 
     Omega^1 is the free module on symbols d(g), one per generator, carrying the
@@ -447,34 +429,9 @@ class KahlerModule:
     """
 
     def __init__(self, table: GeneratorTable):
-        from .core import Generator
+        super().__init__(table, TableExtension.d_generators(table, 0, EVEN))
 
-        gens = list(table.generators)
-        for g in table.generators:
-            gens.append(Generator("d" + g.name, g.weight, g.parity))
-        self.base = table
-        self.table = GeneratorTable(gens, allow_d_names=True)
-        self.nbase = len(table)
-
-    def include(self, element: Element) -> Element:
-        if element.table != self.base:
-            raise AlgebraError("element is not over the base table")
-        pad = (0,) * self.nbase
-        terms = {m + pad: c for m, c in element.terms.items()}
-        return Element(self.table, terms)
-
-    def restrict(self, element: Element) -> Element:
-        """Extended element with no differential symbols back to the base."""
-        n = self.nbase
-        terms = {}
-        for m, c in element.terms.items():
-            if any(m[n:]):
-                raise AlgebraError("element contains differential symbols")
-            terms[m[:n]] = c
-        return Element(self.base, terms)
-
-    def differential_degree(self, mono: tuple[int, ...]) -> int:
-        return sum(mono[self.nbase:])
+    differential_degree = TableExtension.extension_degree
 
     def is_module_element(self, element: Element) -> bool:
         return all(self.differential_degree(m) == 1 for m in element.terms)
@@ -506,14 +463,13 @@ class KahlerModule:
             raise AlgebraError("form is not over the extended table")
         if not self.is_module_element(omega):
             raise AlgebraError("element is not of differential degree one")
-        n = self.nbase
         out = Element.zero(self.base)
-        for m, c in omega.terms.items():
-            dpos = next(i for i in range(n, len(m)) if m[i])
-            gen = self.base.generators[dpos - n]
-            base_mono = m[:n]
-            coeff = Element.monomial(self.base, base_mono, c)
-            if D.parity_shift and self.base.monomial_parity(base_mono):
-                coeff = -coeff
-            out = out + coeff * D.image_of(gen.name)
+        for g in self.base.generators:
+            # the left partial in dg carries (-1)^{|g| |c|}, the twist (-1)^{|D| |c|}
+            coeff = self.restrict(partial(omega, "d" + g.name))
+            if (g.parity + D.parity_shift) % 2:
+                parity = self.base.monomial_parity
+                coeff = Element(self.base, {m: -c if parity(m) else c
+                                            for m, c in coeff.terms.items()})
+            out = out + coeff * D.image_of(g.name)
         return out

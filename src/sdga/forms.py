@@ -29,6 +29,7 @@ from .core import (
     Element,
     Generator,
     GeneratorTable,
+    TableExtension,
     as_scalar,
     parity_name,
 )
@@ -79,16 +80,11 @@ def berezin(element: Element, name: str) -> Element:
     return partial_derivative(element, name)
 
 
-class FormsAlgebra:
+class FormsAlgebra(TableExtension):
     """The de Rham forms of a free graded-commutative algebra."""
 
     def __init__(self, base: GeneratorTable):
-        gens = list(base.generators)
-        for g in base.generators:
-            gens.append(Generator("d" + g.name, g.weight + 1, (g.parity + 1) % 2))
-        self.base = base
-        self.nbase = len(base)
-        self.table = GeneratorTable(gens, allow_d_names=True)
+        super().__init__(base, TableExtension.d_generators(base, 1, ODD))
         images = {
             g.name: Element.generator(self.table, "d" + g.name) for g in base.generators
         }
@@ -99,29 +95,11 @@ class FormsAlgebra:
         }
         self.form_euler = Derivation(self.table, euler_images, 0, EVEN)
 
-    # -- moving between base and forms --------------------------------------
-
-    def include(self, element: Element) -> Element:
-        if element.table != self.base:
-            raise AlgebraError("element is not over the base table")
-        pad = (0,) * self.nbase
-        return Element(self.table, {m + pad: c for m, c in element.terms.items()})
-
-    def restrict(self, element: Element) -> Element:
-        n = self.nbase
-        terms = {}
-        for m, c in element.terms.items():
-            if any(m[n:]):
-                raise AlgebraError("element has positive form weight")
-            terms[m[:n]] = c
-        return Element(self.base, terms)
+    form_weight_of = TableExtension.extension_degree
 
     def d_symbol(self, name: str) -> Element:
         self.base.position(name)
         return Element.generator(self.table, "d" + name)
-
-    def form_weight_of(self, mono: tuple[int, ...]) -> int:
-        return sum(mono[self.nbase:])
 
     def form_components(self, element: Element) -> dict[int, Element]:
         parts: dict[int, dict] = {}
@@ -194,7 +172,7 @@ class FormsAlgebra:
 # -- cylinders ----------------------------------------------------------------
 
 
-class Cylinder:
+class Cylinder(TableExtension):
     """A[t, dt] for a dg algebra A, with end evaluations and a contraction."""
 
     def __init__(self, dga: DGAlgebra, var: str = "t"):
@@ -202,14 +180,9 @@ class Cylinder:
         if var in base.index or ("d" + var) in base.index:
             raise AlgebraError(f"cylinder variable {var!r} collides with a generator")
         self.dga = dga
-        self.base = base
         self.var = var
         self.dvar = "d" + var
-        gens = list(base.generators)
-        gens.append(Generator(var, 0, EVEN))
-        gens.append(Generator(self.dvar, 1, ODD))
-        self.table = GeneratorTable(gens, allow_d_names=True)
-        self.nbase = len(base)
+        super().__init__(base, [Generator(var, 0, EVEN), Generator(self.dvar, 1, ODD)])
         images = {
             g.name: self.include(dga.differential.image_of(g.name))
             for g in base.generators
@@ -217,11 +190,6 @@ class Cylinder:
         images[var] = Element.generator(self.table, self.dvar)
         self.differential = Derivation(self.table, images, 1, ODD)
         self.total = DGAlgebra(self.table, self.differential)
-
-    def include(self, element: Element) -> Element:
-        if element.table != self.base:
-            raise AlgebraError("element is not over the base table")
-        return Element(self.table, {m + (0, 0): c for m, c in element.terms.items()})
 
     def t(self) -> Element:
         return Element.generator(self.table, self.var)
@@ -231,12 +199,7 @@ class Cylinder:
 
     def evaluate(self, element: Element, value) -> Element:
         """Set t to a rational value and dt to zero, landing in the base."""
-        value = as_scalar(value)
-        at = substitute(element, {self.var: value, self.dvar: 0})
-        terms = {}
-        for m, c in at.terms.items():
-            terms[m[: self.nbase]] = c
-        return Element(self.base, terms)
+        return self.project(substitute(element, {self.var: as_scalar(value), self.dvar: 0}))
 
     def p0(self, element: Element) -> Element:
         return self.evaluate(element, 0)
@@ -271,9 +234,6 @@ class Cylinder:
 
     # alternative route for cross-checking: Euler eigenspaces ---------------
 
-    def tdt_degree(self, mono: tuple[int, ...]) -> int:
-        return mono[self.nbase] + mono[self.nbase + 1]
-
     def contract_by_euler(self, element: Element) -> Element:
         """Same contraction via iota_E / n on (t, dt)-eigencomponents."""
         iota = Derivation(
@@ -285,7 +245,7 @@ class Cylinder:
         out = Element.zero(self.table)
         parts: dict[int, dict] = {}
         for m, c in element.terms.items():
-            parts.setdefault(self.tdt_degree(m), {})[m] = c
+            parts.setdefault(self.extension_degree(m), {})[m] = c
         for n, terms in parts.items():
             if n == 0:
                 continue
@@ -295,13 +255,7 @@ class Cylinder:
     def integrate_over(self, element: Element) -> Element:
         """int_0^1 of the dt-component, landing in the base algebra."""
         beta = partial_derivative(element, self.dvar)
-        value = integrate(beta, self.var, 0, 1)
-        terms = {}
-        for m, c in value.terms.items():
-            if any(m[self.nbase:]):
-                raise AlgebraError("definite integral left residual cylinder variables")
-            terms[m[: self.nbase]] = c
-        return Element(self.base, terms)
+        return self.restrict(integrate(beta, self.var, 0, 1))
 
 
 def homotopy_from_cylinder_map(cyl: Cylinder, source: DGAlgebra, phi: AlgebraMap):

@@ -38,12 +38,13 @@ from .core import (
     Element,
     Generator,
     GeneratorTable,
+    TableExtension,
     monomial_basis,
     parity_name,
 )
 from .core import partial as partial_derivative
 from .dg import Derivation, DGAlgebra
-from .forms import Cylinder, integrate, substitute
+from .forms import Cylinder, FormsAlgebra, integrate, substitute
 
 # Frozen convention for the simplicial homotopy
 #
@@ -59,20 +60,20 @@ from .forms import Cylinder, integrate, substitute
 _DUPONT_SIGN = lambda k: -1 if k % 2 else 1
 
 
-class SimplexForms:
+def _coordinates(prefix: str, indices) -> GeneratorTable:
+    """Even weight-0 coordinates prefix+i, i in indices."""
+    return GeneratorTable([Generator(f"{prefix}{i}", 0, EVEN) for i in indices])
+
+
+class SimplexForms(FormsAlgebra):
     """Polynomial forms on the n-simplex in eliminated coordinates."""
 
     def __init__(self, n: int):
         if n < 0:
             raise AlgebraError("simplex dimension must be non-negative")
         self.n = n
-        gens = [Generator(f"t{i}", 0, EVEN) for i in range(1, n + 1)]
-        gens += [Generator(f"dt{i}", 1, ODD) for i in range(1, n + 1)]
-        self.table = GeneratorTable(gens, allow_d_names=True)
-        images = {
-            f"t{i}": Element.generator(self.table, f"dt{i}") for i in range(1, n + 1)
-        }
-        self.differential = Derivation(self.table, images, 1, ODD)
+        super().__init__(_coordinates("t", range(1, n + 1)))
+        self.differential = self.de_rham
         self.dga = DGAlgebra(self.table, self.differential)
         self._whitney_cache: dict[tuple[int, ...], Element] = {}
         self._integral_cache: dict[tuple, Fraction] = {}
@@ -100,9 +101,6 @@ class SimplexForms:
                 out = out - Element.generator(self.table, f"dt{j}")
             return out
         return Element.generator(self.table, f"dt{i}")
-
-    def form_weight_of(self, mono: tuple[int, ...]) -> int:
-        return sum(mono[self.n:])
 
     def vertex_value(self, element: Element, i: int) -> Fraction:
         """Evaluate the function part at vertex i (t_j = delta_ij, dt = 0)."""
@@ -179,7 +177,7 @@ def whitney(forms: SimplexForms, indices: tuple[int, ...]) -> Element:
     if len(set(I)) != len(I):
         return Element.zero(forms.table)
     order = tuple(sorted(I))
-    sign = _permutation_sign(I, order)
+    sign = _permutation_sign(I)
     cached = forms._whitney_cache.get(order)
     if cached is None:
         k = len(order) - 1
@@ -195,8 +193,7 @@ def whitney(forms: SimplexForms, indices: tuple[int, ...]) -> Element:
     return cached if sign > 0 else -cached
 
 
-def _permutation_sign(perm: tuple[int, ...], sorted_perm: tuple[int, ...]) -> int:
-    del sorted_perm
+def _permutation_sign(perm: tuple[int, ...]) -> int:
     sign = 1
     for i in range(len(perm)):
         for j in range(i + 1, len(perm)):
@@ -224,9 +221,7 @@ def whitney_differential_identity(forms: SimplexForms, indices: tuple[int, ...])
 @lru_cache(maxsize=None)
 def barycentric_table(n: int) -> GeneratorTable:
     """Generators t0..tn and dt0..dtn of the redundant presentation."""
-    gens = [Generator(f"t{i}", 0, EVEN) for i in range(n + 1)]
-    gens += [Generator(f"dt{i}", 1, ODD) for i in range(n + 1)]
-    return GeneratorTable(gens, allow_d_names=True)
+    return FormsAlgebra(_coordinates("t", range(n + 1))).table
 
 
 def simplex_relations(n: int) -> tuple[Element, Element]:
@@ -330,10 +325,9 @@ def simplicial_coboundary(n: int, k: int) -> list[list[Fraction]]:
 
 
 @lru_cache(maxsize=None)
-def _integration_table(k: int) -> GeneratorTable:
-    gens = [Generator(f"u{q}", 0, EVEN) for q in range(1, k + 1)]
-    gens += [Generator(f"du{q}", 1, ODD) for q in range(1, k + 1)]
-    return GeneratorTable(gens, allow_d_names=True)
+def _integration_forms(k: int) -> FormsAlgebra:
+    """Forms on the standard k-simplex in the coordinates u1..uk."""
+    return FormsAlgebra(_coordinates("u", range(1, k + 1)))
 
 
 def simplex_integral(forms: SimplexForms, indices: tuple[int, ...], element: Element,
@@ -373,26 +367,20 @@ def simplex_integral(forms: SimplexForms, indices: tuple[int, ...], element: Ele
 
 
 def _vertex_monomial_value(forms: SimplexForms, mono: tuple[int, ...], vertex: int) -> Fraction:
-    value = Fraction(1)
     for j in range(1, forms.n + 1):
-        e = mono[j - 1]
-        if e:
-            if j != vertex:
-                return Fraction(0)
-    if vertex != 0:
-        return Fraction(1)
-    return Fraction(1) if all(e == 0 for e in mono[: forms.n]) else Fraction(0)
+        if mono[j - 1] and j != vertex:
+            return Fraction(0)
+    return Fraction(1)
 
 
 def _monomial_face_integral(forms: SimplexForms, I: tuple[int, ...],
                             mono: tuple[int, ...], method: str) -> Fraction:
     k = len(I) - 1
-    U = _integration_table(k)
-    images: dict[str, Element] = {}
-    u_elems = [Element.generator(U, f"u{q}") for q in range(1, k + 1)]
-    du_elems = [Element.generator(U, f"du{q}") for q in range(1, k + 1)]
-    base = Element.one(U)
-    dbase = Element.zero(U)
+    U = _integration_forms(k)
+    u_elems = [Element.generator(U.table, f"u{q}") for q in range(1, k + 1)]
+    du_elems = [Element.generator(U.table, f"du{q}") for q in range(1, k + 1)]
+    base = Element.one(U.table)
+    dbase = Element.zero(U.table)
     for u in u_elems:
         base = base - u
     for du in du_elems:
@@ -402,33 +390,31 @@ def _monomial_face_integral(forms: SimplexForms, I: tuple[int, ...],
     for q in range(1, k + 1):
         param_t[I[q]] = u_elems[q - 1]
         param_dt[I[q]] = du_elems[q - 1]
+    images: dict[str, Element] = {}
     for j in range(1, forms.n + 1):
-        images[f"t{j}"] = param_t.get(j, Element.zero(U))
-        images[f"dt{j}"] = param_dt.get(j, Element.zero(U))
-    sub = AlgebraMap(forms.table, U, images, check=False)
-    pulled = sub(Element.monomial(forms.table, mono))
-    top = (0,) * k + (1,) * k
-    coeff_terms = {}
-    for m, c in pulled.terms.items():
-        if m[k:] == top[k:]:
-            coeff_terms[m[:k] + (0,) * k] = c
-    coeff = Element(U, coeff_terms)
+        images[f"t{j}"] = param_t.get(j, Element.zero(U.table))
+        images[f"dt{j}"] = param_dt.get(j, Element.zero(U.table))
+    sub = AlgebraMap(forms.table, U.table, images, check=False)
+    # the coefficient of du1 ... duk, a function of u1..uk
+    coeff = sub(Element.monomial(forms.table, mono))
+    for q in range(1, k + 1):
+        coeff = partial_derivative(coeff, f"du{q}")
+    coeff = U.project(coeff)
     if coeff.is_zero():
         return Fraction(0)
     if method == "dirichlet":
         total = Fraction(0)
         for m, c in coeff.terms.items():
-            exps = m[:k]
             num = 1
-            for e in exps:
+            for e in m:
                 num *= math.factorial(e)
-            total += c * Fraction(num, math.factorial(sum(exps) + k))
+            total += c * Fraction(num, math.factorial(sum(m) + k))
         return total
     value = coeff
     for q in range(k, 0, -1):
-        upper = Element.one(U)
+        upper = Element.one(U.base)
         for r in range(1, q):
-            upper = upper - u_elems[r - 1]
+            upper = upper - Element.generator(U.base, f"u{r}")
         value = integrate(value, f"u{q}", 0, upper)
     return value.constant_term()
 
@@ -583,7 +569,7 @@ def poincare_defect(forms: SimplexForms, element: Element) -> Element:
 # -- tensoring with coefficients -------------------------------------------------
 
 
-class TensorForms:
+class TensorForms(TableExtension):
     """B tensor Omega_n for a coefficient dg algebra B."""
 
     def __init__(self, coefficients: DGAlgebra, n: int):
@@ -596,29 +582,20 @@ class TensorForms:
                 raise AlgebraError(
                     f"coefficient generator {g.name!r} collides with a simplex variable"
                 )
-        gens = list(base.generators) + list(self.forms.table.generators)
-        self.table = GeneratorTable(gens, allow_d_names=True)
-        self.nbase = len(base)
+        super().__init__(base, self.forms.table.generators)
         images: dict[str, Element] = {}
         for g in base.generators:
-            images[g.name] = self.include_base(coefficients.differential.image_of(g.name))
+            images[g.name] = self.include(coefficients.differential.image_of(g.name))
         for i in range(1, n + 1):
             images[f"t{i}"] = Element.generator(self.table, f"dt{i}")
         self.differential = Derivation(self.table, images, 1, ODD)
         self.dga = DGAlgebra(self.table, self.differential)
+        self.include_forms = AlgebraMap(self.forms.table, self.table, {
+            name: Element.generator(self.table, name) for name in self.forms.table.names
+        })
         self._face_cache: dict[int, AlgebraMap] = {}
 
-    def include_base(self, element: Element) -> Element:
-        if element.table != self.coefficients.table:
-            raise AlgebraError("element is not over the coefficient table")
-        pad = (0,) * (2 * self.n)
-        return Element(self.table, {m + pad: c for m, c in element.terms.items()})
-
-    def include_forms(self, element: Element) -> Element:
-        if element.table != self.forms.table:
-            raise AlgebraError("element is not over the simplex table")
-        pad = (0,) * self.nbase
-        return Element(self.table, {pad + m: c for m, c in element.terms.items()})
+    include_base = TableExtension.include
 
     def face_restriction(self, i: int) -> AlgebraMap:
         """Restrict to the facet opposite vertex i, in B tensor Omega_{n-1}."""

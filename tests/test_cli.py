@@ -366,12 +366,15 @@ def test_zero_denominator_in_form(capsys, argv):
     assert "zero denominator" in env["error"]
 
 
-def test_zero_denominator_in_expr(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["integrate", "berezin", "cylinder-contract"])
+def test_zero_denominator_in_expr(tmp_path, capsys, command):
     path = write_doc(tmp_path, "line.json", LINE_DOC)
-    code, env = run_json(capsys, "integrate", "--input", path,
-                         "--expr", "2/0 * x", "--var", "x")
+    var = {"integrate": "x", "berezin": "xi", "cylinder-contract": "t"}[command]
+    code, env = run_json(capsys, command, "--input", path,
+                         "--expr", "2/0 * x", "--var", var)
     assert code == 2
-    assert "zero denominator" in env["error"]
+    assert env["ok"] is False
+    assert env["error"] == "zero denominator in '2/0'"
 
 
 def nested(text, depth=2000):

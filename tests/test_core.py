@@ -16,6 +16,7 @@ from sdga.core import (
     Generator,
     GeneratorTable,
     ParseError,
+    TableExtension,
     compose_maps,
     identity_map,
     monomial_basis,
@@ -264,3 +265,55 @@ def test_identity_and_composition(table):
     a = sampling.random_element(rng, table)
     assert ident(a) == a
     assert compose_maps(ident, ident)(a) == a
+
+
+# -- table extensions ----------------------------------------------------------
+
+
+@pytest.fixture
+def extension(table):
+    return TableExtension(table, [Generator("s", 0, 0), Generator("ds", 1, 1)])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_extension_include_restrict_round_trip(table, extension, seed):
+    a = sampling.random_element(random.Random(4100 + seed), table)
+    lifted = extension.include(a)
+    assert lifted.table == extension.table
+    assert all(extension.extension_degree(m) == 0 for m in lifted.terms)
+    assert extension.restrict(lifted) == a
+    assert extension.project(lifted) == a
+
+
+def test_extension_restrict_rejects_new_generators(table, extension):
+    x = extension.include(Element.generator(table, "x"))
+    with pytest.raises(AlgebraError, match="'ds'"):
+        extension.restrict(x + x * Element.generator(extension.table, "ds"))
+    with pytest.raises(AlgebraError):
+        extension.include(x)
+
+
+def test_extension_project_sends_new_generators_to_zero(table, extension):
+    x = Element.generator(table, "x")
+    s = Element.generator(extension.table, "s")
+    ds = Element.generator(extension.table, "ds")
+    value = extension.include(x) * 3 + s * extension.include(x) + ds - s * ds + 1
+    assert extension.project(value) == x * 3 + 1
+
+
+def test_extension_degree_counts_new_exponents(table, extension):
+    s = Element.generator(extension.table, "s")
+    ds = Element.generator(extension.table, "ds")
+    xi = extension.include(Element.generator(table, "xi"))
+    (mono,) = (xi * s ** 3 * ds).terms
+    assert extension.extension_degree(mono) == 4
+    (mono,) = xi.terms
+    assert extension.extension_degree(mono) == 0
+
+
+def test_d_generators_shift_each_bidegree(table):
+    gens = TableExtension.d_generators(table, 1, 1)
+    assert [(g.name, g.weight, g.parity) for g in gens] == [
+        ("dx", 1, 1), ("dy", 1, 1), ("dxi", 2, 0), ("deta", 2, 0),
+    ]
+    assert TableExtension(table, gens).table.names[4:] == ("dx", "dy", "dxi", "deta")

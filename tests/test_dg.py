@@ -177,6 +177,11 @@ def test_eps_coefficient_extracts_the_linear_part(table):
     value = x + ext.eps() * x * 3
     assert ext.eps_coefficient(value) == Element.generator(table, "x") * 3
     assert ext.project(value) == Element.generator(table, "x")
+    # an even eps squares to a nonzero monomial, which is no part of the coefficient
+    even = SquareZeroExtension(table, "eps", 0, 0)
+    x, y = (even.include(Element.generator(table, name)) for name in ("x", "y"))
+    value = x * even.eps() ** 2 + y * even.eps()
+    assert even.eps_coefficient(value) == Element.generator(table, "y")
 
 
 @pytest.mark.parametrize("seed", range(10))

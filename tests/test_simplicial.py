@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from sdga.core import (
+    EVEN,
+    ODD,
     AlgebraError,
     Element,
     Generator,
@@ -15,6 +17,7 @@ from sdga.core import (
     monomial_basis,
 )
 from sdga.dg import DGAlgebra, Derivation
+from sdga.forms import FormsAlgebra
 from sdga.simplicial import (
     ZERO_ALGEBRA,
     SubShapeCotensor,
@@ -212,6 +215,24 @@ def test_barycentric_whitney_matches():
                 assert eliminate(forms, redundant) == whitney(forms, I)
     assert barycentric_whitney(2, (1, 1)).is_zero()
     assert barycentric_table(2).position("dt0") >= 0
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_simplex_tables_are_forms_of_their_coordinates(n):
+    def forms_table(indices):
+        gens = [Generator(f"t{i}", 0, EVEN) for i in indices]
+        gens += [Generator(f"dt{i}", 1, ODD) for i in indices]
+        return GeneratorTable(gens, allow_d_names=True)
+
+    def coordinates(indices):
+        return GeneratorTable([Generator(f"t{i}", 0, EVEN) for i in indices])
+
+    forms = simplex_forms(n)
+    assert forms.table == forms_table(range(1, n + 1))
+    assert forms.table == FormsAlgebra(coordinates(range(1, n + 1))).table
+    assert forms.differential == FormsAlgebra(coordinates(range(1, n + 1))).de_rham
+    assert barycentric_table(n) == forms_table(range(n + 1))
+    assert barycentric_table(n) == FormsAlgebra(coordinates(range(n + 1))).table
 
 
 # -- the elementary subcomplex -----------------------------------------------------
