@@ -15,6 +15,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
+from operator import add
 
 Scalar = Fraction
 
@@ -163,8 +164,60 @@ def _mul_monomials(table: GeneratorTable, e1: tuple[int, ...], e2: tuple[int, ..
             crossings += suffix
         if e1[i]:
             suffix += 1
-    exps = tuple(a + b for a, b in zip(e1, e2))
-    return (-1 if crossings & 1 else 1), exps
+    return (-1 if crossings & 1 else 1), tuple(map(add, e1, e2))
+
+
+# -- the term-dict kernel -------------------------------------------------------
+#
+# A term dict maps canonical exponent tuples to nonzero rationals.  Element
+# arithmetic, algebra maps, derivations and the linear extensions in
+# `simplicial` all run on these two routines, with no Element built per
+# intermediate product.
+
+
+def _mul_terms(table: GeneratorTable, t1: dict, t2: dict) -> dict:
+    """The product of two term dicts over `table`; cancelled terms are dropped."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            hit = _mul_monomials(table, m1, m2)
+            if hit is None:
+                continue
+            sign, exps = hit
+            c = c1 * c2 if sign > 0 else -c1 * c2
+            acc = terms.get(exps, None)
+            if acc is None:
+                terms[exps] = c
+            else:
+                acc = acc + c
+                if acc == 0:
+                    del terms[exps]
+                else:
+                    terms[exps] = acc
+    return terms
+
+
+def _add_into(terms: dict, other: dict, scale=1) -> dict:
+    """Add scale * other into `terms` in place and return it.
+
+    A sum that cancels is deleted, and a zero scale adds nothing, so no zero
+    coefficient is ever stored (other's coefficients are nonzero, as in every
+    term dict).
+    """
+    if scale == 0:
+        return terms
+    items = other.items() if scale == 1 else ((m, c * scale) for m, c in other.items())
+    for mono, c in items:
+        acc = terms.get(mono, None)
+        if acc is None:
+            terms[mono] = c
+        else:
+            acc = acc + c
+            if acc == 0:
+                del terms[mono]
+            else:
+                terms[mono] = acc
+    return terms
 
 
 class Element:
@@ -225,18 +278,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_table(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = terms.get(mono, None)
-            if acc is None:
-                terms[mono] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del terms[mono]
-                else:
-                    terms[mono] = acc
-        return Element(self.table, terms)
+        return Element(self.table, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -262,25 +304,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_table(other)
-        table = self.table
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                hit = _mul_monomials(table, m1, m2)
-                if hit is None:
-                    continue
-                sign, exps = hit
-                c = c1 * c2 if sign > 0 else -c1 * c2
-                acc = terms.get(exps, None)
-                if acc is None:
-                    terms[exps] = c
-                else:
-                    acc = acc + c
-                    if acc == 0:
-                        del terms[exps]
-                    else:
-                        terms[exps] = acc
-        return Element(table, terms)
+        return Element(self.table, _mul_terms(self.table, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -460,6 +484,12 @@ class AlgebraMap:
 
     With check=True (the default) each image must be zero or homogeneous of
     the same bidegree as its generator, so the map preserves the grading.
+
+    A call works on term dicts: each monomial c * g_0^e_0 * ... * g_k^e_k is
+    sent to c times the product, in table order, of the powers img_i^e_i,
+    each power built once per call from the one below it and shared by every
+    monomial that needs it.  The images land in one output dict, where a
+    cancelling sum is deleted, so no zero coefficient is ever stored.
     """
 
     def __init__(self, source: GeneratorTable, target: GeneratorTable,
@@ -493,21 +523,31 @@ class AlgebraMap:
     def __call__(self, element: Element) -> Element:
         if element.table != self.source:
             raise AlgebraError("element is not over the source table")
-        out = Element.zero(self.target)
+        target = self.target
+        images = self.images
+        # powers[i] lists the term dicts of img_i^1 .. img_i^k met so far
+        powers: dict[int, list[dict]] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for mono, c in element.terms.items():
-            acc = Element.scalar(self.target, c)
+            acc = None
             for i, e in enumerate(mono):
                 if e == 0:
                     continue
-                img = self.images[i]
-                for _ in range(e):
-                    acc = acc * img
-                    if acc.is_zero():
-                        break
-                if acc.is_zero():
+                pw = powers.get(i)
+                if pw is None:
+                    pw = powers[i] = [images[i].terms]
+                while len(pw) < e:
+                    pw.append(_mul_terms(target, pw[-1], images[i].terms))
+                if acc is None:
+                    acc = {m: v * c for m, v in pw[e - 1].items()}
+                else:
+                    acc = _mul_terms(target, acc, pw[e - 1])
+                if not acc:
                     break
-            out = out + acc
-        return out
+            if acc is None:
+                acc = {(0,) * len(target): c}
+            _add_into(out, acc)
+        return Element(target, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -580,6 +620,8 @@ class _Parser:
 
     def expect_op(self, op: str):
         kind, value = self.take()
+        if kind is None:
+            raise ParseError(f"unexpected end of expression, expected {op!r}")
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}, got {value!r}")
 
@@ -637,6 +679,8 @@ class _Parser:
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
+        if kind is None:
+            raise ParseError("unexpected end of expression")
         raise ParseError(f"unexpected token {value!r}")
 
 

@@ -27,6 +27,8 @@ from .core import (
     Generator,
     GeneratorTable,
     TableExtension,
+    _add_into,
+    _mul_terms,
     as_scalar,
     monomial_basis,
     parity_name,
@@ -71,13 +73,14 @@ class Derivation:
     def __call__(self, element: Element) -> Element:
         if element.table != self.table:
             raise AlgebraError("element is not over the derivation's table")
-        out = Element.zero(self.table)
-        for i, g in enumerate(self.table.generators):
+        table = self.table
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for i, g in enumerate(table.generators):
             img = self.images[i]
             if img.is_zero():
                 continue
-            out = out + img * partial(element, g.name)
-        return out
+            _add_into(terms, _mul_terms(table, img.terms, partial(element, g.name).terms))
+        return Element(table, terms)
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images)

@@ -30,6 +30,7 @@ from .core import (
     Generator,
     GeneratorTable,
     TableExtension,
+    _add_into,
     as_scalar,
     parity_name,
 )
@@ -38,7 +39,36 @@ from .dg import Derivation, DGAlgebra
 
 
 def substitute(element: Element, values: dict[str, Element | int | Fraction]) -> Element:
-    """Replace generators by elements of the same table; identity elsewhere."""
+    """Replace generators by elements of the same table; identity elsewhere.
+
+    Names the table does not have are ignored.  When every value is a
+    rational (an int, Fraction or 'p/q' string), each term is evaluated in
+    one pass: its coefficient is scaled by v**e and that exponent zeroed, so
+    a zero value kills every term the generator divides.
+    """
+    table = element.table
+    scalars: dict[int, Fraction] = {}
+    for name, val in values.items():
+        pos = table.index.get(name)
+        if pos is None:
+            continue
+        if not isinstance(val, (int, Fraction, str)):
+            return _substitute_by_map(element, values)
+        scalars[pos] = as_scalar(val)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for mono, c in element.terms.items():
+        new = list(mono)
+        for pos, v in scalars.items():
+            e = mono[pos]
+            if e:
+                c = c * v ** e
+                new[pos] = 0
+        if c:
+            _add_into(terms, {tuple(new): c})
+    return Element(table, terms)
+
+
+def _substitute_by_map(element: Element, values: dict) -> Element:
     table = element.table
     images: dict[str, Element] = {}
     for g in table.generators:

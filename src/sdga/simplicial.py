@@ -39,6 +39,7 @@ from .core import (
     Generator,
     GeneratorTable,
     TableExtension,
+    _add_into,
     monomial_basis,
     parity_name,
 )
@@ -424,14 +425,14 @@ def _monomial_face_integral(forms: SimplexForms, I: tuple[int, ...],
 
 def whitney_projection(forms: SimplexForms, element: Element) -> Element:
     """P = sum_I w_I * integral_I; idempotent chain map onto the Whitney span."""
-    out = Element.zero(forms.table)
+    terms: dict[tuple[int, ...], Fraction] = {}
     for mono, c in element.terms.items():
         cached = forms._p_cache.get(mono)
         if cached is None:
             cached = _projection_of_monomial(forms, mono)
             forms._p_cache[mono] = cached
-        out = out + cached * c
-    return out
+        _add_into(terms, cached.terms, c)
+    return Element(forms.table, terms)
 
 
 def _projection_of_monomial(forms: SimplexForms, mono: tuple[int, ...]) -> Element:
@@ -480,17 +481,16 @@ def dilation(forms: SimplexForms, i: int) -> tuple[Cylinder, AlgebraMap]:
 
 def dilation_homotopy(forms: SimplexForms, i: int, element: Element) -> Element:
     """h^i = int_0^1 (d/du) dilation_i; h^i d + d h^i = id - (vertex i)."""
-    out = Element.zero(forms.table)
+    terms: dict[tuple[int, ...], Fraction] = {}
     for mono, c in element.terms.items():
         key = (i, mono)
         cached = forms._h_cache.get(key)
         if cached is None:
             cyl, phi = dilation(forms, i)
-            value = cyl.integrate_over(phi(Element.monomial(forms.table, mono)))
-            forms._h_cache[key] = value
-            cached = value
-        out = out + cached * c
-    return out
+            cached = cyl.integrate_over(phi(Element.monomial(forms.table, mono)))
+            forms._h_cache[key] = cached
+        _add_into(terms, cached.terms, c)
+    return Element(forms.table, terms)
 
 
 def vertex_projection(forms: SimplexForms, i: int, element: Element) -> Element:
@@ -500,14 +500,14 @@ def vertex_projection(forms: SimplexForms, i: int, element: Element) -> Element:
 
 def dupont_homotopy(forms: SimplexForms, element: Element) -> Element:
     """The simplicial contraction s with d s + s d = id - P."""
-    out = Element.zero(forms.table)
+    terms: dict[tuple[int, ...], Fraction] = {}
     for mono, c in element.terms.items():
         cached = forms._s_cache.get(mono)
         if cached is None:
             cached = _dupont_of_monomial(forms, mono)
             forms._s_cache[mono] = cached
-        out = out + cached * c
-    return out
+        _add_into(terms, cached.terms, c)
+    return Element(forms.table, terms)
 
 
 def _dupont_of_monomial(forms: SimplexForms, mono: tuple[int, ...]) -> Element:
@@ -607,7 +607,13 @@ class TensorForms(TableExtension):
         return cached
 
 
-@lru_cache(maxsize=None)
+# Keyed by the coefficient algebra's identity, so an unbounded cache would
+# keep every algebra a long-lived process ever saw; one CLI request uses at
+# most three entries (n, n - 1 and n - 2 for one algebra).
+TENSOR_FORMS_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=TENSOR_FORMS_CACHE_SIZE)
 def tensor_forms(coefficients: DGAlgebra, n: int) -> TensorForms:
     return TensorForms(coefficients, n)
 

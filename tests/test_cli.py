@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -377,6 +380,21 @@ def test_zero_denominator_in_expr(tmp_path, capsys, command):
     assert env["error"] == "zero denominator in '2/0'"
 
 
+@pytest.mark.parametrize("upper, error", [
+    ("(", "unexpected end of expression"),
+    ("x *", "unexpected end of expression"),
+    ("x +", "unexpected end of expression"),
+    ("(x", "unexpected end of expression, expected ')'"),
+])
+def test_expression_ends_early(tmp_path, capsys, upper, error):
+    path = write_doc(tmp_path, "line.json", LINE_DOC)
+    code, env = run_json(capsys, "integrate", "--input", path,
+                         "--expr", "x*xi", "--var", "x", "--upper", upper)
+    assert code == 2
+    assert env["ok"] is False
+    assert env["error"] == error
+
+
 def nested(text, depth=2000):
     return "(" * depth + text + ")" * depth
 
@@ -444,3 +462,67 @@ def test_negative_degcap(tmp_path, capsys, command):
     assert "--degcap" in env["error"]
     code, env = run_json(capsys, *command, "--input", path, "--degcap", "0")
     assert code == 0
+
+
+GOLDEN_DOC = {
+    "generators": [
+        {"name": "x", "weight": 0, "parity": "even"},
+        {"name": "xi", "weight": 1, "parity": "odd"},
+        {"name": "y", "weight": 2, "parity": "even"},
+        {"name": "eta", "weight": 3, "parity": "odd"},
+    ],
+    "differential": {"x": "xi", "y": "eta"},
+}
+
+GOLDEN_FORMS = [
+    "t0^2 * t1 * dt2",
+    "3/2 * t1 * dt0 * dt3 - t2^2 * dt1",
+    "t0 * t1 * t2 * t3 + 2 * dt0 * dt1 * dt2",
+    "5 * t3^3 * dt1 * dt2 - 1/7 * t0 * dt3 + 4",
+]
+
+# sha256 of the whole stdout of each command, GOLDEN_DOC on stdin: the
+# reports stay byte-identical whatever the arithmetic beneath them does
+GOLDEN_DIGESTS = {
+    ("simplicial", "dupont", "--n", "3", "--form", GOLDEN_FORMS[0]):
+        "36899892d87f06569e5d8996c31a8aef8e9761e011ba660205e102b58c458ec3",
+    ("simplicial", "dupont", "--n", "3", "--form", GOLDEN_FORMS[1]):
+        "d6b62f913f503a9c7a3e8a21f35706457f31f9fe97ace8df957ed3b812e360b0",
+    ("simplicial", "dupont", "--n", "3", "--form", GOLDEN_FORMS[2]):
+        "1fd62d9c15ed15afd03f45e22949b23b95c9221e5b7f6df895c3e8d497aa959f",
+    ("simplicial", "dupont", "--n", "3", "--form", GOLDEN_FORMS[3]):
+        "4838174da256e5386141da7020fe384243e9144b7a19da139e5bad4c292220f8",
+    ("simplicial", "project", "--n", "3", "--form", GOLDEN_FORMS[0]):
+        "09790d7edb5439adc4f691d550faf7e1b6db94fa93c7758e0ba002ef19d219b1",
+    ("simplicial", "project", "--n", "3", "--form", GOLDEN_FORMS[1]):
+        "3b8350ed2776d6605ed026f7de576a952eac6d8428e71e9de3a2b1ee631114d5",
+    ("simplicial", "project", "--n", "3", "--form", GOLDEN_FORMS[2]):
+        "0d9d94480c04346c782b8450c466c9aa0dbb20bead6eede16fed4a1ae8229d8d",
+    ("simplicial", "project", "--n", "3", "--form", GOLDEN_FORMS[3]):
+        "a384e5caf9be51c484383c36e5e9af3df1b224def84c7b32c5b08ce569a32d0a",
+    ("simplicial", "duality", "--n", "3"):
+        "446dacbfd97bcbb4b4c70e7098df2f5d09dbb20329dc09667fffbb8f7e8e25c9",
+    ("simplicial", "whitney", "--n", "3"):
+        "395abc4c26cde4a588210e970557105c9378f476e7e4b9ef953093ee740d920a",
+    ("simplicial", "faces", "--n", "3"):
+        "c5be8a858d081ced19cb3e2031cf0431e9fe3736fc2b3eb4c736a16a83365648",
+    ("integrate", "--input", "-", "--expr", "x^2 * y + 3/2 * x * xi - y * eta",
+     "--var", "x", "--lower", "y", "--upper", "1 - x"):
+        "273acdc8d21b66291312b13d036752f7705b4666b8526532d095aa2179b0d83a",
+    ("integrate", "--input", "-", "--expr", "x^3 * xi - 2/5 * x * eta",
+     "--var", "x", "--lower", "1/2", "--upper", "3"):
+        "ad7acae1da0ae1c3481966415fa7cecc1e77133c8b106c7450ed551a3b0bbb09",
+    ("cylinder-contract", "--input", "-", "--expr",
+     "x^2 * y * t * dt + xi * t^2 - eta * dt + 7/3 * x * t^3 * dt"):
+        "115cc405409c8dcdaa1d639d0fb96b9be44183662b7224ece2728e4ef3cef2f2",
+    ("path-object", "--input", "-", "--trials", "5"):
+        "89c262a090ac10f3f4f1ab75530dbacb992d532519415c7dcee7d5ab97beb834",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS))
+def test_golden_output_digests(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GOLDEN_DOC)))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[argv]

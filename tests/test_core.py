@@ -267,6 +267,91 @@ def test_identity_and_composition(table):
     assert compose_maps(ident, ident)(a) == a
 
 
+# -- algebra maps against the factor-by-factor evaluation they replaced --------
+
+
+def algebra_map_oracle(f, element):
+    """What AlgebraMap.__call__ used to run: each monomial's image built one
+    generator factor at a time, from the scalar up, in Element arithmetic.
+    Kept as the reference for the term-dict kernel."""
+    out = Element.zero(f.target)
+    for mono, c in element.terms.items():
+        acc = Element.scalar(f.target, c)
+        for i, e in enumerate(mono):
+            if e == 0:
+                continue
+            img = f.images[i]
+            for _ in range(e):
+                acc = acc * img
+                if acc.is_zero():
+                    break
+            if acc.is_zero():
+                break
+        out = out + acc
+    return out
+
+
+def algebra_map_panel(seed):
+    """A map into a larger table and elements to send through it.
+
+    g0 and g1 are odd and share the image theta = h0 + h1 with h0, h1 odd, so
+    theta * theta cancels; g2 is odd with a random image, so products of the
+    images pick up Koszul signs; the rest get a zero image, a random image or
+    a sum of target generators.  Even exponents go up to 4.
+    """
+    rng = random.Random(9000 + seed)
+    specs = [(rng.randint(-2, 3), ODD) for _ in range(3)]
+    specs += [(rng.randint(-2, 3), rng.choice((EVEN, ODD))) for _ in range(rng.randint(1, 3))]
+    source = GeneratorTable([Generator(f"g{i}", w, p) for i, (w, p) in enumerate(specs)])
+    tspecs = [(0, ODD), (1, ODD)] + [(rng.randint(-2, 3), rng.choice((EVEN, ODD)))
+                                    for _ in range(len(specs) + rng.randint(0, 2))]
+    target = GeneratorTable([Generator(f"h{i}", w, p) for i, (w, p) in enumerate(tspecs)])
+    theta = Element.generator(target, "h0") + Element.generator(target, "h1")
+    images = {"g0": theta, "g1": theta,
+              "g2": sampling.random_element(rng, target, max_degree=2, terms=3)}
+    for g in source.generators[3:]:
+        kind = rng.choice(("zero", "random", "random", "sum"))
+        if kind == "zero":
+            images[g.name] = Element.zero(target)
+        elif kind == "random":
+            images[g.name] = sampling.random_element(rng, target, max_degree=2, terms=3)
+        else:
+            names = rng.sample(target.names, 2)
+            images[g.name] = (Element.generator(target, names[0])
+                              - Element.generator(target, names[1]) * sampling.random_scalar(rng))
+    f = AlgebraMap(source, target, images, check=False)
+
+    def random_monomial():
+        # g1 left out: any monomial with g0 * g1 maps to zero
+        return (rng.randint(0, 1), 0) + tuple(rng.randint(0, 1) if p == ODD else rng.randint(0, 4)
+                                              for _, p in specs[2:])
+
+    elements = [Element.monomial(source, (1, 1) + (0,) * (len(specs) - 2))]
+    # every odd generator but g1: the odd images multiply in table order
+    odd_product = tuple(1 if p == ODD and i != 1 else 0 for i, (_, p) in enumerate(specs))
+    elements.append(Element.monomial(source, odd_product, 3))
+    for _ in range(4):
+        a = Element.zero(source)
+        for _ in range(rng.randint(1, 6)):
+            a = a + Element.monomial(source, random_monomial(), sampling.random_scalar(rng))
+        elements.append(a)
+    return f, elements
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_algebra_map_matches_factor_oracle(seed):
+    f, elements = algebra_map_panel(seed)
+    sizes = []
+    for a in elements:
+        value = f(a)
+        assert value.table == f.target
+        assert value == algebra_map_oracle(f, a), (seed, a)
+        assert all(c != 0 for c in value.terms.values())
+        sizes.append(len(value.terms))
+    assert sizes[0] == 0, "theta * theta cancels"
+    assert max(sizes) > 1
+
+
 # -- table extensions ----------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from sdga.core import (
     Element,
     Generator,
     GeneratorTable,
+    as_scalar,
     parse,
     partial,
     render,
@@ -58,6 +59,58 @@ def test_substitute_scalar_and_element(table):
     assert out == parse(table, "9 * y + xi")
     out = substitute(a, {"x": Element.generator(table, "y")})
     assert out == parse(table, "y^3 + xi")
+
+
+def substitute_by_map(element, values):
+    """substitute through an AlgebraMap, the path Element values take; the
+    reference for the one-pass evaluation of rational values."""
+    table = element.table
+    images = {g.name: (Element.scalar(table, as_scalar(values[g.name])) if g.name in values
+                       else Element.generator(table, g.name))
+              for g in table.generators}
+    return AlgebraMap(table, table, images, check=False)(element)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_scalar_substitution_matches_map(seed):
+    rng = random.Random(9500 + seed)
+    tab = GeneratorTable([Generator("x", 0, 0), Generator("xi", 1, 1), Generator("y", 2, 0),
+                          Generator("eta", 1, 1), Generator("z", -1, 0), Generator("zeta", 3, 1)])
+    evens, odds = ["x", "y", "z"], ["xi", "eta", "zeta"]
+    rng.shuffle(evens)
+    rng.shuffle(odds)
+    v = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))
+    values = {
+        evens[0]: 0,                         # a zero even value
+        odds[0]: 0,                          # a zero odd value
+        evens[1]: v,                         # a Fraction
+        evens[2]: f"{rng.randint(-4, 4)}/{rng.randint(1, 5)}",  # a 'p/q' string
+        odds[1]: rng.choice((1, -2, "3/4", Fraction(-1, 3))),
+        "w": "not in the table, so never read",
+    }
+    if rng.random() < 0.5:
+        del values[odds[1]]
+
+    def random_monomial():
+        return tuple(rng.randint(0, 1) if p == ODD else rng.randint(0, 4)
+                     for p in tab.parities)
+
+    a = Element.zero(tab)
+    for _ in range(8):
+        a = a + Element.monomial(tab, random_monomial(), sampling.random_scalar(rng))
+    # two terms that cancel once evens[1] := v
+    mono = list(random_monomial())
+    mono[tab.position(evens[1])] = 0
+    c = sampling.random_scalar(rng) or Fraction(1)
+    a = a + Element.monomial(tab, tuple(mono), c)
+    mono[tab.position(evens[1])] = 1
+    a = a + Element.monomial(tab, tuple(mono), -c / v)
+    out = substitute(a, values)
+    assert out == substitute_by_map(a, values)
+    assert all(c != 0 for c in out.terms.values())
+    for m in out.terms:
+        for name in (evens[0], odds[0], evens[1], evens[2]):
+            assert m[tab.position(name)] == 0
 
 
 def test_antiderivative_inverts_partial(table):

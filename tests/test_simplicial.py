@@ -19,6 +19,7 @@ from sdga.core import (
 from sdga.dg import DGAlgebra, Derivation
 from sdga.forms import FormsAlgebra
 from sdga.simplicial import (
+    TENSOR_FORMS_CACHE_SIZE,
     ZERO_ALGEBRA,
     SubShapeCotensor,
     barycentric_section,
@@ -337,6 +338,16 @@ def test_tensor_forms_differential():
     assert T.dga.d(T.include_base(b)) == T.include_base(line_dga().d(b))
     fw = T.forms.t(1)
     assert T.dga.d(T.include_forms(fw)) == T.include_forms(T.forms.d(fw))
+
+
+def test_tensor_forms_cache_is_bounded():
+    # a long-lived process keeps at most the bound, however many algebras it sees
+    algebras = [line_dga() for _ in range(100)]
+    for dga in algebras:
+        assert tensor_forms(dga, 1).coefficients is dga
+    info = tensor_forms.cache_info()
+    assert info.maxsize == TENSOR_FORMS_CACHE_SIZE
+    assert info.currsize <= TENSOR_FORMS_CACHE_SIZE
 
 
 def test_face_restriction_is_chain_map():
