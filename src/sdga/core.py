@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from operator import add
@@ -54,17 +53,39 @@ def as_scalar(value) -> Fraction:
     raise AlgebraError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    weight: int
-    parity: int
+    """A named generator of bidegree (weight, parity); immutable and hashable."""
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise AlgebraError(f"generator name {self.name!r} is not an identifier")
-        if self.parity not in (EVEN, ODD):
-            raise AlgebraError(f"generator {self.name!r}: parity must be 0 or 1")
+    __slots__ = ("name", "weight", "parity")
+
+    def __init__(self, name: str, weight: int, parity: int):
+        if not _IDENT_RE.match(name):
+            raise AlgebraError(f"generator name {name!r} is not an identifier")
+        if parity not in (EVEN, ODD):
+            raise AlgebraError(f"generator {name!r}: parity must be 0 or 1")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "parity", parity)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r} of a Generator")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r} of a Generator")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.weight, self.parity) == (other.name, other.weight, other.parity)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.weight, self.parity))
+
+    def __repr__(self) -> str:
+        return f"Generator(name={self.name!r}, weight={self.weight!r}, parity={self.parity!r})"
+
+    def __reduce__(self):
+        return (Generator, (self.name, self.weight, self.parity))
 
 
 class GeneratorTable:
@@ -347,9 +368,6 @@ class Element:
             key = (self.table.monomial_weight(mono), self.table.monomial_parity(mono))
             parts.setdefault(key, {})[mono] = c
         return {key: Element(self.table, terms) for key, terms in parts.items()}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.homogeneous_components()) <= 1
 
     def bidegree(self) -> tuple[int, int] | None:
         """(weight, parity) of a homogeneous element, None for zero or mixed."""

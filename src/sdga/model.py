@@ -452,15 +452,6 @@ def solve_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap):
 # -- factorization by cell attachment ----------------------------------------------
 
 
-class _Attachment:
-    __slots__ = ("key", "dx", "q_image")
-
-    def __init__(self, key: Key, dx, q_image):
-        self.key = key
-        self.dx = dx          # vector over the current middle complex, or None
-        self.q_image = q_image  # vector over B at key
-
-
 class _MiddleBuilder:
     """A complex grown from a base by attaching cell generators, with a map to B."""
 
@@ -617,7 +608,13 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
             if hit.add(vec):
                 builder.add_generator(key, None, vec)
 
-    # pass 3: attach dx = z generators until H(q) is injective
+    # pass 3: kill the kernel of H(q).  One nullspace per key of the stacked
+    # system [-d_B | q K], K the cocycles of the middle complex, gives every
+    # pair (y, c) with q(K c) = d_B y, so a class that only a combination of
+    # the columns of K kills is found too.  Each K c independent of the
+    # boundaries gets a generator x with dx = K c and q(x) = y.  With the d_B
+    # columns first, a column of K that q sends to a boundary on its own
+    # comes out as c = e_i with the y of the particular solution.
     for key in _all_keys(A, B):
         nm = builder.dim(key)
         if nm == 0:
@@ -625,33 +622,20 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         kernel_m = linalg.nullspace(builder.d_matrix(key), nm)
         if not kernel_m:
             continue
-        qmat = builder.q_matrix(key)
-        db_in = B.d_block(_prev_key(key))
-        nb = B.dim(key)
+        prev = _prev_key(key)
+        nb, prev_b = B.dim(key), B.dim(prev)
+        qk = [linalg.mat_vec(builder.q_matrix(key), vec) for vec in kernel_m]
+        db_in = B.d_block(prev)
+        stacked = [[-x for x in db_in[r]] + [col[r] for col in qk] for r in range(nb)]
         boundaries = linalg.RowSpan(nm)
-        for col in _transpose_columns(builder.d_matrix(_prev_key(key)), nm):
+        for col in _transpose_columns(builder.d_matrix(prev), nm):
             boundaries.add(col)
-        ncand = len(kernel_m)
-        prev_b = B.dim(_prev_key(key))
-        sys_rows = nb
-        for vec in kernel_m:
-            qv = linalg.mat_vec(qmat, vec)
-            sol, _ = linalg.solve_with_certificate(
-                [list(row) for row in db_in] if db_in else linalg.zeros(nb, prev_b),
-                qv,
-            )
-            if sol is None:
-                continue
-            if len(sol) < prev_b:
-                # a zero-row system carries no column count; any witness works
-                sol = list(sol) + [Fraction(0)] * (prev_b - len(sol))
-            if not boundaries.add(vec):
-                continue
-            prev = _prev_key(key)
-            witness = sol
-            builder.add_generator(prev, {i: c for i, c in enumerate(vec) if c != 0},
-                                  witness if prev_b else [])
-            # record the new boundary so later candidates stay independent
+        for pair in linalg.nullspace(stacked, prev_b + len(kernel_m)):
+            y, c = pair[:prev_b], pair[prev_b:]
+            z = [sum((ci * vec[r] for ci, vec in zip(c, kernel_m) if ci), Fraction(0))
+                 for r in range(nm)]
+            if boundaries.add(z):
+                builder.add_generator(prev, {r: v for r, v in enumerate(z) if v}, y)
     middle, j, q = builder.materialize()
     return j, q
 

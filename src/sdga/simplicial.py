@@ -13,8 +13,31 @@ The Whitney forms
 span a finite subcomplex isomorphic to simplicial cochains, and integration
 over the face spanned by I is exactly dual to them.  The dilation towards a
 vertex provides contraction operators h^i; the classical simplicial homotopy
-s assembled from them satisfies id - P = d s + s d for the Whitney projection
-P, all verified here with exact rational coefficients.
+s = sum +- w_I h^{i_k} ... h^{i_0} assembled from them satisfies
+id - P = d s + s d for the Whitney projection P = sum w_I int_I (Dupont,
+Simplicial de Rham cohomology and characteristic classes of flat bundles,
+Topology 1976), all verified here with exact rational coefficients.
+
+Both ingredients have closed forms on a monomial t^a dt_J with |J| = k, and
+these are what the operators evaluate:
+
+* Face integral.  Sort I, carrying the sign of the sorting permutation.  A t
+  or dt off the face gives 0.  Otherwise
+
+      int_I t^a dt_{I - I_m} = (-1)^m prod_q a_{I_q}! / (k + sum_q a_{I_q})!,
+
+  where m is the position of the vertex whose dt is missing (m = 0 when
+  I_0 = 0, whose t and dt are not coordinates): rewriting dt_{I_0} as minus
+  the sum of the others leaves the Dirichlet integral of prod u_q^{a_q}.
+  The iterated method parametrises the face by an algebra map and integrates
+  one variable at a time instead; the two methods stay independent.
+* Dilation homotopy.  With p = |a| - a_i + k - 1,
+
+      h^i(t^a dt_J) = sum_r (-1)^(r-1) (t_{j_r} - delta_{i j_r}) dt_{J - j_r}
+                      * t^a|_{a_i = 0} * sum_m C(a_i, m) t_i^m
+                        (p+m)! (a_i-m)! / (p+a_i+1)!,
+
+  which for i = 0 is the Poincare-lemma factor 1/(|a| + k).
 
 Tensoring with a coefficient algebra B and imposing the face compatibility
 constraints computes B^K for K a simplex, a boundary or a horn; surjectivity
@@ -28,6 +51,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 from . import linalg
 from .core import (
@@ -67,7 +91,13 @@ def _coordinates(prefix: str, indices) -> GeneratorTable:
 
 
 class SimplexForms(FormsAlgebra):
-    """Polynomial forms on the n-simplex in eliminated coordinates."""
+    """Polynomial forms on the n-simplex in eliminated coordinates.
+
+    Per-monomial results of the simplicial operators are kept in the
+    `_*_cache` dicts.  A face integral or a dilation homotopy missing from its
+    cache is evaluated by the closed forms of the module docstring, with no
+    algebra map, substitution or polynomial integration.
+    """
 
     def __init__(self, n: int):
         if n < 0:
@@ -336,9 +366,11 @@ def simplex_integral(forms: SimplexForms, indices: tuple[int, ...], element: Ele
     """Integral over the oriented face spanned by I of the matching form part.
 
     Components whose form weight differs from len(I) - 1 integrate to zero
-    automatically.  method='dirichlet' uses the factorial formula for monomial
-    integrals over the simplex; method='iterated' performs nested univariate
-    integrals with symbolic bounds.  Both are exact.
+    automatically.  method='dirichlet' evaluates the closed form on each
+    monomial (see the module docstring); method='iterated' parametrises the
+    face by an algebra map and performs nested univariate integrals with
+    symbolic bounds.  The two share no code past the argument checks, so each
+    is an oracle for the other; both are exact.
     """
     I = tuple(indices)
     if len(set(I)) != len(I):
@@ -348,34 +380,52 @@ def simplex_integral(forms: SimplexForms, indices: tuple[int, ...], element: Ele
     if method not in ("dirichlet", "iterated"):
         raise AlgebraError(f"unknown integration method {method!r}")
     k = len(I) - 1
+    total = Fraction(0)
     if k == 0:
-        total = Fraction(0)
         for mono, c in element.terms.items():
             if forms.form_weight_of(mono) == 0:
-                total += c * _vertex_monomial_value(forms, mono, I[0])
+                total += c * _dirichlet_integral(forms, I, mono)
         return total
-    total = Fraction(0)
+    kernel = _dirichlet_integral if method == "dirichlet" else _iterated_integral
     for mono, c in element.terms.items():
         if forms.form_weight_of(mono) != k:
             continue
         key = (I, mono, method)
         cached = forms._integral_cache.get(key)
         if cached is None:
-            cached = _monomial_face_integral(forms, I, mono, method)
+            cached = kernel(forms, I, mono)
             forms._integral_cache[key] = cached
         total += c * cached
     return total
 
 
-def _vertex_monomial_value(forms: SimplexForms, mono: tuple[int, ...], vertex: int) -> Fraction:
-    for j in range(1, forms.n + 1):
-        if mono[j - 1] and j != vertex:
+def _dirichlet_integral(forms: SimplexForms, I: tuple[int, ...],
+                        mono: tuple[int, ...]) -> Fraction:
+    """The closed form of the integral of t^a dt_J over the face I, |J| = k."""
+    n = forms.n
+    order = sorted(I)
+    on_face = set(order)
+    for j in range(1, n + 1):
+        if (mono[j - 1] or mono[n + j - 1]) and j not in on_face:
             return Fraction(0)
-    return Fraction(1)
+    # m: the position in sorted I of the vertex whose dt is missing
+    m = next(q for q, v in enumerate(order) if v == 0 or not mono[n + v - 1])
+    num = 1
+    for v in order:
+        if v:
+            num *= math.factorial(mono[v - 1])
+    sign = _permutation_sign(I) * (-1 if m % 2 else 1)
+    return Fraction(sign * num, math.factorial(len(I) - 1 + sum(mono[:n])))
 
 
-def _monomial_face_integral(forms: SimplexForms, I: tuple[int, ...],
-                            mono: tuple[int, ...], method: str) -> Fraction:
+def _iterated_integral(forms: SimplexForms, I: tuple[int, ...],
+                       mono: tuple[int, ...]) -> Fraction:
+    """Pull t^a dt_J back along the face parametrisation and integrate in turn.
+
+    t_{I_0} = 1 - u1 - ... - uk and t_{I_q} = u_q; the coefficient of
+    du1 ... duk is integrated over u_k, then u_{k-1}, ..., with the upper
+    bound 1 - u1 - ... - u_{q-1} for u_q.
+    """
     k = len(I) - 1
     U = _integration_forms(k)
     u_elems = [Element.generator(U.table, f"u{q}") for q in range(1, k + 1)]
@@ -397,21 +447,12 @@ def _monomial_face_integral(forms: SimplexForms, I: tuple[int, ...],
         images[f"dt{j}"] = param_dt.get(j, Element.zero(U.table))
     sub = AlgebraMap(forms.table, U.table, images, check=False)
     # the coefficient of du1 ... duk, a function of u1..uk
-    coeff = sub(Element.monomial(forms.table, mono))
+    value = sub(Element.monomial(forms.table, mono))
     for q in range(1, k + 1):
-        coeff = partial_derivative(coeff, f"du{q}")
-    coeff = U.project(coeff)
-    if coeff.is_zero():
+        value = partial_derivative(value, f"du{q}")
+    value = U.project(value)
+    if value.is_zero():
         return Fraction(0)
-    if method == "dirichlet":
-        total = Fraction(0)
-        for m, c in coeff.terms.items():
-            num = 1
-            for e in m:
-                num *= math.factorial(e)
-            total += c * Fraction(num, math.factorial(sum(m) + k))
-        return total
-    value = coeff
     for q in range(k, 0, -1):
         upper = Element.one(U.base)
         for r in range(1, q):
@@ -452,7 +493,8 @@ def dilation(forms: SimplexForms, i: int) -> tuple[Cylinder, AlgebraMap]:
     """The straight-line pullback toward vertex i, as a map into Omega_n[u, du].
 
     t_j maps to u t_j + (1 - u) delta_ij; at u = 1 this is the identity and at
-    u = 0 it is evaluation at the vertex.
+    u = 0 it is evaluation at the vertex.  dilation_homotopy evaluates the
+    u-integral of this pullback in closed form and does not build the map.
     """
     if not 0 <= i <= forms.n:
         raise AlgebraError("vertex index out of range")
@@ -480,17 +522,56 @@ def dilation(forms: SimplexForms, i: int) -> tuple[Cylinder, AlgebraMap]:
 
 
 def dilation_homotopy(forms: SimplexForms, i: int, element: Element) -> Element:
-    """h^i = int_0^1 (d/du) dilation_i; h^i d + d h^i = id - (vertex i)."""
+    """h^i = int_0^1 (d/du) dilation_i; h^i d + d h^i = id - (vertex i).
+
+    Each monomial t^a dt_{j_1} ... dt_{j_k} is sent to its closed form
+
+        sum_r (-1)^(r-1) (t_{j_r} - delta_{i j_r}) dt_{J - j_r}
+              * t^a|_{a_i = 0} * sum_m C(a_i, m) t_i^m (p+m)! (a_i-m)! / (p+a_i+1)!
+
+    with p = |a| - a_i + k - 1: the u-integral of the pullback along
+    `dilation`, a Beta integral once (u t_i + 1 - u)^{a_i} is expanded.  For
+    i = 0 (a_i = 0, no delta) the factor is 1/(|a| + k).
+    """
     terms: dict[tuple[int, ...], Fraction] = {}
     for mono, c in element.terms.items():
         key = (i, mono)
         cached = forms._h_cache.get(key)
         if cached is None:
-            cyl, phi = dilation(forms, i)
-            cached = cyl.integrate_over(phi(Element.monomial(forms.table, mono)))
+            cached = Element(forms.table, _dilation_of_monomial(forms.n, i, mono))
             forms._h_cache[key] = cached
         _add_into(terms, cached.terms, c)
     return Element(forms.table, terms)
+
+
+def _dilation_of_monomial(n: int, i: int, mono: tuple[int, ...]) -> dict:
+    """The terms of h^i(t^a dt_J), by the closed form in dilation_homotopy."""
+    J = [j for j in range(1, n + 1) if mono[n + j - 1]]
+    if not J:
+        return {}
+    ai = mono[i - 1] if i else 0
+    p = sum(mono[:n]) - ai + len(J) - 1
+    # sum_m weights[m] t_i^m: the u-integral, by the power of t_i it leaves
+    weights = [Fraction(math.comb(ai, m) * math.factorial(p + m) * math.factorial(ai - m),
+                        math.factorial(p + ai + 1)) for m in range(ai + 1)]
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for r, j in enumerate(J):
+        sign = -1 if r % 2 else 1
+        out = list(mono)
+        out[n + j - 1] = 0
+        if j == i:
+            # (t_i - 1) * sum_m weights[m] t_i^m has t_i^q with weights[q-1] - weights[q]
+            for q, c in enumerate(map(sub, [0] + weights, weights + [0])):
+                if c:
+                    out[i - 1] = q
+                    terms[tuple(out)] = sign * c
+            continue
+        out[j - 1] += 1
+        for m, w in enumerate(weights):
+            if i:
+                out[i - 1] = m
+            terms[tuple(out)] = sign * w
+    return terms
 
 
 def vertex_projection(forms: SimplexForms, i: int, element: Element) -> Element:
@@ -731,20 +812,6 @@ class SubShapeCotensor:
             vectors = linalg.nullspace(rows, ncols)
         self._dims[(weight, parity, cap)] = len(vectors)
         return vectors, fb
-
-    def restriction_vector(self, element: Element, weight: int, parity: int, cap: int):
-        """Coordinates of the facet restrictions of a global form."""
-        fb = self.facet_basis(weight, parity, cap)
-        fidx = {m: i for i, m in enumerate(fb)}
-        total = tensor_forms(self.coefficients, self.n)
-        vec = [Fraction(0)] * (len(self.facets) * len(fb))
-        for fi, j in enumerate(self.facets):
-            restricted = total.face_restriction(j)(element)
-            for m, c in restricted.terms.items():
-                if m not in fidx:
-                    raise AlgebraError("restriction leaves the truncated basis")
-                vec[fi * len(fb) + fidx[m]] = c
-        return vec
 
 
 def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,

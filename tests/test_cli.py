@@ -5,10 +5,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import sdga
 from sdga import simplicial
 from sdga.cli import build_algebra, main
 
@@ -53,6 +56,14 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def test_cli_import_leaves_inspect_out():
+    """Start-up cost: importing the CLI must not pull in inspect (which
+    dataclasses would, with ast, dis and tokenize)."""
+    code = "import sys, sdga.cli; sys.exit('inspect' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdga.__file__))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_check_reports_cohomology(tmp_path, capsys):
@@ -297,6 +308,20 @@ def test_complex_factorize(tmp_path, capsys):
         assert code == 0
         assert env["report"]["checks"]["ok"] is True
         assert env["report"]["middle"]["dims"]
+
+
+def test_complex_factorize_kills_a_combination(tmp_path, capsys):
+    """Two spheres onto one by [1 1]: only the combination (1, -1) of the
+    source cocycles dies in cohomology, so pass 3 must attach a cell for it."""
+    doc = {"source": {"dims": {"-1,odd": 2}}, "target": {"dims": {"-1,odd": 1}},
+           "blocks": {"-1,odd": [[1, 1]]}}
+    path = write_doc(tmp_path, "two_spheres.json", doc)
+    code, env = run_json(capsys, "complex", "factorize", "--input", path,
+                         "--mode", "cofibration_acyclic_fibration")
+    assert code == 0
+    assert env["report"]["checks"]["q_quasi_iso"] is True
+    assert env["report"]["checks"]["ok"] is True
+    assert env["report"]["middle"]["dims"] == {"-1,odd": 2, "-2,even": 1}
 
 
 def test_complex_lift_unsolvable(tmp_path, capsys):

@@ -39,6 +39,25 @@ def table():
     ])
 
 
+def test_generator_is_an_immutable_value():
+    g = Generator("x", 0, 0)
+    assert repr(g) == "Generator(name='x', weight=0, parity=0)"
+    assert g == Generator("x", 0, 0) and g != Generator("x", 0, 1)
+    assert g != ("x", 0, 0)
+    assert hash(g) == hash(("x", 0, 0))
+    assert Generator(name="xi", weight=1, parity=1).parity == 1
+    with pytest.raises(AttributeError):
+        g.name = "y"
+    with pytest.raises(AttributeError):
+        del g.weight
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    with pytest.raises(AlgebraError):
+        Generator("1x", 0, 0)
+    with pytest.raises(AlgebraError):
+        Generator("x", 0, 2)
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(AlgebraError):
         GeneratorTable([Generator("x", 0, 0), Generator("x", 1, 1)])

@@ -152,6 +152,33 @@ def test_factorize_random_panel():
             assert report["ok"], (mode, report)
 
 
+def crowded_complex(rng, keys):
+    """2-3 disk or sphere cells at each of the given bidegrees."""
+    total = zero_complex()
+    for n, p in keys:
+        for _ in range(rng.randint(2, 3)):
+            cell = disk_complex(n, p) if rng.random() < 0.5 else sphere_complex(n, p)
+            total, _, _ = direct_sum(total, cell)
+    return total
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_factorize_crowded_panel(seed):
+    """Several cells per bidegree and maps that are not injective: a class of
+    the middle complex that q kills may need a combination of cocycles, which
+    the third pass must find (verify_factorization compares cohomology
+    dimensions and does not depend on the construction)."""
+    rng = random.Random(6400 + seed)
+    keys = [(n, rng.randint(0, 1)) for n in rng.sample(range(-2, 2), 2)]
+    a = crowded_complex(rng, keys)
+    b = crowded_complex(rng, keys)
+    f = random_chain_map(rng, a, b)
+    for mode in MODES:
+        j, q = factorize(f, mode)
+        report = verify_factorization(f, j, q, mode)
+        assert report["ok"], (mode, report)
+
+
 def test_two_out_of_three():
     rng = random.Random(63)
     for _ in range(10):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,16 +13,19 @@ from sdga.core import (
     EVEN,
     ODD,
     AlgebraError,
+    AlgebraMap,
     Element,
     Generator,
     GeneratorTable,
     monomial_basis,
+    partial,
 )
 from sdga.dg import DGAlgebra, Derivation
 from sdga.forms import FormsAlgebra
 from sdga.simplicial import (
     TENSOR_FORMS_CACHE_SIZE,
     ZERO_ALGEBRA,
+    SimplexForms,
     SubShapeCotensor,
     barycentric_section,
     barycentric_table,
@@ -28,6 +33,7 @@ from sdga.simplicial import (
     compose_tuples,
     cotensor_report,
     degeneracy_tuple,
+    dilation,
     dilation_homotopy,
     dupont_defect,
     dupont_homotopy,
@@ -186,6 +192,111 @@ def test_integral_methods_agree_on_random_forms():
         a = simplex_integral(f2, I, w, method="dirichlet")
         b = simplex_integral(f2, I, w, method="iterated")
         assert a == b
+
+
+# -- the closed forms against the pullbacks they replaced --------------------------
+
+
+def face_integral_oracle(forms, I, mono):
+    """What the dirichlet face integral used to run: pull t^a dt_J back along
+    t_{I_0} = 1 - u1 - ... - uk, t_{I_q} = u_q (an AlgebraMap), expand the
+    coefficient of du1 ... duk and integrate each u-monomial by the Dirichlet
+    formula.  Kept as the reference for the closed form."""
+    k = len(I) - 1
+    U = FormsAlgebra(GeneratorTable([Generator(f"u{q}", 0, EVEN) for q in range(1, k + 1)]))
+    u = [Element.generator(U.table, f"u{q}") for q in range(1, k + 1)]
+    du = [Element.generator(U.table, f"du{q}") for q in range(1, k + 1)]
+    images = {}
+    for j in range(1, forms.n + 1):
+        images[f"t{j}"] = Element.zero(U.table)
+        images[f"dt{j}"] = Element.zero(U.table)
+    for q, v in enumerate(I):
+        if v == 0:
+            continue
+        if q == 0:
+            images[f"t{v}"] = Element.one(U.table) - sum(u, Element.zero(U.table))
+            images[f"dt{v}"] = -sum(du, Element.zero(U.table))
+        else:
+            images[f"t{v}"] = u[q - 1]
+            images[f"dt{v}"] = du[q - 1]
+    coeff = AlgebraMap(forms.table, U.table, images, check=False)(
+        Element.monomial(forms.table, mono))
+    for q in range(1, k + 1):
+        coeff = partial(coeff, f"du{q}")
+    total = Fraction(0)
+    for m, c in U.project(coeff).terms.items():
+        num = 1
+        for e in m:
+            num *= math.factorial(e)
+        total += c * Fraction(num, math.factorial(sum(m) + k))
+    return total
+
+
+def dilation_homotopy_oracle(forms, i, mono):
+    """What dilation_homotopy used to run: pull the monomial back along the
+    straight-line cylinder map toward vertex i and integrate over u."""
+    cyl, phi = dilation(forms, i)
+    return cyl.integrate_over(phi(Element.monomial(forms.table, mono)))
+
+
+def closed_form_panel(seed, n):
+    """Monomials of the n-simplex with exponents up to 5, and for every face,
+    in a shuffled (generally unsorted) vertex order, monomials of its form
+    weight: some live on the face, some carry a t or a dt off it."""
+    rng = random.Random(7000 + 10 * seed + n)
+    exps = lambda support: [rng.randint(0, 5) if j in support else 0 for j in range(1, n + 1)]
+    everywhere = set(range(1, n + 1))
+    monos = []
+    for _ in range(3):
+        monos.append(tuple(exps(everywhere) + [rng.randint(0, 1) for _ in range(n)]))
+    monos.append(tuple(exps(everywhere) + [0] * n))  # k = 0: h^i vanishes
+    faces = []
+    for size in range(1, n + 2):
+        for face in itertools.combinations(range(n + 1), size):
+            I = list(face)
+            rng.shuffle(I)
+            I = tuple(I)
+            k = size - 1
+            coords = [v for v in I if v]
+            on_face = exps(set(coords))
+            # the dt set of the face minus one of its vertices
+            dts = set(rng.sample(sorted(I), k)) - {0}
+            if len(dts) < k:
+                dts = set(coords)
+            cases = [on_face + [1 if j in dts else 0 for j in range(1, n + 1)]]
+            off = sorted(everywhere - set(coords))
+            if off:
+                t_off = list(on_face)
+                t_off[rng.choice(off) - 1] = rng.randint(1, 5)
+                cases.append(t_off + [1 if j in dts else 0 for j in range(1, n + 1)])
+                if k:
+                    moved = set(rng.sample(sorted(dts), k - 1)) | {rng.choice(off)}
+                    cases.append(on_face + [1 if j in moved else 0 for j in range(1, n + 1)])
+            faces.append((I, [tuple(c) for c in cases]))
+    return monos, faces
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_closed_forms_match_their_oracles(seed):
+    for n in range(1, 5):
+        # a fresh instance, so every value below is a cache miss
+        forms = SimplexForms(n)
+        monos, faces = closed_form_panel(seed, n)
+        for mono in monos:
+            for i in range(n + 1):
+                got = dilation_homotopy(forms, i, Element.monomial(forms.table, mono))
+                assert got == dilation_homotopy_oracle(forms, i, mono), (n, i, mono)
+        off_face = 0
+        for I, cases in faces:
+            for mono in monos + cases:
+                if forms.form_weight_of(mono) != len(I) - 1:
+                    continue
+                want = face_integral_oracle(forms, I, mono)
+                got = simplex_integral(forms, I, Element.monomial(forms.table, mono))
+                assert got == want, (n, I, mono)
+                off_face += want == 0
+        if n > 1:
+            assert off_face  # the panel reaches the zero branch
 
 
 # -- the redundant presentation ---------------------------------------------------
