@@ -542,6 +542,26 @@ GOLDEN_DIGESTS = {
         "115cc405409c8dcdaa1d639d0fb96b9be44183662b7224ece2728e4ef3cef2f2",
     ("path-object", "--input", "-", "--trials", "5"):
         "89c262a090ac10f3f4f1ab75530dbacb992d532519415c7dcee7d5ab97beb834",
+    ("check",):
+        "4a19e4d0caec04b57cba0c9a95312adc429df247259cfdc3180217ef292c6d0f",
+    ("cohomology",):
+        "595e37305072befd507055d42a14dc8abc3809d124e76f13f5d52547e617ccb9",
+    ("cohomology", "--text"):
+        "11c5360532a92f21f424f4beb54c13b300f4c5c0e85b4449507464f9b75fcc3d",
+    ("forms-omega",):
+        "2fff2572043874bb582ff65e25e20a99005b13b74450d5aab85f91d42a84e0e9",
+    ("cartan-check", "--pairs", "3", "--seed", "5"):
+        "be61ddb586d5854929af9ebe69c24d506c8ce01a84f94c4df88fcd3187126786",
+    ("berezin", "--expr", "x * xi * eta + 2/3 * y * eta - xi", "--var", "eta"):
+        "26088bc50dbc19840358205e79feaf03d55dc55d200d22b19d7d781766261be3",
+    ("cotensor", "--n", "2"):
+        "d71cc0a93b99ec2d9e0a1b889dfbc7c8abb0532e5bf7516f9307afa1b51cff85",
+    ("cotensor", "--n", "2", "--shape", "boundary"):
+        "5594e1b14bb048238a64951ba0e1bb87cbfeae6f595c367f91a4f3814978c03e",
+    ("cotensor", "--n", "2", "--shape", "horn", "--horn-vertex", "1"):
+        "95381485b23cc46171364a39564b9faa06170151fc8eeab719754595404f74fc",
+    ("cells",):
+        "5844b9c7c04b14918c509f6e44cb3128b878e800e1701355cc08a80aa53bcb2d",
 }
 
 
@@ -551,3 +571,137 @@ def test_golden_output_digests(capsys, monkeypatch, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+GOLDEN_COMPLEX = {"dims": {"0,even": 2, "1,odd": 2, "2,even": 1},
+                  "differential": {"0,even": [[1, 0], [0, 0]], "1,odd": [["0", "1/2"]]}}
+
+GOLDEN_MAP = {
+    "source": {"dims": {"-1,odd": 2, "1,odd": 1}},
+    "target": {"dims": {"-1,odd": 1, "0,even": 1, "1,odd": 1},
+               "differential": {"0,even": [[1]]}},
+    "blocks": {"-1,odd": [[1, 1]], "1,odd": [[1]]},
+}
+
+_SPHERE = {"dims": {"1,odd": 1}}
+_DISK = {"dims": {"0,even": 1, "1,odd": 1}, "differential": {"0,even": [[1]]}}
+_ZERO = {"dims": {}}
+
+GOLDEN_LIFT = {
+    "i": {"source": _SPHERE, "target": _DISK, "blocks": {"1,odd": [[1]]}},
+    "p": {"source": _DISK, "target": _ZERO, "blocks": {}},
+    "top": {"source": _SPHERE, "target": _DISK, "blocks": {"1,odd": [["2/3"]]}},
+    "bottom": {"source": _DISK, "target": _ZERO, "blocks": {}},
+}
+
+NOT_A_COMPLEX = {"dims": {"0,even": 1, "1,odd": 1, "2,even": 1},
+                 "differential": {"0,even": [[1]], "1,odd": [[1]]}}
+
+# (stdin document, argv, exit code, sha256 of the whole stdout): the
+# complex commands, and one envelope of each failure kind
+GOLDEN_ENVELOPES = [
+    (GOLDEN_COMPLEX, ("complex", "cohomology"), 0,
+     "ebe8932bd9fe9afaa8edc095a24b3bf29fb1359f9f33d862136bfb5cb9976ebb"),
+    (GOLDEN_COMPLEX, ("sym-kunneth", "--window=-2:2"), 0,
+     "7db1b1fcf7d7079adc1edd546e74e1340719b5df52819939d9024d09da303ad1"),
+    (GOLDEN_MAP, ("complex", "classify"), 0,
+     "356acde5128d62e6ce7e8f31a8d4e756d871e84a44dd264e7571ba3c361e0315"),
+    (GOLDEN_MAP, ("complex", "factorize"), 0,
+     "88a8305f3fb3732b140b21b2c6c7812515db4e160e8b2cee8f1535f808529832"),
+    (GOLDEN_MAP, ("complex", "factorize", "--mode", "cofibration_acyclic_fibration"), 0,
+     "bbfd8237351716c5da1260535ee667c2022e49b282223222dc28ca97192b7aee"),
+    (GOLDEN_LIFT, ("complex", "lift"), 0,
+     "40d1b88cb78ae69a47e3e37ba1f3c1ec090d3cb4943bcd286453835d4345106f"),
+    (NOT_A_COMPLEX, ("complex", "cohomology"), 1,
+     "910d541bdd064ec5a513205c0fe9defbd9bfc25cafafc6aac554cee898d236fa"),
+    (GOLDEN_DOC, ("integrate", "--expr", "x", "--var", "nope"), 2,
+     "e038072ade872c381f4413cad3ef244098551eedb658d1ff0b5d61175d000d2f"),
+    (GOLDEN_DOC, ("check", "--window", "3:-3"), 2,
+     "1cf8d0321509e6c9f846db994f4bdb62b39cd0e9a3aa5ff4ec3a4c548009dd9b"),
+]
+
+
+@pytest.mark.parametrize("doc, argv, code, digest", GOLDEN_ENVELOPES,
+                         ids=["-".join(case[1]) for case in GOLDEN_ENVELOPES])
+def test_golden_envelope_digests(capsys, monkeypatch, doc, argv, code, digest):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    got, out = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (exit code, sha256 of stdout + stderr) of --help on every command path and
+# of the usage errors argparse prints
+HELP_DIGESTS = {
+    ("--help",):
+        (0, "9990789664f78430a85eab09569469207da0379b12682f35c738dc07c7505df7"),
+    ("check", "--help"):
+        (0, "a25666be92875b2fbf1c0b813e7cee15ba772915c14468a45eebbaca01a2ed0f"),
+    ("cohomology", "--help"):
+        (0, "7f5fcc20f5bd2a18da5a2e4af0b6b9be0897c6891a8467173f9ddaf71876588c"),
+    ("forms-omega", "--help"):
+        (0, "3ca6627825b92c161cbc7274ceabde8bdcb5e6a5671fc919e5c3449332d19177"),
+    ("cartan-check", "--help"):
+        (0, "2be98790a6b93f32d79cfdafaadc28e5f0c2a5c74fea091e395a91c57cdd3f3b"),
+    ("integrate", "--help"):
+        (0, "4b483babc43ec1889e52a4b192587be515c7059005fc3cf64e9829966ebe4824"),
+    ("berezin", "--help"):
+        (0, "4a1478be378aa90c754e7521dfa3df570ba56f89ab70b4a946c7fe3f8baa27fd"),
+    ("cylinder-contract", "--help"):
+        (0, "314ead876a4bf7486e2780c1e73bca6c13bb1e08d05ba2adb54142c157f9dee6"),
+    ("simplicial", "--help"):
+        (0, "53d042e7ffc2ef833c78ce9dc7f09166da44751f6174a73d23c41502688cab74"),
+    ("simplicial", "faces", "--help"):
+        (0, "e5b35ba6ad6fc938edc3e70342cdd72c67af81736053a43cdfba40c4c49394a8"),
+    ("simplicial", "whitney", "--help"):
+        (0, "c1f30fed2c11f2df5cbd1d387e45bd0fc80573d636d3384b3638cde4798416ef"),
+    ("simplicial", "project", "--help"):
+        (0, "aa9bcb4a415b9959a2f5bd54e1ecb7dd5e45976c5fa807661a477050344e9cc5"),
+    ("simplicial", "dupont", "--help"):
+        (0, "4ce0668d9e898d2bee27f3111035db8bba768db73550bc158ae628d0390b2ce6"),
+    ("simplicial", "duality", "--help"):
+        (0, "7aa4b7e9e76ffa50608af1258270316571281fe6eb5c87f85abb5a096ea29962"),
+    ("cotensor", "--help"):
+        (0, "21459d62b6d8ce44045ab811846e65b87e0f5546da4ec897ba4faac558a11476"),
+    ("path-object", "--help"):
+        (0, "3bdf10bd158c1b234c26a564ec1be6729ebcf51ffab71ddbee6bbd61abd01236"),
+    ("complex", "--help"):
+        (0, "af399099aa6bbbeb7f2bea13c66e89626e482ab68af2fcf5119b67f2a79bba4b"),
+    ("complex", "cohomology", "--help"):
+        (0, "8b8fd1a8836972c8152d566234f1f1303795bf0d58ec8fd873f1e64fba6810b5"),
+    ("complex", "classify", "--help"):
+        (0, "6d3e0528da0e14fbcc5e4d41ad534547b0fed3ee0fcdd397f707d45a04f50f66"),
+    ("complex", "lift", "--help"):
+        (0, "26fe4e3b3f6faed375c03de9a62879ef4012cf278f794c0203e4d1f0e111be0a"),
+    ("complex", "factorize", "--help"):
+        (0, "fb8a56f5f0d6355fa70f81a1b7aed0af5eb0c08a1b44cebf375967d05875f003"),
+    ("cells", "--help"):
+        (0, "f44b40e64d6c739892cf4b1e97b136ba8d2d4a2564cc6ca1c9d34cf0738be9ce"),
+    ("sym-kunneth", "--help"):
+        (0, "7081b37d6dc9e414d7a7f0d36e609ee2b5709b3769cbb6126a43eeb8d8264353"),
+    ():
+        (2, "4e67bd5741b372e2a03fec47b4d5106f77b31c5406129288a25f5df0687d4358"),
+    ("simplicial",):
+        (2, "74cb379cc3b65aef0c617459a7b8bb0e14addebd88fc44591d383655a3db7e60"),
+    ("complex",):
+        (2, "99aa2f97811fa950d4e311f2675b1b718c1e786ec40b507b80a70c4416e16161"),
+    ("check", "--bogus"):
+        (2, "ffbb3dbb385b66d0e67e7a1cf4a1d570a50a7ad54d8527f787eaa1d80278c9b8"),
+    ("simplicial", "faces"):
+        (2, "4a6179059144886bc80967242cabf3efeae2dc73fbaba0b7f5544d08e7e74581"),
+    ("cotensor", "--n", "1", "--shape", "cube"):
+        (2, "cab68bbaa8c28ea56f6d9f0a3a9494db04ed73735ed0ad72b60271863b5ed768"),
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse formats help and usage differently from 3.13 on")
+@pytest.mark.parametrize("argv", list(HELP_DIGESTS))
+def test_help_and_usage_digests(capsys, monkeypatch, argv):
+    """Pinned on CPython 3.10-3.12 at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (err.value.code, hashlib.sha256((captured.out + captured.err).encode()).hexdigest()) \
+        == HELP_DIGESTS[argv]
