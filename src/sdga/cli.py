@@ -43,7 +43,6 @@ from .simplicial import (
     degeneracy_tuple,
     dupont_homotopy,
     eliminate,
-    face_pullback,
     face_tuple,
     filling_report,
     pullback,
@@ -54,7 +53,6 @@ from .simplicial import (
     whitney_tuples,
 )
 from . import model
-from . import linalg
 
 
 class InputError(Exception):
@@ -74,18 +72,25 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read input document: {exc}") from exc
 
 
+def _expect(value, kind: type, what: str):
+    """`value` itself when it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        raise InputError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
 def _parse_parity(value) -> int:
-    if value in (0, "0", "even"):
-        return EVEN
-    if value in (1, "1", "odd"):
-        return ODD
+    # type(), not isinstance: true and 1.0 are not the parity 1
+    if type(value) in (int, str):
+        if value in (0, "0", "even"):
+            return EVEN
+        if value in (1, "1", "odd"):
+            return ODD
     raise InputError(f"parity must be 'even' or 'odd', got {value!r}")
 
 
 def build_table(doc: dict) -> GeneratorTable:
-    if not isinstance(doc, dict):
-        raise InputError("document must be a JSON object")
-    gens_doc = doc.get("generators")
+    gens_doc = _expect(doc, dict, "document").get("generators")
     if not isinstance(gens_doc, list):
         raise InputError("document needs a 'generators' list")
     gens = []
@@ -94,7 +99,7 @@ def build_table(doc: dict) -> GeneratorTable:
             raise InputError("each generator needs at least a 'name'")
         name = item["name"]
         weight = item.get("weight", 0)
-        if not isinstance(name, str) or not isinstance(weight, int):
+        if not isinstance(name, str) or type(weight) is not int:
             raise InputError(f"bad generator entry {item!r}")
         gens.append(Generator(name, weight, _parse_parity(item.get("parity", "even"))))
     return GeneratorTable(gens, even_mode=bool(doc.get("even_mode", False)))
@@ -178,34 +183,45 @@ def _key_str(key: tuple[int, int]) -> str:
     return f"{key[0]},{parity_name(key[1])}"
 
 
+def _blocks(doc: dict, field: str) -> dict:
+    """The optional field of matrices keyed by bidegree, parsed."""
+    blocks = {}
+    for key, mat in _expect(doc.get(field, {}), dict, f"{field!r}").items():
+        what = f"block {key!r} of {field!r}"
+        blocks[_parse_key(key)] = [
+            [_parse_fraction(x) for x in _expect(row, list, f"a row of {what}")]
+            for row in _expect(mat, list, what)
+        ]
+    return blocks
+
+
+def _checked(build, *args):
+    """build(*args); a wrongly shaped block is malformed input (exit 2), any
+    other AlgebraError a failed mathematical check (exit 1)."""
+    try:
+        return build(*args)
+    except AlgebraError as exc:
+        if "wrong shape" in str(exc):
+            raise InputError(str(exc)) from exc
+        raise _Verification({"witness": str(exc)}) from exc
+
+
 def build_complex(doc: dict) -> model.Complex:
     if not isinstance(doc, dict) or "dims" not in doc:
         raise InputError("complex documents need a 'dims' object")
     dims = {}
-    for key, n in doc["dims"].items():
-        if not isinstance(n, int) or n < 0:
+    for key, n in _expect(doc["dims"], dict, "'dims'").items():
+        if type(n) is not int or n < 0:
             raise InputError(f"bad dimension {n!r} at {key!r}")
         dims[_parse_key(key)] = n
-    diff = {}
-    for key, mat in doc.get("differential", {}).items():
-        diff[_parse_key(key)] = [[_parse_fraction(x) for x in row] for row in mat]
-    try:
-        return model.Complex(dims, diff)
-    except AlgebraError as exc:
-        if "d^2" in str(exc):
-            raise _Verification({"witness": str(exc)}) from exc
-        raise InputError(str(exc)) from exc
+    return _checked(model.Complex, dims, _blocks(doc, "differential"))
 
 
 def build_chain_map(doc: dict) -> model.ChainMap:
     if not isinstance(doc, dict) or "source" not in doc or "target" not in doc:
         raise InputError("chain map documents need 'source', 'target' and 'blocks'")
-    source = build_complex(doc["source"])
-    target = build_complex(doc["target"])
-    blocks = {}
-    for key, mat in doc.get("blocks", {}).items():
-        blocks[_parse_key(key)] = [[_parse_fraction(x) for x in row] for row in mat]
-    return model.ChainMap(source, target, blocks)
+    return _checked(model.ChainMap, build_complex(doc["source"]),
+                    build_complex(doc["target"]), _blocks(doc, "blocks"))
 
 
 def _matrix_json(mat) -> list[list[str]]:
@@ -239,8 +255,8 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _require_algebra(args) -> DGAlgebra:
-    dga, witness = build_algebra(_load_json(args.input))
+def _require_algebra(doc) -> DGAlgebra:
+    dga, witness = build_algebra(doc)
     if witness is not None:
         raise _Verification(witness)
     return dga
@@ -254,45 +270,30 @@ class _Verification(Exception):
         self.body = body
 
 
-def _cohomology_entries(dga: DGAlgebra, window, cap, nonzero_only=False) -> list[dict]:
-    report = dga.cohomology(window[0], window[1], cap)
-    entries = []
-    for item in report.to_dict()["entries"]:
-        if nonzero_only and item["dim"] == 0:
-            continue
-        entries.append(item)
-    return entries
-
-
 # -- command handlers -----------------------------------------------------------------
 
 
 def cmd_check(args) -> dict:
-    dga, witness = build_algebra(_load_json(args.input))
-    if witness is not None:
-        raise _Verification(witness)
-    window = args.window
-    entries = _cohomology_entries(dga, window, args.degcap, nonzero_only=True)
+    dga = _require_algebra(_load_json(args.input))
+    report = dga.cohomology(args.window[0], args.window[1], args.degcap)
     return {
         "valid": True,
         "cohomology": [
             {"weight": e["weight"], "parity": e["parity"], "dim": e["dim"]}
-            for e in entries
+            for e in report.to_dict()["entries"] if e["dim"]
         ],
     }
 
 
 def cmd_cohomology(args) -> dict:
-    dga = _require_algebra(args)
+    dga = _require_algebra(_load_json(args.input))
     report = dga.cohomology(args.window[0], args.window[1], args.degcap)
     return report.to_dict()
 
 
 def cmd_forms_omega(args) -> dict:
     doc = _load_json(args.input)
-    dga, witness = build_algebra(doc)
-    if witness is not None:
-        raise _Verification(witness)
+    dga = _require_algebra(doc)
     forms = FormsAlgebra(dga.table)
     out: dict = {
         "generators": [
@@ -317,7 +318,7 @@ def cmd_forms_omega(args) -> dict:
 
 
 def cmd_cartan_check(args) -> dict:
-    dga = _require_algebra(args)
+    dga = _require_algebra(_load_json(args.input))
     forms = FormsAlgebra(dga.table)
     rng = random.Random(args.seed)
     names = ["cartan_formula", "euler_contraction", "euler_lie",
@@ -358,7 +359,7 @@ def cmd_cartan_check(args) -> dict:
 
 
 def cmd_integrate(args) -> dict:
-    dga = _require_algebra(args)
+    dga = _require_algebra(_load_json(args.input))
     table = dga.table
     expr = parse(table, args.expr)
     lower = parse(table, args.lower)
@@ -374,7 +375,7 @@ def cmd_integrate(args) -> dict:
 
 
 def cmd_berezin(args) -> dict:
-    dga = _require_algebra(args)
+    dga = _require_algebra(_load_json(args.input))
     expr = parse(dga.table, args.expr)
     value = berezin(expr, args.var)
     return {"expression": render(expr), "variable": args.var,
@@ -382,7 +383,7 @@ def cmd_berezin(args) -> dict:
 
 
 def cmd_cylinder_contract(args) -> dict:
-    dga = _require_algebra(args)
+    dga = _require_algebra(_load_json(args.input))
     cyl = Cylinder(dga, var=args.var)
     expr = parse(cyl.table, args.expr)
     h = cyl.contract(expr)
@@ -408,37 +409,29 @@ def _tuple_str(indices) -> str:
     return "w(" + ",".join(str(i) for i in indices) + ")"
 
 
+def _structure_maps(n: int, m: int, tuple_of) -> list[dict]:
+    """The maps phi = tuple_of(n, i): [m] -> [n], i = 0..n, each with the
+    images of the generators of Omega_n under its pullback."""
+    source, target = simplex_forms(n), simplex_forms(m)
+    out = []
+    for i in range(n + 1):
+        phi = tuple_of(n, i)
+        fmap = pullback(phi, source, target)
+        out.append({"index": i, "vertex_map": list(phi), "images": {
+            g.name: render(fmap(Element.generator(source.table, g.name)))
+            for g in source.table.generators
+        }})
+    return out
+
+
 def cmd_simplicial_faces(args) -> dict:
     n = args.n
-    if n < 0:
-        raise InputError("--n must be non-negative")
-    faces = []
-    source = simplex_forms(n)
-    if n >= 1:
-        target = simplex_forms(n - 1)
-        for i in range(n + 1):
-            phi = face_tuple(n, i)
-            fmap = face_pullback(n, i)
-            images = {}
-            for g in source.table.generators:
-                images[g.name] = render(fmap(Element.generator(source.table, g.name)))
-            faces.append({"index": i, "vertex_map": list(phi), "images": images})
-    degeneracies = []
-    target_up = simplex_forms(n + 1)
-    for i in range(n + 1):
-        phi = degeneracy_tuple(n, i)
-        smap = pullback(phi, source, target_up)
-        images = {}
-        for g in source.table.generators:
-            images[g.name] = render(smap(Element.generator(source.table, g.name)))
-        degeneracies.append({"index": i, "vertex_map": list(phi), "images": images})
-    return {"n": n, "faces": faces, "degeneracies": degeneracies}
+    return {"n": n, "faces": _structure_maps(n, n - 1, face_tuple) if n else [],
+            "degeneracies": _structure_maps(n, n + 1, degeneracy_tuple)}
 
 
 def cmd_simplicial_whitney(args) -> dict:
     n = args.n
-    if n < 0:
-        raise InputError("--n must be non-negative")
     degrees = range(n + 1) if args.k is None else [args.k]
     forms = simplex_forms(n)
     entries = []
@@ -499,8 +492,6 @@ def cmd_simplicial_dupont(args) -> dict:
 
 def cmd_simplicial_duality(args) -> dict:
     n = args.n
-    if n < 0:
-        raise InputError("--n must be non-negative")
     forms = simplex_forms(n)
     degrees = []
     all_pass = True
@@ -523,14 +514,8 @@ def cmd_simplicial_duality(args) -> dict:
 
 
 def cmd_cotensor(args) -> dict:
-    doc = _load_json(args.input)
-    if doc.get("zero"):
-        coefficients = ZERO_ALGEBRA
-    else:
-        dga, witness = build_algebra(doc)
-        if witness is not None:
-            raise _Verification(witness)
-        coefficients = dga
+    doc = _expect(_load_json(args.input), dict, "document")
+    coefficients = ZERO_ALGEBRA if doc.get("zero") else _require_algebra(doc)
     w_min, w_max = args.window
     shape = args.shape
     if shape == "horn" and args.horn_vertex is None:
@@ -551,7 +536,7 @@ def cmd_cotensor(args) -> dict:
 
 
 def cmd_path_object(args) -> dict:
-    dga = _require_algebra(args)
+    dga = _require_algebra(_load_json(args.input))
     path = PathObject(dga, var=args.var)
     cyl = path.cylinder
     rng = random.Random(args.seed)
@@ -593,10 +578,7 @@ def cmd_complex_cohomology(args) -> dict:
 
 
 def cmd_complex_classify(args) -> dict:
-    try:
-        f = build_chain_map(_load_json(args.input))
-    except AlgebraError as exc:
-        raise _Verification({"witness": str(exc)}) from exc
+    f = build_chain_map(_load_json(args.input))
     fib = model.is_fibration(f)
     cof = model.is_cofibration(f)
     weq = model.is_weak_equivalence(f)
@@ -610,19 +592,12 @@ def cmd_complex_classify(args) -> dict:
 
 
 def cmd_complex_lift(args) -> dict:
-    doc = _load_json(args.input)
+    doc = _expect(_load_json(args.input), dict, "document")
     try:
-        maps = {name: build_chain_map(doc[name])
-                for name in ("i", "p", "top", "bottom")}
+        maps = [build_chain_map(doc[name]) for name in ("i", "p", "top", "bottom")]
     except KeyError as exc:
-        raise InputError(f"lift documents need maps 'i', 'p', 'top', 'bottom'") from exc
-    except AlgebraError as exc:
-        raise _Verification({"witness": str(exc)}) from exc
-    try:
-        h, cert = model.solve_lift(maps["i"], maps["p"],
-                                   top=maps["top"], bottom=maps["bottom"])
-    except AlgebraError as exc:
-        raise _Verification({"witness": str(exc)}) from exc
+        raise InputError("lift documents need maps 'i', 'p', 'top', 'bottom'") from exc
+    h, cert = _checked(model.solve_lift, *maps)
     out = {"solvable": h is not None, "certificate": cert}
     if h is not None:
         out["lift"] = _blocks_json(h)
@@ -630,10 +605,7 @@ def cmd_complex_lift(args) -> dict:
 
 
 def cmd_complex_factorize(args) -> dict:
-    try:
-        f = build_chain_map(_load_json(args.input))
-    except AlgebraError as exc:
-        raise _Verification({"witness": str(exc)}) from exc
+    f = build_chain_map(_load_json(args.input))
     j, q = model.factorize(f, mode=args.mode)
     checks = model.verify_factorization(f, j, q, args.mode)
     if not checks["ok"]:
@@ -725,7 +697,58 @@ def _emit(envelope: dict, fmt: str) -> None:
         sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_input: bool = False) -> None:
+# -- command table and entry point ------------------------------------------------
+
+_N = ("--n", {"type": int, "required": True})
+_EXPR = ("--expr", {"required": True})
+_FORM = ("--form", {"required": True})
+
+# One row per command: its words, its help and its own options, added in this
+# order after the common ones.  The handler of a row is the module's
+# cmd_<words>, spaces and dashes turned into "_", looked up when the command
+# runs, so that a rebinding of cli.cmd_* after import takes effect.
+COMMANDS = (
+    ("check", "validate an algebra document and report its cohomology", []),
+    ("cohomology", "cohomology dimensions, exactness flags and representatives", []),
+    ("forms-omega", "the de Rham forms algebra of the input algebra", []),
+    ("cartan-check", "verify the six contraction/Lie-derivative relations",
+     [("--pairs", {"type": int, "default": 10})]),
+    ("integrate", "definite integral in one even variable",
+     [_EXPR, ("--var", {"required": True}), ("--lower", {"default": "0"}),
+      ("--upper", {"default": "1"})]),
+    ("berezin", "Berezin integral in one odd variable",
+     [_EXPR, ("--var", {"required": True})]),
+    ("cylinder-contract", "apply the cylinder contraction and check its identity",
+     [_EXPR, ("--var", {"default": "t"})]),
+    ("simplicial faces", "cosimplicial structure maps and their pullbacks", [_N]),
+    ("simplicial whitney", "elementary forms", [_N, ("--k", {"type": int})]),
+    ("simplicial project", "projection onto the elementary forms", [_N, _FORM]),
+    ("simplicial dupont", "the contraction homotopy and its identity", [_N, _FORM]),
+    ("simplicial duality", "integrals against elementary forms are a dual basis", [_N]),
+    ("cotensor", "cotensor of an algebra with a simplex, boundary or horn",
+     [_N, ("--shape", {"choices": ["simplex", "boundary", "horn"], "default": "simplex"}),
+      ("--horn-vertex", {"type": int})]),
+    ("path-object", "path object checks: diagonal factorization and homotopy",
+     [("--trials", {"type": int, "default": 100}), ("--var", {"default": "t"})]),
+    ("complex cohomology", "exact cohomology dimensions of a complex", []),
+    ("complex classify", "fibration/cofibration/weak-equivalence predicates", []),
+    ("complex lift", "solve a lifting square, with a solvability certificate", []),
+    ("complex factorize", "factor a chain map through a middle complex",
+     [("--mode", {"choices": ["acyclic_cofibration_fibration",
+                              "cofibration_acyclic_fibration"],
+                  "default": "acyclic_cofibration_fibration"})]),
+    ("cells", "the catalog of disk and sphere complexes", []),
+    ("sym-kunneth", "compare H(Sym V) with the free algebra on H(V)", []),
+)
+
+GROUPS = {"simplicial": "simplex forms operations",
+          "complex": "finite cochain complex operations"}
+
+# commands whose first word is one of these read no document
+_NO_INPUT = ("simplicial", "cells")
+
+
+def _add_common(parser: argparse.ArgumentParser, needs_input: bool) -> None:
     parser.add_argument("--input", default="-" if needs_input else None,
                         help="input JSON document (file path or '-' for stdin)")
     parser.add_argument("--window", default="-3:3",
@@ -750,97 +773,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact calculator for differential graded-commutative algebras.",
     )
     parser.add_argument("--version", action="version", version=f"sdga {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, needs_input=False, help=None):
-        p = sub.add_parser(name, help=help)
-        _add_common(p, needs_input=needs_input)
-        p.set_defaults(func=func)
-        return p
-
-    add("check", cmd_check, needs_input=True,
-        help="validate an algebra document and report its cohomology")
-    add("cohomology", cmd_cohomology, needs_input=True,
-        help="cohomology dimensions, exactness flags and representatives")
-    add("forms-omega", cmd_forms_omega, needs_input=True,
-        help="the de Rham forms algebra of the input algebra")
-    p = add("cartan-check", cmd_cartan_check, needs_input=True,
-            help="verify the six contraction/Lie-derivative relations")
-    p.add_argument("--pairs", type=int, default=10)
-    p = add("integrate", cmd_integrate, needs_input=True,
-            help="definite integral in one even variable")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--var", required=True)
-    p.add_argument("--lower", default="0")
-    p.add_argument("--upper", default="1")
-    p = add("berezin", cmd_berezin, needs_input=True,
-            help="Berezin integral in one odd variable")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--var", required=True)
-    p = add("cylinder-contract", cmd_cylinder_contract, needs_input=True,
-            help="apply the cylinder contraction and check its identity")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--var", default="t")
-
-    simp = sub.add_parser("simplicial", help="simplex forms operations")
-    simp_sub = simp.add_subparsers(dest="subcommand", required=True)
-
-    def add_simp(name, func, help=None):
-        p = simp_sub.add_parser(name, help=help)
-        _add_common(p)
-        p.add_argument("--n", type=int, required=True)
-        p.set_defaults(func=func)
-        return p
-
-    add_simp("faces", cmd_simplicial_faces,
-             help="cosimplicial structure maps and their pullbacks")
-    p = add_simp("whitney", cmd_simplicial_whitney, help="elementary forms")
-    p.add_argument("--k", type=int, default=None)
-    p = add_simp("project", cmd_simplicial_project,
-                 help="projection onto the elementary forms")
-    p.add_argument("--form", required=True)
-    p = add_simp("dupont", cmd_simplicial_dupont,
-                 help="the contraction homotopy and its identity")
-    p.add_argument("--form", required=True)
-    add_simp("duality", cmd_simplicial_duality,
-             help="integrals against elementary forms are a dual basis")
-
-    p = add("cotensor", cmd_cotensor, needs_input=True,
-            help="cotensor of an algebra with a simplex, boundary or horn")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--shape", choices=["simplex", "boundary", "horn"],
-                   default="simplex")
-    p.add_argument("--horn-vertex", type=int, default=None)
-
-    p = add("path-object", cmd_path_object, needs_input=True,
-            help="path object checks: diagonal factorization and homotopy")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--var", default="t")
-
-    comp = sub.add_parser("complex", help="finite cochain complex operations")
-    comp_sub = comp.add_subparsers(dest="subcommand", required=True)
-
-    def add_comp(name, func, help=None):
-        p = comp_sub.add_parser(name, help=help)
-        _add_common(p, needs_input=True)
-        p.set_defaults(func=func)
-        return p
-
-    add_comp("cohomology", cmd_complex_cohomology,
-             help="exact cohomology dimensions of a complex")
-    add_comp("classify", cmd_complex_classify,
-             help="fibration/cofibration/weak-equivalence predicates")
-    add_comp("lift", cmd_complex_lift,
-             help="solve a lifting square, with a solvability certificate")
-    p = add_comp("factorize", cmd_complex_factorize,
-                 help="factor a chain map through a middle complex")
-    p.add_argument("--mode", choices=["acyclic_cofibration_fibration",
-                                      "cofibration_acyclic_fibration"],
-                   default="acyclic_cofibration_fibration")
-
-    add("cells", cmd_cells, help="the catalog of disk and sphere complexes")
-    add("sym-kunneth", cmd_sym_kunneth, needs_input=True,
-        help="compare H(Sym V) with the free algebra on H(V)")
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, summary, options in COMMANDS:
+        group, _, name = words.rpartition(" ")
+        if group not in subparsers:
+            subparsers[group] = subparsers[""].add_parser(
+                group, help=GROUPS[group]).add_subparsers(dest="subcommand", required=True)
+        p = subparsers[group].add_parser(name, help=summary)
+        _add_common(p, needs_input=words.split()[0] not in _NO_INPUT)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func="cmd_" + words.replace(" ", "_").replace("-", "_"))
     return parser
 
 
@@ -849,8 +792,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.window = _parse_window(args.window)
-        if args.degcap < 0:
-            raise InputError(f"--degcap must be non-negative; got {args.degcap}")
+        for flag in ("degcap", "n", "pairs", "trials"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise InputError(f"--{flag} must be non-negative; got {value}")
     except InputError as exc:
         _emit({"error": str(exc), "tool": "sdga", "version": __version__}, args.format)
         return 2
@@ -864,7 +809,7 @@ def main(argv=None) -> int:
         "options": _option_dict(args),
     }
     try:
-        envelope["report"] = args.func(args)
+        envelope["report"] = globals()[args.func](args)
         envelope["ok"] = True
         _emit(envelope, args.format)
         return 0

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import sdga
-from sdga import simplicial
+from sdga import cli, simplicial
 from sdga.cli import build_algebra, main
 
 
@@ -104,11 +104,42 @@ def test_check_square_violation(tmp_path, capsys):
     )
 
 
-def test_malformed_document(tmp_path, capsys):
-    path = write_doc(tmp_path, "nope.json", {"nope": 1})
-    code, env = run_json(capsys, "check", "--input", path)
+_COMPLEX = {"dims": {"0,even": 1}}
+
+MALFORMED = {
+    "no-generators": (("check",), {"nope": 1}, "'generators' list"),
+    "cotensor-list": (("cotensor", "--n", "1"), [1], "document must be a JSON object"),
+    "dims-list": (("complex", "cohomology"), {"dims": [1]}, "'dims' must be a JSON object"),
+    "differential-list": (("complex", "cohomology"), {**_COMPLEX, "differential": [1]},
+                          "'differential' must be a JSON object"),
+    "block-number": (("complex", "cohomology"), {**_COMPLEX, "differential": {"0,even": 5}},
+                     "block '0,even' of 'differential' must be a JSON list"),
+    "row-number": (("complex", "cohomology"), {**_COMPLEX, "differential": {"0,even": [5]}},
+                   "a row of block '0,even' of 'differential' must be a JSON list"),
+    "lift-list": (("complex", "lift"), [1], "document must be a JSON object"),
+    "blocks-list": (("complex", "classify"),
+                    {"source": _COMPLEX, "target": _COMPLEX, "blocks": [1]},
+                    "'blocks' must be a JSON object"),
+    "weight-true": (("check",), {"generators": [{"name": "x", "weight": True}]},
+                    "bad generator entry"),
+    "parity-true": (("check",), {"generators": [{"name": "x", "parity": True}]},
+                    "parity must be 'even' or 'odd', got True"),
+    "dim-true": (("complex", "cohomology"), {"dims": {"0,even": True}},
+                 "bad dimension True at '0,even'"),
+    "map-block-shape": (("complex", "classify"),
+                        {"source": _COMPLEX, "target": _COMPLEX, "blocks": {"0,even": [[1, 2]]}},
+                        "chain map block at (0, 0) has the wrong shape"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_document(tmp_path, capsys, case):
+    argv, doc, error = MALFORMED[case]
+    path = write_doc(tmp_path, "nope.json", doc)
+    code, env = run_json(capsys, *argv, "--input", path)
     assert code == 2
-    assert "generators" in env["error"]
+    assert env["ok"] is False
+    assert error in env["error"]
 
 
 def test_missing_input_file(capsys):
@@ -489,6 +520,45 @@ def test_negative_degcap(tmp_path, capsys, command):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("simplicial", "faces", "--n", "-1"),
+    ("simplicial", "whitney", "--n", "-1"),
+    ("simplicial", "project", "--form", "t0", "--n", "-1"),
+    ("simplicial", "dupont", "--form", "t0", "--n", "-1"),
+    ("simplicial", "duality", "--n", "-1"),
+    ("cotensor", "--n", "-1"),
+    ("cartan-check", "--pairs", "-1"),
+    ("path-object", "--var", "s", "--trials", "-1"),
+])
+def test_negative_counts(capsys, monkeypatch, argv):
+    """Every count is checked in one place, before any command runs."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(KOSZUL_DOC)))
+    code, env = run_json(capsys, *argv)
+    assert code == 2
+    assert env == {"error": f"{argv[-2]} must be non-negative; got -1",
+                   "tool": "sdga", "version": sdga.__version__}
+
+
+def test_dispatch_finds_rebound_handler(tmp_path, capsys, monkeypatch):
+    """main looks the handler up by name when the command runs, so a
+    rebinding after import (as perfbench/tracer.py does) is the one called."""
+    calls = []
+    monkeypatch.setattr(cli, "cmd_cohomology", lambda args: calls.append(args) or {"x": 1})
+    path = write_doc(tmp_path, "koszul.json", KOSZUL_DOC)
+    code, env = run_json(capsys, "cohomology", "--input", path)
+    assert code == 0
+    assert len(calls) == 1
+    assert env["report"] == {"x": 1}
+
+
+def test_command_table_matches_handlers():
+    named = ["cmd_" + words.replace(" ", "_").replace("-", "_")
+             for words, _, _ in cli.COMMANDS]
+    assert len(set(named)) == len(named)
+    assert set(named) == {name for name in vars(cli) if name.startswith("cmd_")}
+    assert all(callable(getattr(cli, name)) for name in named)
+
+
 GOLDEN_DOC = {
     "generators": [
         {"name": "x", "weight": 0, "parity": "even"},
@@ -698,10 +768,9 @@ HELP_DIGESTS = {
                     reason="argparse formats help and usage differently from 3.13 on")
 @pytest.mark.parametrize("argv", list(HELP_DIGESTS))
 def test_help_and_usage_digests(capsys, monkeypatch, argv):
-    """Pinned on CPython 3.10-3.12 at 80 columns."""
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as err:
         main(list(argv))
     captured = capsys.readouterr()
-    assert (err.value.code, hashlib.sha256((captured.out + captured.err).encode()).hexdigest()) \
-        == HELP_DIGESTS[argv]
+    digest = hashlib.sha256((captured.out + captured.err).encode()).hexdigest()
+    assert (err.value.code, digest) == HELP_DIGESTS[argv]
