@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -32,27 +31,6 @@ from .core import (
     render,
 )
 from .dg import DGAlgebra, Derivation
-from .forms import Cylinder, FormsAlgebra, PathObject, berezin, integrate
-from . import sampling
-from .simplicial import (
-    SubShapeCotensor,
-    ZERO_ALGEBRA,
-    barycentric_table,
-    barycentric_whitney,
-    cotensor_report,
-    degeneracy_tuple,
-    dupont_homotopy,
-    eliminate,
-    face_tuple,
-    filling_report,
-    pullback,
-    simplex_forms,
-    simplex_integral,
-    whitney,
-    whitney_projection,
-    whitney_tuples,
-)
-from . import model
 
 
 class InputError(Exception):
@@ -102,7 +80,10 @@ def build_table(doc: dict) -> GeneratorTable:
         if not isinstance(name, str) or type(weight) is not int:
             raise InputError(f"bad generator entry {item!r}")
         gens.append(Generator(name, weight, _parse_parity(item.get("parity", "even"))))
-    return GeneratorTable(gens, even_mode=bool(doc.get("even_mode", False)))
+    even_mode = doc.get("even_mode", False)
+    if type(even_mode) is not bool:
+        raise InputError(f"'even_mode' must be true or false, got {even_mode!r}")
+    return GeneratorTable(gens, even_mode=even_mode)
 
 
 def build_algebra(doc: dict) -> tuple[DGAlgebra | None, dict | None]:
@@ -156,15 +137,12 @@ def build_algebra(doc: dict) -> tuple[DGAlgebra | None, dict | None]:
 
 
 def _parse_fraction(value) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"bad rational entry {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    # type(), not isinstance: true is not the entry 1
+    if type(value) in (int, str):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational entry {value!r}") from exc
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InputError(f"bad rational entry {value!r}")
 
 
@@ -207,6 +185,7 @@ def _checked(build, *args):
 
 
 def build_complex(doc: dict) -> model.Complex:
+    from . import model
     if not isinstance(doc, dict) or "dims" not in doc:
         raise InputError("complex documents need a 'dims' object")
     dims = {}
@@ -218,6 +197,7 @@ def build_complex(doc: dict) -> model.Complex:
 
 
 def build_chain_map(doc: dict) -> model.ChainMap:
+    from . import model
     if not isinstance(doc, dict) or "source" not in doc or "target" not in doc:
         raise InputError("chain map documents need 'source', 'target' and 'blocks'")
     return _checked(model.ChainMap, build_complex(doc["source"]),
@@ -270,12 +250,12 @@ class _Verification(Exception):
         self.body = body
 
 
-# -- command handlers -----------------------------------------------------------------
+# -- command handlers: each imports the modules it uses, so a request loads its own
 
 
 def cmd_check(args) -> dict:
     dga = _require_algebra(_load_json(args.input))
-    report = dga.cohomology(args.window[0], args.window[1], args.degcap)
+    report = dga.cohomology(*args.window, args.degcap)
     return {
         "valid": True,
         "cohomology": [
@@ -287,39 +267,41 @@ def cmd_check(args) -> dict:
 
 def cmd_cohomology(args) -> dict:
     dga = _require_algebra(_load_json(args.input))
-    report = dga.cohomology(args.window[0], args.window[1], args.degcap)
-    return report.to_dict()
+    return dga.cohomology(*args.window, args.degcap).to_dict()
 
 
 def cmd_forms_omega(args) -> dict:
+    from . import forms
     doc = _load_json(args.input)
     dga = _require_algebra(doc)
-    forms = FormsAlgebra(dga.table)
+    omega = forms.FormsAlgebra(dga.table)
     out: dict = {
         "generators": [
             {"name": g.name, "weight": g.weight, "parity": parity_name(g.parity)}
-            for g in forms.table.generators
+            for g in omega.table.generators
         ],
         "de_rham": {
-            g.name: render(forms.de_rham(Element.generator(forms.table, g.name)))
-            for g in forms.table.generators
+            g.name: render(omega.de_rham(Element.generator(omega.table, g.name)))
+            for g in omega.table.generators
         },
     }
     if doc.get("differential"):
-        total = forms.total_differential(dga)
+        total = omega.total_differential(dga)
         out["total_differential"] = {
-            g.name: render(total(Element.generator(forms.table, g.name)))
-            for g in forms.table.generators
+            g.name: render(total(Element.generator(omega.table, g.name)))
+            for g in omega.table.generators
         }
         out["total_square_zero"] = not DGAlgebra(
-            forms.table, total, check=False
+            omega.table, total, check=False
         ).square_witnesses()
     return out
 
 
 def cmd_cartan_check(args) -> dict:
+    import random
+    from . import forms, sampling
     dga = _require_algebra(_load_json(args.input))
-    forms = FormsAlgebra(dga.table)
+    omega = forms.FormsAlgebra(dga.table)
     rng = random.Random(args.seed)
     names = ["cartan_formula", "euler_contraction", "euler_lie",
              "contractions_commute", "lie_contraction", "lie_lie"]
@@ -331,7 +313,7 @@ def cmd_cartan_check(args) -> dict:
                                         rng.randint(0, 1), cap=3)
         D2 = sampling.random_derivation(rng, dga.table, rng.randint(-1, 2),
                                         rng.randint(0, 1), cap=3)
-        results = forms.cartan_relations(D1, D2)
+        results = omega.cartan_relations(D1, D2)
         for name in names:
             if results[name]:
                 counts[name] += 1
@@ -339,12 +321,12 @@ def cmd_cartan_check(args) -> dict:
                 all_pass = False
         # spot-check the Cartan formula on sampled low-degree elements:
         # [i, d](a) = i(d a) - (-1)^{|i|} d(i a) since d is odd
-        L1 = forms.lie_derivative(D1)
-        d = forms.de_rham
-        i1 = forms.contraction(D1)
+        L1 = omega.lie_derivative(D1)
+        d = omega.de_rham
+        i1 = omega.contraction(D1)
         sign = 1 if i1.parity_shift else -1
         for _ in range(3):
-            a = sampling.random_element(rng, forms.table, max_degree=3, terms=3)
+            a = sampling.random_element(rng, omega.table, max_degree=3, terms=3)
             lhs = i1(d(a)) + d(i1(a)) * sign
             if lhs != L1(a):
                 all_pass = False
@@ -359,12 +341,11 @@ def cmd_cartan_check(args) -> dict:
 
 
 def cmd_integrate(args) -> dict:
+    from . import forms
     dga = _require_algebra(_load_json(args.input))
-    table = dga.table
-    expr = parse(table, args.expr)
-    lower = parse(table, args.lower)
-    upper = parse(table, args.upper)
-    value = integrate(expr, args.var, lower, upper)
+    expr, lower, upper = (parse(dga.table, text)
+                          for text in (args.expr, args.lower, args.upper))
+    value = forms.integrate(expr, args.var, lower, upper)
     return {
         "expression": render(expr),
         "variable": args.var,
@@ -375,16 +356,18 @@ def cmd_integrate(args) -> dict:
 
 
 def cmd_berezin(args) -> dict:
+    from . import forms
     dga = _require_algebra(_load_json(args.input))
     expr = parse(dga.table, args.expr)
-    value = berezin(expr, args.var)
+    value = forms.berezin(expr, args.var)
     return {"expression": render(expr), "variable": args.var,
             "integral": render(value)}
 
 
 def cmd_cylinder_contract(args) -> dict:
+    from . import forms
     dga = _require_algebra(_load_json(args.input))
-    cyl = Cylinder(dga, var=args.var)
+    cyl = forms.Cylinder(dga, var=args.var)
     expr = parse(cyl.table, args.expr)
     h = cyl.contract(expr)
     defect = cyl.homotopy_defect(expr)
@@ -402,7 +385,9 @@ def cmd_cylinder_contract(args) -> dict:
 
 
 def _simplicial_expr(args, forms) -> Element:
-    return eliminate(forms, parse(barycentric_table(forms.n), args.form))
+    from . import simplicial
+    table = simplicial.barycentric_table(forms.n)
+    return simplicial.eliminate(forms, parse(table, args.form))
 
 
 def _tuple_str(indices) -> str:
@@ -412,11 +397,12 @@ def _tuple_str(indices) -> str:
 def _structure_maps(n: int, m: int, tuple_of) -> list[dict]:
     """The maps phi = tuple_of(n, i): [m] -> [n], i = 0..n, each with the
     images of the generators of Omega_n under its pullback."""
-    source, target = simplex_forms(n), simplex_forms(m)
+    from . import simplicial
+    source, target = simplicial.simplex_forms(n), simplicial.simplex_forms(m)
     out = []
     for i in range(n + 1):
         phi = tuple_of(n, i)
-        fmap = pullback(phi, source, target)
+        fmap = simplicial.pullback(phi, source, target)
         out.append({"index": i, "vertex_map": list(phi), "images": {
             g.name: render(fmap(Element.generator(source.table, g.name)))
             for g in source.table.generators
@@ -425,42 +411,45 @@ def _structure_maps(n: int, m: int, tuple_of) -> list[dict]:
 
 
 def cmd_simplicial_faces(args) -> dict:
+    from . import simplicial
     n = args.n
-    return {"n": n, "faces": _structure_maps(n, n - 1, face_tuple) if n else [],
-            "degeneracies": _structure_maps(n, n + 1, degeneracy_tuple)}
+    return {"n": n, "faces": _structure_maps(n, n - 1, simplicial.face_tuple) if n else [],
+            "degeneracies": _structure_maps(n, n + 1, simplicial.degeneracy_tuple)}
 
 
 def cmd_simplicial_whitney(args) -> dict:
+    from . import simplicial
     n = args.n
     degrees = range(n + 1) if args.k is None else [args.k]
-    forms = simplex_forms(n)
+    forms = simplicial.simplex_forms(n)
     entries = []
     for k in degrees:
         if not 0 <= k <= n:
             raise InputError(f"--k must lie in 0..{n}")
-        for I in whitney_tuples(n, k):
+        for I in simplicial.whitney_tuples(n, k):
             entry = {
                 "tuple": _tuple_str(I),
-                "form": render(whitney(forms, I)),
+                "form": render(simplicial.whitney(forms, I)),
             }
             if args.barycentric:
-                entry["barycentric"] = render(barycentric_whitney(n, I))
+                entry["barycentric"] = render(simplicial.barycentric_whitney(n, I))
             entries.append(entry)
     return {"n": n, "forms": entries}
 
 
 def cmd_simplicial_project(args) -> dict:
-    forms = simplex_forms(args.n)
+    from . import simplicial
+    forms = simplicial.simplex_forms(args.n)
     element = _simplicial_expr(args, forms)
-    image = whitney_projection(forms, element)
+    image = simplicial.whitney_projection(forms, element)
     expansion = []
     for k in range(forms.n + 1):
-        for I in whitney_tuples(forms.n, k):
-            coeff = simplex_integral(forms, I, element)
+        for I in simplicial.whitney_tuples(forms.n, k):
+            coeff = simplicial.simplex_integral(forms, I, element)
             if coeff:
                 item = {"tuple": _tuple_str(I), "coefficient": str(coeff)}
                 if args.barycentric:
-                    item["barycentric"] = render(barycentric_whitney(forms.n, I))
+                    item["barycentric"] = render(simplicial.barycentric_whitney(args.n, I))
                 expansion.append(item)
     return {
         "n": args.n,
@@ -471,12 +460,13 @@ def cmd_simplicial_project(args) -> dict:
 
 
 def cmd_simplicial_dupont(args) -> dict:
-    forms = simplex_forms(args.n)
+    from . import simplicial
+    forms = simplicial.simplex_forms(args.n)
     element = _simplicial_expr(args, forms)
-    s_image = dupont_homotopy(forms, element)
+    s_image = simplicial.dupont_homotopy(forms, element)
     d = forms.d
-    identity = (d(s_image) + dupont_homotopy(forms, d(element))
-                == element - whitney_projection(forms, element))
+    identity = (d(s_image) + simplicial.dupont_homotopy(forms, d(element))
+                == element - simplicial.whitney_projection(forms, element))
     if not identity:
         raise _Verification({
             "witness": "contraction identity failed",
@@ -491,19 +481,20 @@ def cmd_simplicial_dupont(args) -> dict:
 
 
 def cmd_simplicial_duality(args) -> dict:
+    from . import simplicial
     n = args.n
-    forms = simplex_forms(n)
+    forms = simplicial.simplex_forms(n)
     degrees = []
     all_pass = True
     for k in range(n + 1):
-        tuples = whitney_tuples(n, k)
+        tuples = simplicial.whitney_tuples(n, k)
         ok = True
         for I in tuples:
-            w = whitney(forms, I)
+            w = simplicial.whitney(forms, I)
             for J in tuples:
                 expected = Fraction(1 if I == J else 0)
-                got_d = simplex_integral(forms, J, w, method="dirichlet")
-                got_i = simplex_integral(forms, J, w, method="iterated")
+                got_d = simplicial.simplex_integral(forms, J, w, method="dirichlet")
+                got_i = simplicial.simplex_integral(forms, J, w, method="iterated")
                 if got_d != expected or got_i != expected:
                     ok = False
         degrees.append({"k": k, "tuples": len(tuples), "dual_basis": ok})
@@ -514,30 +505,32 @@ def cmd_simplicial_duality(args) -> dict:
 
 
 def cmd_cotensor(args) -> dict:
+    from . import simplicial
     doc = _expect(_load_json(args.input), dict, "document")
-    coefficients = ZERO_ALGEBRA if doc.get("zero") else _require_algebra(doc)
-    w_min, w_max = args.window
-    shape = args.shape
-    if shape == "horn" and args.horn_vertex is None:
+    zero = simplicial.ZERO_ALGEBRA
+    coefficients = zero if doc.get("zero") else _require_algebra(doc)
+    shape, horn_vertex = args.shape, args.horn_vertex
+    if shape == "horn" and horn_vertex is None:
         raise InputError("--shape horn needs --horn-vertex")
-    horn_vertex = args.horn_vertex if shape == "horn" else None
-    if shape == "simplex" or coefficients == ZERO_ALGEBRA:
-        return cotensor_report(coefficients, args.n, shape, horn_vertex,
-                               w_min, w_max, args.degcap)
+    if shape != "horn" and horn_vertex is not None:
+        raise InputError(f"--horn-vertex needs --shape horn, not --shape {shape}")
+    request = (coefficients, args.n, shape, horn_vertex, *args.window, args.degcap)
+    if shape == "simplex" or coefficients == zero:
+        return simplicial.cotensor_report(*request)
     # filling first: the cotensor keeps the dimension of each kernel it
     # eliminates, and the cotensor entries read them from there
-    cot = SubShapeCotensor(coefficients, args.n, shape, horn_vertex)
-    filling = filling_report(coefficients, args.n, shape, horn_vertex,
-                             w_min, w_max, args.degcap, cotensor=cot)
-    out = cotensor_report(coefficients, args.n, shape, horn_vertex,
-                          w_min, w_max, args.degcap, cotensor=cot)
+    cot = simplicial.SubShapeCotensor(coefficients, args.n, shape, horn_vertex)
+    filling = simplicial.filling_report(*request, cotensor=cot)
+    out = simplicial.cotensor_report(*request, cotensor=cot)
     out["filling"] = filling
     return out
 
 
 def cmd_path_object(args) -> dict:
+    import random
+    from . import forms, sampling
     dga = _require_algebra(_load_json(args.input))
-    path = PathObject(dga, var=args.var)
+    path = forms.PathObject(dga, var=args.var)
     cyl = path.cylinder
     rng = random.Random(args.seed)
     t = cyl.t()
@@ -568,6 +561,7 @@ def cmd_path_object(args) -> dict:
 
 
 def cmd_complex_cohomology(args) -> dict:
+    from . import model
     c = build_complex(_load_json(args.input))
     dims = model.cohomology_dims(c)
     return {
@@ -578,6 +572,7 @@ def cmd_complex_cohomology(args) -> dict:
 
 
 def cmd_complex_classify(args) -> dict:
+    from . import model
     f = build_chain_map(_load_json(args.input))
     fib = model.is_fibration(f)
     cof = model.is_cofibration(f)
@@ -592,6 +587,7 @@ def cmd_complex_classify(args) -> dict:
 
 
 def cmd_complex_lift(args) -> dict:
+    from . import model
     doc = _expect(_load_json(args.input), dict, "document")
     try:
         maps = [build_chain_map(doc[name]) for name in ("i", "p", "top", "bottom")]
@@ -605,6 +601,7 @@ def cmd_complex_lift(args) -> dict:
 
 
 def cmd_complex_factorize(args) -> dict:
+    from . import model
     f = build_chain_map(_load_json(args.input))
     j, q = model.factorize(f, mode=args.mode)
     checks = model.verify_factorization(f, j, q, args.mode)
@@ -620,6 +617,7 @@ def cmd_complex_factorize(args) -> dict:
 
 
 def cmd_cells(args) -> dict:
+    from . import model
     catalog = model.cell_catalog()
     entries = []
     for name in sorted(catalog):
@@ -634,6 +632,7 @@ def cmd_cells(args) -> dict:
 
 
 def cmd_sym_kunneth(args) -> dict:
+    from . import model
     v = build_complex(_load_json(args.input))
     w_min, w_max = args.window
     out = model.kunneth_report(v, w_min, w_max, args.degcap)
@@ -646,16 +645,9 @@ def cmd_sym_kunneth(args) -> dict:
 
 
 def _option_dict(args) -> dict:
-    skip = {"func", "format", "command", "subcommand"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        if key == "window":
-            out[key] = f"{value[0]}:{value[1]}"
-        else:
-            out[key] = value
-    out["format"] = args.format
+    out = {key: value for key, value in vars(args).items()
+           if key not in ("func", "command", "subcommand") and value is not None}
+    out["window"] = "{}:{}".format(*args.window)
     return out
 
 
@@ -767,7 +759,10 @@ def _add_common(parser: argparse.ArgumentParser, needs_input: bool) -> None:
     parser.set_defaults(format="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(selected: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command in COMMANDS.  Given the words of one row,
+    it still names every command, so usage lines and errors are the same,
+    but only that row gets its options: a request pays for its own."""
     parser = argparse.ArgumentParser(
         prog="sdga",
         description="Exact calculator for differential graded-commutative algebras.",
@@ -779,7 +774,10 @@ def build_parser() -> argparse.ArgumentParser:
         if group not in subparsers:
             subparsers[group] = subparsers[""].add_parser(
                 group, help=GROUPS[group]).add_subparsers(dest="subcommand", required=True)
-        p = subparsers[group].add_parser(name, help=summary)
+        built = selected in (None, words)
+        p = subparsers[group].add_parser(name, help=summary, add_help=built)
+        if not built:
+            continue
         _add_common(p, needs_input=words.split()[0] not in _NO_INPUT)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
@@ -788,20 +786,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command's words: a group's name and the word after it, or one word
+    words = " ".join(argv[:2] if argv and argv[0] in GROUPS else argv[:1])
+    rows = [row[0] for row in COMMANDS]
+    args = build_parser(words if words in rows else None).parse_args(argv)
+    command = args.command
+    if getattr(args, "subcommand", None):
+        command = f"{command} {args.subcommand}"
     try:
         args.window = _parse_window(args.window)
         for flag in ("degcap", "n", "pairs", "trials"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise InputError(f"--{flag} must be non-negative; got {value}")
+        if args.input is not None and args.command in _NO_INPUT:
+            raise InputError(f"{command} reads no document; --input is not accepted")
     except InputError as exc:
         _emit({"error": str(exc), "tool": "sdga", "version": __version__}, args.format)
         return 2
-    command = args.command
-    if getattr(args, "subcommand", None):
-        command = f"{command} {args.subcommand}"
     envelope = {
         "tool": "sdga",
         "version": __version__,
@@ -809,20 +812,14 @@ def main(argv=None) -> int:
         "options": _option_dict(args),
     }
     try:
-        envelope["report"] = globals()[args.func](args)
-        envelope["ok"] = True
-        _emit(envelope, args.format)
-        return 0
+        envelope["report"], code = globals()[args.func](args), 0
     except _Verification as exc:
-        envelope["report"] = exc.body
-        envelope["ok"] = False
-        _emit(envelope, args.format)
-        return 1
+        envelope["report"], code = exc.body, 1
     except (InputError, AlgebraError) as exc:
-        envelope["error"] = str(exc)
-        envelope["ok"] = False
-        _emit(envelope, args.format)
-        return 2
+        envelope["error"], code = str(exc), 2
+    envelope["ok"] = code == 0
+    _emit(envelope, args.format)
+    return code
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -64,6 +65,25 @@ def test_cli_import_leaves_inspect_out():
     code = "import sys, sdga.cli; sys.exit('inspect' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdga.__file__))}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("argv, doc, absent", [
+    (("cohomology",), KOSZUL_DOC,
+     {"sdga.simplicial", "sdga.forms", "sdga.model", "sdga.sampling", "random"}),
+    (("complex", "cohomology"), {"dims": {"0,even": 1}},
+     {"sdga.simplicial", "sdga.forms"}),
+])
+def test_request_imports_only_its_modules(argv, doc, absent):
+    """Start-up cost: a request imports the modules its command uses, not
+    every module some command needs.  -S: what site imports is not counted."""
+    code = ("import json, sys, sdga.cli; code = sdga.cli.main(sys.argv[1:]); "
+            "sys.stderr.write(json.dumps(sorted(sys.modules))); sys.exit(code)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdga.__file__))}
+    child = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                           input=json.dumps(doc), capture_output=True, text=True, env=env)
+    assert child.returncode == 0
+    assert json.loads(child.stdout)["ok"] is True
+    assert absent.isdisjoint(json.loads(child.stderr))
 
 
 def test_check_reports_cohomology(tmp_path, capsys):
@@ -129,6 +149,10 @@ MALFORMED = {
     "map-block-shape": (("complex", "classify"),
                         {"source": _COMPLEX, "target": _COMPLEX, "blocks": {"0,even": [[1, 2]]}},
                         "chain map block at (0, 0) has the wrong shape"),
+    "even-mode-string": (("check",), {"generators": [], "even_mode": "no"},
+                         "'even_mode' must be true or false, got 'no'"),
+    "even-mode-null": (("check",), {"generators": [], "even_mode": None},
+                       "'even_mode' must be true or false, got None"),
 }
 
 
@@ -269,6 +293,23 @@ def test_cotensor_horn_needs_vertex(tmp_path, capsys):
     code, _ = run_json(capsys, "cotensor", "--input", path,
                        "--n", "1", "--shape", "horn")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("cotensor", "--n", "2", "--horn-vertex", "7"),
+     "--horn-vertex needs --shape horn, not --shape simplex"),
+    (("cotensor", "--n", "2", "--shape", "boundary", "--horn-vertex", "0"),
+     "--horn-vertex needs --shape horn, not --shape boundary"),
+    (("simplicial", "faces", "--n", "1", "--input", "-"),
+     "simplicial faces reads no document; --input is not accepted"),
+    (("cells", "--input", "doc.json"), "cells reads no document; --input is not accepted"),
+])
+def test_ignored_option_fails(capsys, monkeypatch, argv, error):
+    """An option the command would not use exits 2 instead of being echoed."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(LINE_DOC)))
+    code, env = run_json(capsys, *argv)
+    assert code == 2
+    assert env["error"] == error
 
 
 def test_cotensor_horn_filling(tmp_path, capsys):
@@ -549,6 +590,49 @@ def test_dispatch_finds_rebound_handler(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert env["report"] == {"x": 1}
+
+
+def _subparser(parser, words):
+    """The parser of the command path `words` in the tree under `parser`."""
+    for word in words:
+        action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[word]
+    return parser
+
+
+@pytest.mark.parametrize("words", [row[0] for row in cli.COMMANDS])
+def test_selected_parser_is_the_full_parser(monkeypatch, words):
+    """main builds the options of its own command only: that parser prints the
+    same help on the command's path and parses to the same Namespace as the
+    whole tree, on every Python version."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full, selected = cli.build_parser(), cli.build_parser(words)
+    path = words.split()
+    for depth in range(len(path) + 1):
+        assert (_subparser(selected, path[:depth]).format_help()
+                == _subparser(full, path[:depth]).format_help())
+    options = next(row[2] for row in cli.COMMANDS if row[0] == words)
+    required = [arg for flag, kwargs in options if kwargs.get("required")
+                for arg in (flag, "1")]
+    for extra in ([], ["--deg", "3"], ["--window=-1:2"], ["--text"]):
+        argv = [*path, *required, *extra]
+        assert selected.parse_args(argv) == full.parse_args(argv)
+
+
+def test_main_selects_the_command_row(capsys, monkeypatch):
+    """A request naming a row builds that row's parser; anything else, the
+    whole tree."""
+    seen, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda selected=None: seen.append(selected) or build(selected))
+    assert main(["simplicial", "faces", "--n", "0"]) == 0
+    assert main(["cells", "--text"]) == 0
+    for argv in (["--version"], ["-h"], ["simplicial"], ["nope"], ["complex", "-h"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert seen == ["simplicial faces", "cells", None, None, None, None, None]
 
 
 def test_command_table_matches_handlers():
