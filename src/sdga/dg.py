@@ -11,6 +11,11 @@ caps are grown with the weight so that every differential matrix is the honest
 restriction of d (no image term is ever silently dropped), and each reported
 dimension carries an `exact` flag that is True only when the truncated bases
 provably exhaust their weight spaces.
+
+A differential block is a list of sparse columns (`linalg.SparseRow`), one
+per source monomial.  The kernel is read from their transpose, the columns
+into a weight space are its image as they stand, and a representative is
+rendered from its own sparse row, so no block or vector is written out dense.
 """
 
 from __future__ import annotations
@@ -261,20 +266,24 @@ class CohomologyReport:
 
 
 def _differential_matrix(table: GeneratorTable, d: Derivation,
-                         src: list[tuple[int, ...]], dst: list[tuple[int, ...]]):
-    """Matrix of d on monomial bases; raises if an image leaves the basis."""
+                         src: list[tuple[int, ...]], dst: list[tuple[int, ...]]
+                         ) -> list[linalg.SparseRow]:
+    """d on monomial bases as sparse columns: column j is d(src[j]) in dst
+    coordinates.  Raises if an image leaves the basis."""
     index = {mono: i for i, mono in enumerate(dst)}
-    mat = linalg.zeros(len(dst), len(src))
-    for j, mono in enumerate(src):
-        image = d(Element.monomial(table, mono))
-        for m, c in image.terms.items():
-            if m not in index:
+    columns: list[linalg.SparseRow] = []
+    for mono in src:
+        column = {}
+        for m, c in d(Element.monomial(table, mono)).terms.items():
+            i = index.get(m)
+            if i is None:
                 raise AlgebraError(
                     "differential image left the truncated basis; "
                     "degree caps were grown incorrectly"
                 )
-            mat[index[m]][j] = c
-    return mat
+            column[i] = c
+        columns.append(column)
+    return columns
 
 
 def compute_cohomology(table: GeneratorTable, d: Derivation,
@@ -301,32 +310,24 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
 
     report = CohomologyReport(w_min, w_max, cap)
     # d into (w, p) is d out of (w - 1, p + 1): past the first weight its
-    # matrix and rank come from the previous weight's pass
-    outgoing: dict[int, tuple[linalg.Matrix, int]] = {}
+    # columns, which span the image, and its rank come from the previous
+    # weight's pass
+    outgoing: dict[int, tuple[list[linalg.SparseRow], int]] = {}
     for w in range(w_min, w_max + 1):
         incoming, outgoing = outgoing, {}
         for p in (EVEN, ODD):
             cur = bases[(w, p)]
             prev = bases[(w - 1, (p + 1) % 2)]
             nxt = bases[(w + 1, (p + 1) % 2)]
-            mat_out = _differential_matrix(table, d, cur, nxt)
-            kernel = linalg.nullspace(mat_out, len(cur))
-            outgoing[p] = (mat_out, len(cur) - len(kernel))
+            columns = _differential_matrix(table, d, cur, nxt)
+            kernel = linalg.nullspace(linalg.transpose(columns, len(nxt)), len(cur))
+            outgoing[p] = (columns, len(cur) - len(kernel))
             if w == w_min:
-                mat_in = _differential_matrix(table, d, prev, cur)
-                rank_in = linalg.rank(mat_in)
+                image = _differential_matrix(table, d, prev, cur)
+                rank_in = linalg.rank(image)
             else:
-                mat_in, rank_in = incoming[(p + 1) % 2]
-            image = [[mat_in[i][j] for i in range(len(cur))] for j in range(len(prev))]
-            dim_h = len(kernel) - rank_in
+                image, rank_in = incoming[(p + 1) % 2]
             reps = linalg.quotient_representatives(kernel, image, len(cur))
-            rep_strings = []
-            for vec in reps:
-                elem = Element.zero(table)
-                for i, c in enumerate(vec):
-                    if c != 0:
-                        elem = elem + Element.monomial(table, cur[i], c)
-                rep_strings.append(render(elem))
             bound_cur = bounds[w]
             bound_prev = bounds[w - 1]
             exact = (
@@ -336,9 +337,12 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
                 and caps[w - 1] >= bound_prev
             )
             report.entries[(w, p)] = {
-                "dim": dim_h,
+                "dim": len(kernel) - rank_in,
                 "exact": exact,
-                "representatives": rep_strings,
+                "representatives": [
+                    render(Element(table, {cur[i]: c for i, c in rep.items()}))
+                    for rep in reps
+                ],
             }
     return report
 

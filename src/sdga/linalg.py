@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  A matrix represents a linear map
-column-wise: column j is the image of the j-th source basis vector.  Every
-pivot decision is exact, so ranks, kernels and solutions carry no
-floating-point doubt.
+Elimination works in one form: sparse rows, dicts from column to nonzero
+`Fraction`, so a zero is never stored, scanned, multiplied or negated.
+`rref` is the one elimination kernel: `rank`, `nullspace` and
+`solve_with_certificate` read its result, and `RowSpan` keeps its basis in
+the same sparse rows and reduces with the same row update.  Each takes
+sparse rows and returns sparse rows; a sparse row does not know its width,
+so the functions that need the column count take it as `ncols`.
 
-Elimination stores rows sparse, as dicts from column to nonzero entry, so a
-zero is never stored, multiplied or subtracted.  `rref` is the one
-elimination kernel: `rank`, `nullspace` and `solve_with_certificate` read its
-result, and `RowSpan` keeps its basis in the same sparse rows and reduces
-with the same row update.
+Dense matrices (lists of rows of Fractions) remain for `model`'s chain
+complex blocks: `zeros`, `identity`, `mat_vec`, `mat_mul` and `mats_agree`
+work on them, and `sparse`/`dense` convert one row at the caller's boundary.
+A dense matrix represents a linear map column-wise: column j is the image of
+the j-th source basis vector.  Every pivot decision is exact, so ranks,
+kernels and solutions carry no floating-point doubt.
 """
 
 from __future__ import annotations
@@ -73,15 +77,26 @@ def mats_agree(a: Matrix, b: Matrix) -> bool:
     return True
 
 
-def _sparse(vec: Vector) -> SparseRow:
+def sparse(vec: Vector) -> SparseRow:
+    """The nonzero entries of a dense vector."""
     return {j: x for j, x in enumerate(vec) if x}
 
 
-def _dense(row: SparseRow, ncols: int) -> Vector:
+def dense(row: SparseRow, ncols: int) -> Vector:
+    """A sparse row written out; every zero is the shared ZERO."""
     vec = [ZERO] * ncols
     for j, x in row.items():
         vec[j] = x
     return vec
+
+
+def transpose(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
+    """The ncols columns of a sparse matrix as sparse rows; zero ones left out."""
+    out: list[SparseRow] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return [row for row in out if row]
 
 
 def _normalized(row: SparseRow, col: int) -> SparseRow:
@@ -92,34 +107,36 @@ def _normalized(row: SparseRow, col: int) -> SparseRow:
 
 def _subtract_multiple(row: SparseRow, factor: Fraction, pivot: SparseRow) -> None:
     """row -= factor * pivot, in place; entries that cancel are dropped."""
+    neg = -factor
     for j, x in pivot.items():
         y = row.get(j)
         if y is None:
-            row[j] = -factor * x
+            row[j] = neg * x
         else:
-            y -= factor * x
+            y += neg * x
             if y:
                 row[j] = y
             else:
                 del row[j]
 
 
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list).
+def rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
+    """Reduced row echelon form; returns (reduced rows, pivot column list).
 
-    Columns are taken in order, and a column's pivot is the first remaining
-    row with a nonzero entry there.  A remaining row has no entry left of the
-    column being eliminated, so its leading column says whether it qualifies,
-    and only rows that held the pivot column need their lead read again.
+    The input rows are not modified.  The result has as many rows as the
+    input, the zero rows ({}) last.  Columns are taken in order, and a
+    column's pivot is the first remaining row with an entry there.  A
+    remaining row has no entry left of the column being eliminated, so its
+    leading column says whether it qualifies, and only rows that held the
+    pivot column need their lead read again.
     """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    rows = [_sparse(vec) for vec in mat]
-    lead = [min(row, default=ncols) for row in rows]  # ncols marks a zero row
+    rows = [dict(row) for row in rows]
+    end = 1 + max((max(row) for row in rows if row), default=-1)
+    lead = [min(row, default=end) for row in rows]  # end marks a zero row
     pivots: list[int] = []
-    for top in range(nrows):
+    for top in range(len(rows)):
         col = min(lead[top:])
-        if col == ncols:
+        if col == end:
             break
         found = lead.index(col, top)
         rows[top], rows[found] = rows[found], rows[top]
@@ -129,66 +146,49 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
             if r != top and col in row:
                 _subtract_multiple(row, row[col], pivot)
                 if r > top:
-                    lead[r] = min(row, default=ncols)
+                    lead[r] = min(row, default=end)
         pivots.append(col)
-    return [_dense(row, ncols) for row in rows], pivots
+    return rows, pivots
 
 
-def rank(mat: Matrix) -> int:
-    return len(rref(mat)[1])
+def rank(rows: list[SparseRow]) -> int:
+    return len(rref(rows)[1])
 
 
-def nullspace(mat: Matrix, ncols: int | None = None) -> list[Vector]:
-    """Basis of the right kernel {x : mat @ x = 0}.
+def nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
+    """Basis of the right kernel {x : rows @ x = 0} in ncols unknowns.
 
-    Pass ncols explicitly when mat may have zero rows; a 0 x n matrix is just
-    [] as a list of rows and would otherwise read as 0 x 0.
+    One vector per free column, in column order: 1 at the free column and
+    minus the reduced rows' entries there at their pivots.  A reduced row's
+    entries off its pivot all sit in free columns.
     """
-    nrows = len(mat)
-    if ncols is None:
-        ncols = len(mat[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [unit_vector(ncols, j) for j in range(ncols)]
-    reduced, pivots = rref(mat)
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for r, col in enumerate(pivots):
-            vec[col] = -reduced[r][free]
-        basis.append(vec)
-    return basis
+    basis = {free: {free: ONE} for free in range(ncols) if free not in pivot_set}
+    for row, col in zip(reduced, pivots):
+        for free, x in row.items():
+            if free != col:
+                basis[free][col] = -x
+    return list(basis.values())
 
 
-def unit_vector(n: int, j: int) -> Vector:
-    vec = [ZERO] * n
-    vec[j] = ONE
-    return vec
+def solve_with_certificate(rows: list[SparseRow], rhs: Vector,
+                           ncols: int) -> tuple[SparseRow | None, dict]:
+    """Solve rows @ x = rhs in ncols unknowns, with its rank certificate.
 
-
-def solve(mat: Matrix, rhs: Vector) -> Vector | None:
-    """One exact solution of mat @ x = rhs, or None when inconsistent."""
-    sol, _ = solve_with_certificate(mat, rhs)
-    return sol
-
-
-def solve_with_certificate(mat: Matrix, rhs: Vector) -> tuple[Vector | None, dict]:
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    aug = [mat[i][:] + [rhs[i]] for i in range(nrows)]
+    The right-hand side is column ncols of the augmented rows; the solution
+    is the reduced right-hand side at the pivots, every free unknown 0.
+    """
+    aug = [dict(row) for row in rows]
+    for row, b in zip(aug, rhs):
+        if b:
+            row[ncols] = b
     reduced, pivots = rref(aug)
     rank_aug = len(pivots)
     if pivots and pivots[-1] == ncols:
         cert = {"rank": rank_aug - 1, "rank_augmented": rank_aug, "consistent": False}
         return None, cert
-    sol = [ZERO] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = reduced[r][ncols]
+    sol = {col: row[ncols] for row, col in zip(reduced, pivots) if ncols in row}
     cert = {"rank": rank_aug, "rank_augmented": rank_aug, "consistent": True}
     return sol, cert
 
@@ -196,7 +196,7 @@ def solve_with_certificate(mat: Matrix, rhs: Vector) -> tuple[Vector | None, dic
 class RowSpan:
     """Incrementally maintained row space with exact reduction.
 
-    add() returns True when the vector enlarged the span, which makes it handy
+    add() returns True when the row enlarged the span, which makes it handy
     both for rank bookkeeping and for picking representatives independent of a
     previously seeded subspace.
     """
@@ -206,23 +206,23 @@ class RowSpan:
         self.rows: list[SparseRow] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec: Vector) -> SparseRow:
-        """vec minus its component in the span, as a sparse row."""
-        v = _sparse(vec)
-        for row, piv in zip(self.rows, self.pivots):
+    def reduce(self, row: SparseRow) -> SparseRow:
+        """row minus its component in the span, as a new sparse row."""
+        v = dict(row)
+        for basis_row, piv in zip(self.rows, self.pivots):
             if piv in v:
-                _subtract_multiple(v, v[piv], row)
+                _subtract_multiple(v, v[piv], basis_row)
         return v
 
-    def add(self, vec: Vector) -> bool:
-        v = self.reduce(vec)
+    def add(self, row: SparseRow) -> bool:
+        v = self.reduce(row)
         if not v:
             return False
         piv = min(v)
         v = _normalized(v, piv)
-        for row in self.rows:
-            if piv in row:
-                _subtract_multiple(row, row[piv], v)
+        for basis_row in self.rows:
+            if piv in basis_row:
+                _subtract_multiple(basis_row, basis_row[piv], v)
         self.rows.append(v)
         self.pivots.append(piv)
         return True
@@ -232,13 +232,10 @@ class RowSpan:
         return len(self.rows)
 
 
-def quotient_representatives(kernel: list[Vector], image: list[Vector], ncols: int) -> list[Vector]:
-    """Vectors from `kernel` that are independent modulo span(image)."""
+def quotient_representatives(kernel: list[SparseRow], image: list[SparseRow],
+                             ncols: int) -> list[SparseRow]:
+    """Rows of `kernel` that are independent modulo span(image)."""
     span = RowSpan(ncols)
-    for vec in image:
-        span.add(vec)
-    reps: list[Vector] = []
-    for vec in kernel:
-        if span.add(vec):
-            reps.append(vec)
-    return reps
+    for row in image:
+        span.add(row)
+    return [row for row in kernel if span.add(row)]

@@ -272,7 +272,7 @@ def cohomology_dims(c: Complex) -> dict[Key, int]:
 
     def rank_out(key: Key) -> int:
         if key not in ranks:
-            ranks[key] = linalg.rank(c.d_block(key))
+            ranks[key] = linalg.rank(_sparse_rows(c.d_block(key)))
         return ranks[key]
 
     for key in c.shift_keys():
@@ -326,7 +326,7 @@ def is_weak_equivalence(f: ChainMap) -> bool:
 def is_fibration(f: ChainMap) -> bool:
     """Degreewise surjectivity."""
     for key, n in f.target.dims.items():
-        if linalg.rank(f.block(key)) < n:
+        if linalg.rank(_sparse_rows(f.block(key))) < n:
             return False
     return True
 
@@ -334,7 +334,7 @@ def is_fibration(f: ChainMap) -> bool:
 def is_cofibration(f: ChainMap) -> bool:
     """Degreewise injectivity."""
     for key, n in f.source.dims.items():
-        if linalg.rank(f.block(key)) < n:
+        if linalg.rank(_sparse_rows(f.block(key))) < n:
             return False
     return True
 
@@ -374,14 +374,11 @@ def solve_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap):
     def var(key: Key, r: int, c: int) -> int:
         return offsets[key] + r * B.dim(key) + c
 
-    rows: list[list[Fraction]] = []
+    rows: list[linalg.SparseRow] = []
     rhs: list[Fraction] = []
 
     def emit(coeffs: dict[int, Fraction], value: Fraction):
-        row = [Fraction(0)] * total
-        for idx, cf in coeffs.items():
-            row[idx] += cf
-        rows.append(row)
+        rows.append({idx: cf for idx, cf in coeffs.items() if cf})
         rhs.append(value)
 
     # h i = top
@@ -433,9 +430,7 @@ def solve_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap):
                 if coeffs:
                     emit(coeffs, Fraction(0))
 
-    sol, cert = linalg.solve_with_certificate(rows, rhs) if rows else (
-        [Fraction(0)] * total, {"rank": 0, "rank_augmented": 0, "consistent": True}
-    )
+    sol, cert = linalg.solve_with_certificate(rows, rhs, total)
     if sol is None:
         return None, cert
     blocks = {}
@@ -443,7 +438,7 @@ def solve_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap):
         mat = linalg.zeros(X.dim(key), B.dim(key))
         for r in range(X.dim(key)):
             for c in range(B.dim(key)):
-                mat[r][c] = sol[off + r * B.dim(key) + c]
+                mat[r][c] = sol.get(off + r * B.dim(key) + c, linalg.ZERO)
         blocks[key] = mat
     h = ChainMap(B, X, blocks)
     return h, cert
@@ -577,13 +572,11 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         if nb == 0:
             continue
         span = linalg.RowSpan(nb)
-        qmat = builder.q_matrix(key)
-        for j in range(builder.dim(key)):
-            span.add([qmat[r][j] for r in range(nb)])
+        for col in _sparse_columns(builder.q_matrix(key)):
+            span.add(col)
         for r in range(nb):
-            unit = linalg.unit_vector(nb, r)
-            if span.add(unit):
-                builder.attach_disk(key, unit)
+            if span.add({r: linalg.ONE}):
+                builder.attach_disk(key, linalg.dense({r: linalg.ONE}, nb))
 
     if mode == "acyclic_cofibration_fibration":
         middle, j, q = builder.materialize()
@@ -594,19 +587,19 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         nb = B.dim(key)
         if nb == 0:
             continue
-        kernel_b = linalg.nullspace(B.d_block(key), nb)
+        kernel_b = linalg.nullspace(_sparse_rows(B.d_block(key)), nb)
         if not kernel_b:
             continue
         hit = linalg.RowSpan(nb)
-        for col in _transpose_columns(B.d_block(_prev_key(key)), nb):
+        for col in _sparse_columns(B.d_block(_prev_key(key))):
             hit.add(col)
-        kernel_m = linalg.nullspace(builder.d_matrix(key), builder.dim(key))
+        kernel_m = linalg.nullspace(_sparse_rows(builder.d_matrix(key)), builder.dim(key))
         qmat = builder.q_matrix(key)
         for vec in kernel_m:
-            hit.add(linalg.mat_vec(qmat, vec))
+            hit.add(_apply(qmat, vec))
         for vec in kernel_b:
             if hit.add(vec):
-                builder.add_generator(key, None, vec)
+                builder.add_generator(key, None, linalg.dense(vec, nb))
 
     # pass 3: kill the kernel of H(q).  One nullspace per key of the stacked
     # system [-d_B | q K], K the cocycles of the middle complex, gives every
@@ -619,31 +612,50 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         nm = builder.dim(key)
         if nm == 0:
             continue
-        kernel_m = linalg.nullspace(builder.d_matrix(key), nm)
+        kernel_m = linalg.nullspace(_sparse_rows(builder.d_matrix(key)), nm)
         if not kernel_m:
             continue
         prev = _prev_key(key)
-        nb, prev_b = B.dim(key), B.dim(prev)
-        qk = [linalg.mat_vec(builder.q_matrix(key), vec) for vec in kernel_m]
-        db_in = B.d_block(prev)
-        stacked = [[-x for x in db_in[r]] + [col[r] for col in qk] for r in range(nb)]
+        prev_b = B.dim(prev)
+        stacked = [{j: -x for j, x in row.items()} for row in _sparse_rows(B.d_block(prev))]
+        qmat = builder.q_matrix(key)
+        for i, vec in enumerate(kernel_m):
+            for r, x in _apply(qmat, vec).items():
+                stacked[r][prev_b + i] = x
         boundaries = linalg.RowSpan(nm)
-        for col in _transpose_columns(builder.d_matrix(prev), nm):
+        for col in _sparse_columns(builder.d_matrix(prev)):
             boundaries.add(col)
         for pair in linalg.nullspace(stacked, prev_b + len(kernel_m)):
-            y, c = pair[:prev_b], pair[prev_b:]
-            z = [sum((ci * vec[r] for ci, vec in zip(c, kernel_m) if ci), Fraction(0))
-                 for r in range(nm)]
+            y = [pair.get(j, linalg.ZERO) for j in range(prev_b)]
+            c = [(x, kernel_m[j - prev_b]) for j, x in pair.items() if j >= prev_b]
+            z = {}
+            for r in range(nm):
+                v = sum((ci * vec[r] for ci, vec in c if r in vec), linalg.ZERO)
+                if v:
+                    z[r] = v
             if boundaries.add(z):
-                builder.add_generator(prev, {r: v for r, v in enumerate(z) if v}, y)
+                builder.add_generator(prev, z, y)
     middle, j, q = builder.materialize()
     return j, q
 
 
-def _transpose_columns(mat: linalg.Matrix, nrows: int) -> list[list[Fraction]]:
-    if not mat:
-        return []
-    return [[mat[i][j] for i in range(nrows)] for j in range(len(mat[0]))]
+def _sparse_rows(mat: linalg.Matrix) -> list[linalg.SparseRow]:
+    return [linalg.sparse(row) for row in mat]
+
+
+def _sparse_columns(mat: linalg.Matrix) -> list[linalg.SparseRow]:
+    """The nonzero columns of a dense block, as sparse rows."""
+    return linalg.transpose(_sparse_rows(mat), len(mat[0]) if mat else 0)
+
+
+def _apply(mat: linalg.Matrix, vec: linalg.SparseRow) -> linalg.SparseRow:
+    """mat @ vec for a dense block and a sparse vector, as a sparse row."""
+    out = {}
+    for r, row in enumerate(mat):
+        y = sum((row[j] * x for j, x in vec.items()), linalg.ZERO)
+        if y:
+            out[r] = y
+    return out
 
 
 def verify_factorization(f: ChainMap, j: ChainMap, q: ChainMap, mode: str) -> dict:
@@ -750,11 +762,11 @@ def random_invertible(rng: random.Random, n: int) -> linalg.Matrix:
 
 def invert_matrix(mat: linalg.Matrix) -> linalg.Matrix:
     n = len(mat)
-    aug = [list(mat[i]) + list(linalg.identity(n)[i]) for i in range(n)]
+    aug = [linalg.sparse(mat[i]) | {n + i: linalg.ONE} for i in range(n)]
     reduced, pivots = linalg.rref(aug)
     if pivots[:n] != list(range(n)):
         raise AlgebraError("matrix is not invertible")
-    return [row[n:] for row in reduced]
+    return [[row.get(n + j, linalg.ZERO) for j in range(n)] for row in reduced]
 
 
 def random_complex(rng: random.Random, max_cells: int = 3,
@@ -794,7 +806,7 @@ def random_chain_map(rng: random.Random, source: Complex, target: Complex) -> Ch
         total += target.dim(key) * source.dim(key)
     if total == 0:
         return zero_chain_map(source, target)
-    rows: list[list[Fraction]] = []
+    rows: list[linalg.SparseRow] = []
     for key in source.dims:
         nxt = _next_key(key)
         dt = target.d_block(key)
@@ -810,16 +822,15 @@ def random_chain_map(rng: random.Random, source: Complex, target: Complex) -> Ch
                     for k in range(source.dim(nxt)):
                         if ds[k][c] != 0:
                             row[offsets[nxt] + r * source.dim(nxt) + k] -= ds[k][c]
-                if any(x != 0 for x in row):
+                row = linalg.sparse(row)
+                if row:
                     rows.append(row)
-    basis = linalg.nullspace(rows, total) if rows else [
-        linalg.unit_vector(total, j) for j in range(total)
-    ]
-    flat = [Fraction(0)] * total
-    for vec in basis:
+    flat = [linalg.ZERO] * total
+    for vec in linalg.nullspace(rows, total):
         lam = Fraction(rng.randint(-3, 3))
         if lam:
-            flat = [a + lam * b for a, b in zip(flat, vec)]
+            for j, x in vec.items():
+                flat[j] += lam * x
     blocks = {}
     for key, off in offsets.items():
         mat = linalg.zeros(target.dim(key), source.dim(key))

@@ -767,15 +767,11 @@ class SubShapeCotensor:
         vectors, fb = self._kernel(weight, parity, cap)
         families = []
         for vec in vectors:
-            family = []
-            for fi in range(len(self.facets)):
-                terms = {}
-                for bi, mono in enumerate(fb):
-                    c = vec[fi * len(fb) + bi]
-                    if c != 0:
-                        terms[mono] = c
-                family.append(Element(self.facet_forms.table, terms))
-            families.append(family)
+            family = [{} for _ in self.facets]
+            for k in sorted(vec):
+                fi, bi = divmod(k, len(fb))
+                family[fi][fb[bi]] = vec[k]
+            families.append([Element(self.facet_forms.table, terms) for terms in family])
         return families
 
     def dimension(self, weight: int, parity: int, cap: int) -> int:
@@ -785,29 +781,30 @@ class SubShapeCotensor:
         return self._dims[key]
 
     def _kernel(self, weight: int, parity: int, cap: int):
+        """The compatible families as sparse rows over the facet bases laid
+        end to end (facet i owns the columns from i * len(fb)), and fb."""
         fb = self.facet_basis(weight, parity, cap)
         nfac = len(self.facets)
         ncols = nfac * len(fb)
         if self.n < 2 or not fb:
-            vectors = [linalg.unit_vector(ncols, j) for j in range(ncols)]
+            vectors = [{j: linalg.ONE} for j in range(ncols)]
         else:
             ob = monomial_basis(self.overlap_forms.table, weight, parity, cap)
             oidx = {m: i for i, m in enumerate(ob)}
-            rows: list[list[Fraction]] = []
+            rows: list[linalg.SparseRow] = []
             for a in range(nfac):
                 for b in range(a + 1, nfac):
                     j, jp = self.facets[a], self.facets[b]
                     ra = self._restriction(j, jp - 1)
                     rb = self._restriction(jp, j)
-                    block = [[Fraction(0)] * ncols for _ in range(len(ob))]
+                    # each entry is one restriction's term: no sums to take
+                    block: list[linalg.SparseRow] = [{} for _ in ob]
                     for bi, mono in enumerate(fb):
                         elem = Element.monomial(self.facet_forms.table, mono)
-                        va = ra(elem)
-                        vb = rb(elem)
-                        for m, c in va.terms.items():
-                            block[oidx[m]][a * len(fb) + bi] += c
-                        for m, c in vb.terms.items():
-                            block[oidx[m]][b * len(fb) + bi] -= c
+                        for m, c in ra(elem).terms.items():
+                            block[oidx[m]][a * len(fb) + bi] = c
+                        for m, c in rb(elem).terms.items():
+                            block[oidx[m]][b * len(fb) + bi] = -c
                     rows.extend(block)
             vectors = linalg.nullspace(rows, ncols)
         self._dims[(weight, parity, cap)] = len(vectors)
@@ -864,7 +861,7 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
                 columns = []
                 for mono in dom_basis:
                     elem = Element.monomial(total.table, mono)
-                    vec = [Fraction(0)] * ncols_big
+                    vec = {}
                     ok = True
                     for fi, j in enumerate(cot.facets):
                         restricted = total.face_restriction(j)(elem)
@@ -880,18 +877,15 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
                     columns.append(vec)
                 padded_targets = []
                 for tvec in targets:
-                    big = [Fraction(0)] * ncols_big
-                    for fi in range(nfac):
-                        for bi, mono in enumerate(fb):
-                            c = tvec[fi * len(fb) + bi]
-                            if c != 0:
-                                big[fi * len(fb_big) + big_idx[mono]] = c
+                    big = {}
+                    for k, c in tvec.items():
+                        fi, bi = divmod(k, len(fb))
+                        big[fi * len(fb_big) + big_idx[fb[bi]]] = c
                     padded_targets.append(big)
                 # rank(columns) == rank(columns + targets): one elimination,
                 # since the pivots of the leading columns alone are those of
                 # the augmented system that fall among them
-                aug = [[vec[i] for vec in columns] + [tv[i] for tv in padded_targets]
-                       for i in range(ncols_big)]
+                aug = linalg.transpose(columns + padded_targets, ncols_big)
                 _, pivots = linalg.rref(aug)
                 if all(col < len(columns) for col in pivots):
                     entry["surjective"] = True

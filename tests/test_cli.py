@@ -592,6 +592,39 @@ def test_dispatch_finds_rebound_handler(tmp_path, capsys, monkeypatch):
     assert env["report"] == {"x": 1}
 
 
+SULLIVAN_DOC = {
+    "generators": [
+        {"name": "x", "weight": 2, "parity": "even"},
+        {"name": "e", "weight": 1, "parity": "odd"},
+        {"name": "y", "weight": 3, "parity": "odd"},
+    ],
+    "differential": {"y": "2 * x^2"},
+}
+
+
+def test_tracer_reports_the_untraced_output_and_the_cohomology_layers():
+    """perfbench/tracer.py wraps sdga's functions by name: the traced CLI
+    prints the untraced report byte for byte, and the differential-block and
+    elimination spans it times are the ones the cohomology path calls."""
+    src = os.path.dirname(os.path.dirname(sdga.__file__))
+    tracer = os.path.join(os.path.dirname(src), "perfbench", "tracer.py")
+    argv = ["cohomology", "--input", "-", "--window=0:6", "--degcap", "4"]
+    env = {**os.environ, "PYTHONPATH": src}
+    doc = json.dumps(SULLIVAN_DOC)
+    plain = subprocess.run([sys.executable, "-m", "sdga.cli", *argv], input=doc.encode(),
+                           capture_output=True, env=env)
+    traced = subprocess.run([sys.executable, tracer, *argv], input=doc.encode(),
+                            capture_output=True, env=env)
+    assert plain.returncode == traced.returncode == 0
+    assert json.loads(plain.stdout)["ok"] is True
+    assert traced.stdout == plain.stdout
+    marker = "PERFBENCH_TRACE "
+    line = next(ln for ln in traced.stderr.decode().splitlines() if ln.startswith(marker))
+    spans = json.loads(line[len(marker):])["spans"]
+    for name in ("dg.differential_matrix", "linalg.rref", "linalg.nullspace"):
+        assert spans.get(name, [0])[0] > 0, name
+
+
 def _subparser(parser, words):
     """The parser of the command path `words` in the tree under `parser`."""
     for word in words:

@@ -8,22 +8,29 @@ from fractions import Fraction
 import pytest
 
 from sdga.core import (
+    EVEN,
+    ODD,
     AlgebraError,
     Element,
     Generator,
     GeneratorTable,
+    monomial_basis,
+    parity_name,
     parse,
     render,
+    weight_degree_bound,
 )
 from sdga.dg import (
     DGAlgebra,
     Derivation,
     KahlerModule,
     SquareZeroExtension,
+    compute_cohomology,
     euler_derivation,
     leibniz_defect,
 )
 from sdga import sampling
+from test_linalg import oracle_nullspace, oracle_rank
 
 
 @pytest.fixture
@@ -155,6 +162,134 @@ def test_cohomology_exactness_flag_for_bounded_weights():
     assert report.exact(1, 1)
     assert report.dim(1, 1) == 0
     assert report.dim(2, 0) == 0
+
+
+# -- the sparse cohomology path against the dense pipeline it replaced -------------
+
+
+def dense_cohomology_oracle(table, d, w_min, w_max, cap):
+    """compute_cohomology as a dense pipeline: every block a dense matrix, the
+    kernel read off the dense elimination, representatives the kernel vectors
+    that a dense echelon of the image and the earlier ones does not reduce to
+    zero, each rendered by adding its monomials one at a time.  Returns what
+    CohomologyReport.to_dict() would."""
+    growth = 0
+    for img in d.images:
+        if not img.is_zero():
+            growth = max(growth, img.degree() - 1)
+    caps = {w_min - 1: cap}
+    for w in range(w_min, w_max + 2):
+        caps[w] = caps[w - 1] + growth
+
+    def matrix(src, dst):
+        index = {mono: i for i, mono in enumerate(dst)}
+        mat = [[Fraction(0)] * len(src) for _ in dst]
+        for j, mono in enumerate(src):
+            for m, c in d(Element.monomial(table, mono)).terms.items():
+                mat[index[m]][j] = c
+        return mat
+
+    entries = []
+    for w in range(w_min, w_max + 1):
+        for p in (EVEN, ODD):
+            cur = monomial_basis(table, w, p, caps[w])
+            prev = monomial_basis(table, w - 1, (p + 1) % 2, caps[w - 1])
+            nxt = monomial_basis(table, w + 1, (p + 1) % 2, caps[w + 1])
+            kernel = oracle_nullspace(matrix(cur, nxt), len(cur))
+            mat_in = matrix(prev, cur)
+            image = [[mat_in[i][j] for i in range(len(cur))] for j in range(len(prev))]
+            echelon = []  # (pivot, row), each row zero at the earlier pivots
+
+            def grows(vec):
+                for piv, row in echelon:
+                    if vec[piv] != 0:
+                        vec = [a - vec[piv] * b for a, b in zip(vec, row)]
+                piv = next((j for j, x in enumerate(vec) if x != 0), None)
+                if piv is not None:
+                    echelon.append((piv, [x / vec[piv] for x in vec]))
+                return piv is not None
+
+            for vec in image:
+                grows(vec)
+            reps = [vec for vec in kernel if grows(vec)]
+            rep_strings = []
+            for vec in reps:
+                elem = Element.zero(table)
+                for i, c in enumerate(vec):
+                    if c != 0:
+                        elem = elem + Element.monomial(table, cur[i], c)
+                rep_strings.append(render(elem))
+            bound_cur = weight_degree_bound(table, w)
+            bound_prev = weight_degree_bound(table, w - 1)
+            exact = (bound_cur is not None and caps[w] >= bound_cur
+                     and bound_prev is not None and caps[w - 1] >= bound_prev)
+            entries.append({"weight": w, "parity": parity_name(p),
+                            "dim": len(kernel) - oracle_rank(mat_in), "exact": exact,
+                            "representatives": rep_strings})
+    return {"window": [w_min, w_max], "degree_cap": cap, "entries": entries}
+
+
+def _non_unit(rng):
+    return Fraction(rng.choice([-3, -2, 2, 3, 5]), rng.choice([1, 2, 3]))
+
+
+def random_dga_panel(seed):
+    """A seeded free dg algebra and cohomology window.
+
+    Koszul pairs t -> c * s (t even of weight 0, so weight spaces are cut by
+    the cap alone), closed generators of weights -1..2, and killers y with
+    d y = c * (a product of two closed generators), so d squares to zero.
+    The seed fixes the number of pairs, the cap (0 to 4) and w_min (-2 to 1)
+    in turn; every coefficient is a non-unit.
+    """
+    rng = random.Random(3000 + seed)
+    gens, images = [], {}
+    closed = []
+    for k in range(seed % 3):
+        gens += [Generator(f"t{k}", 0, EVEN), Generator(f"s{k}", 1, ODD)]
+        images[f"t{k}"] = (f"s{k}", _non_unit(rng))
+        closed.append((f"s{k}", 1, ODD))
+    for k in range(rng.randint(1, 3)):
+        g = (f"c{k}", rng.randint(-1, 2), rng.randint(0, 1))
+        gens.append(Generator(*g))
+        closed.append(g)
+    pairs = [(a, b) for i, a in enumerate(closed) for b in closed[i:]
+             if not (a is b and a[2] == ODD)]
+    for k, (a, b) in enumerate(rng.sample(pairs, min(len(pairs), rng.randint(0, 2)))):
+        gens.append(Generator(f"y{k}", a[1] + b[1] - 1, (a[2] + b[2] + 1) % 2))
+        images[f"y{k}"] = (f"{a[0]} * {b[0]}", _non_unit(rng))
+    table = GeneratorTable(gens)
+    d = Derivation(table, {name: parse(table, expr) * c
+                           for name, (expr, c) in images.items()}, 1, ODD)
+    w_min = seed % 4 - 2
+    return table, DGAlgebra(table, d).differential, w_min, w_min + rng.randint(0, 3), seed % 5
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_cohomology_matches_dense_oracle(seed):
+    table, d, w_min, w_max, cap = random_dga_panel(seed)
+    report = compute_cohomology(table, d, w_min, w_max, cap).to_dict()
+    assert report == dense_cohomology_oracle(table, d, w_min, w_max, cap)
+
+
+def test_dense_oracle_panel_covers_its_cases():
+    """The panel holds Koszul pairs, negative windows, cap 0, empty
+    bidegrees, classes with and without representatives, and inexact ones."""
+    seen = set()
+    for seed in range(25):
+        table, d, w_min, w_max, cap = random_dga_panel(seed)
+        seen.add(("koszul", any(g.name.startswith("t") for g in table.generators)))
+        seen.add(("negative w_min", w_min < 0))
+        seen.add(("cap", cap))
+        for entry in compute_cohomology(table, d, w_min, w_max, cap).to_dict()["entries"]:
+            seen.add(("dim > 0", entry["dim"] > 0))
+            seen.add(("exact", entry["exact"]))
+            parity = EVEN if entry["parity"] == "even" else ODD
+            cur = monomial_basis(table, entry["weight"], parity, cap)
+            seen.add(("empty bidegree", not cur))
+    for key in ("koszul", "negative w_min", "dim > 0", "exact", "empty bidegree"):
+        assert {(key, True), (key, False)} <= seen, key
+    assert {("cap", c) for c in range(5)} <= seen
 
 
 # -- square-zero extensions ---------------------------------------------------------

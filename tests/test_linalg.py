@@ -15,16 +15,28 @@ def random_matrix(rng, rows, cols, span=4):
             for _ in range(rows)]
 
 
+def sparse_rows(mat):
+    return [linalg.sparse(row) for row in mat]
+
+
+def dense_rows(rows, ncols):
+    return [linalg.dense(row, ncols) for row in rows]
+
+
+def assert_no_stored_zero(rows, name=""):
+    assert all(x for row in rows for x in row.values()), name
+
+
 def test_rref_identity():
-    reduced, pivots = linalg.rref(linalg.identity(3))
-    assert reduced == linalg.identity(3)
+    reduced, pivots = linalg.rref(sparse_rows(linalg.identity(3)))
+    assert reduced == [{0: 1}, {1: 1}, {2: 1}]
     assert pivots == [0, 1, 2]
 
 
 def test_rank_of_rank_one_matrix():
     mat = [[1, 2, 3], [2, 4, 6], [-1, -2, -3]]
     mat = [[Fraction(x) for x in row] for row in mat]
-    assert linalg.rank(mat) == 1
+    assert linalg.rank(sparse_rows(mat)) == 1
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -32,10 +44,11 @@ def test_nullspace_annihilates(seed):
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 5), rng.randint(1, 5)
     mat = random_matrix(rng, rows, cols)
-    basis = linalg.nullspace(mat, cols)
-    assert len(basis) == cols - linalg.rank(mat)
+    basis = linalg.nullspace(sparse_rows(mat), cols)
+    assert len(basis) == cols - linalg.rank(sparse_rows(mat))
+    assert_no_stored_zero(basis)
     for vec in basis:
-        assert all(x == 0 for x in linalg.mat_vec(mat, vec))
+        assert all(x == 0 for x in linalg.mat_vec(mat, linalg.dense(vec, cols)))
 
 
 def test_nullspace_of_zero_row_matrix_needs_explicit_columns():
@@ -51,14 +64,14 @@ def test_solve_reproduces_rhs(seed):
     mat = random_matrix(rng, rows, cols)
     x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
     rhs = linalg.mat_vec(mat, x)
-    sol, cert = linalg.solve_with_certificate(mat, rhs)
+    sol, cert = linalg.solve_with_certificate(sparse_rows(mat), rhs, cols)
     assert cert["consistent"]
-    assert linalg.mat_vec(mat, sol) == rhs
+    assert linalg.mat_vec(mat, linalg.dense(sol, cols)) == rhs
 
 
 def test_solve_certificate_on_inconsistent_system():
-    mat = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    sol, cert = linalg.solve_with_certificate(mat, [Fraction(1), Fraction(3)])
+    rows = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)}]
+    sol, cert = linalg.solve_with_certificate(rows, [Fraction(1), Fraction(3)], 2)
     assert sol is None
     assert cert["consistent"] is False
     assert cert["rank"] < cert["rank_augmented"]
@@ -66,20 +79,18 @@ def test_solve_certificate_on_inconsistent_system():
 
 def test_row_span_counts_new_directions():
     span = linalg.RowSpan(3)
-    assert span.add([Fraction(1), Fraction(0), Fraction(0)])
-    assert not span.add([Fraction(2), Fraction(0), Fraction(0)])
-    assert span.add([Fraction(0), Fraction(1), Fraction(1)])
+    assert span.add({0: Fraction(1)})
+    assert not span.add({0: Fraction(2)})
+    assert span.add({1: Fraction(1), 2: Fraction(1)})
+    assert not span.add({})
     assert span.dim == 2
 
 
 def test_quotient_representatives():
-    image = [[Fraction(1), Fraction(1), Fraction(0)]]
-    kernel = [
-        [Fraction(1), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1)],
-    ]
+    image = [{0: Fraction(1), 1: Fraction(1)}]
+    kernel = [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}]
     reps = linalg.quotient_representatives(kernel, image, 3)
-    assert len(reps) == 1
+    assert reps == [{2: Fraction(1)}]
 
 
 def test_mat_mul_through_zero_dimension_degenerates():
@@ -103,7 +114,7 @@ def test_mats_agree_is_entrywise_equality(seed):
     assert not linalg.mats_agree(mat, bumped)
 
 
-# -- the sparse kernel against the dense elimination it replaced ---------------
+# -- the sparse entry points against the dense elimination they replaced ------
 
 
 def dense_rref_oracle(mat):
@@ -201,26 +212,47 @@ def oracle_solve(mat, rhs, ncols):
     return sol
 
 
+def compact_shuffled(rng, rows):
+    """The nonzero rows only, out of order: the same row space, so the same
+    reduced nonzero rows, pivots, rank and kernel."""
+    out = [row for row in rows if row]
+    rng.shuffle(out)
+    return out
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_sparse_kernel_matches_dense_oracle(seed):
     rng = random.Random(seed)
     inconsistent = 0
     for name, mat, ncols in oracle_panel(seed):
-        assert linalg.rref(mat) == dense_rref_oracle(mat), name
-        assert linalg.rank(mat) == oracle_rank(mat), name
-        assert linalg.nullspace(mat, ncols) == oracle_nullspace(mat, ncols), name
+        rows = sparse_rows(mat)
+        reduced, pivots = linalg.rref(rows)
+        assert rows == sparse_rows(mat), name
+        assert (dense_rows(reduced, ncols), pivots) == dense_rref_oracle(mat), name
+        assert_no_stored_zero(reduced, name)
+        compact = compact_shuffled(rng, rows)
+        reduced_c, pivots_c = linalg.rref(compact)
+        assert pivots_c == pivots, name
+        assert [row for row in reduced_c if row] == [row for row in reduced if row], name
+        assert linalg.rank(rows) == linalg.rank(compact) == oracle_rank(mat), name
+        kernel = linalg.nullspace(rows, ncols)
+        assert dense_rows(kernel, ncols) == oracle_nullspace(mat, ncols), name
+        assert linalg.nullspace(compact, ncols) == kernel, name
+        assert_no_stored_zero(kernel, name)
         x = [_entry(rng, 0.7) for _ in range(ncols)]
         rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in mat]
-        sol, cert = linalg.solve_with_certificate(mat, rhs)
+        sol, cert = linalg.solve_with_certificate(rows, rhs, ncols)
+        assert_no_stored_zero([sol], name)
         if mat:
-            assert sol == oracle_solve(mat, rhs, ncols), name
-            assert linalg.mat_vec(mat, sol) == rhs, name
+            assert linalg.dense(sol, ncols) == oracle_solve(mat, rhs, ncols), name
+            assert linalg.mat_vec(mat, linalg.dense(sol, ncols)) == rhs, name
             assert cert == {"rank": oracle_rank(mat), "rank_augmented": oracle_rank(mat),
                             "consistent": True}, name
         noise = [_entry(rng, 0.9) for _ in mat]
-        sol, cert = linalg.solve_with_certificate(mat, noise)
+        sol, cert = linalg.solve_with_certificate(rows, noise, ncols)
         if mat:
-            assert sol == oracle_solve(mat, noise, ncols), name
+            expected = oracle_solve(mat, noise, ncols)
+            assert (sol if sol is None else linalg.dense(sol, ncols)) == expected, name
         aug_rank = oracle_rank([row + [b] for row, b in zip(mat, noise)])
         if aug_rank > oracle_rank(mat):
             inconsistent += 1
@@ -251,20 +283,28 @@ def test_mat_mul_matches_naive_product(seed):
 def test_row_span_matches_dense_oracle(seed):
     rng = random.Random(500 + seed)
     for name, mat, ncols in oracle_panel(seed):
+        rows = sparse_rows(mat)
         span = linalg.RowSpan(ncols)
-        for i, vec in enumerate(mat):
+        for i, row in enumerate(rows):
             grew = oracle_rank(mat[: i + 1]) > oracle_rank(mat[:i])
-            assert span.add(vec) == grew, name
+            assert span.add(row) == grew, name
+        assert rows == sparse_rows(mat), name
+        assert_no_stored_zero(span.rows, name)
         reduced, pivots = dense_rref_oracle(mat)
         assert span.dim == len(pivots), name
         basis = sorted(zip(span.pivots, span.rows))
         assert [piv for piv, _ in basis] == pivots, name
         for (piv, row), expected in zip(basis, reduced):
-            assert [row.get(j, 0) for j in range(ncols)] == expected, name
+            assert linalg.dense(row, ncols) == expected, name
         cut = rng.randint(0, len(mat))
         image, kernel = mat[:cut], mat[cut:]
         chosen = []
         for vec in kernel:
             if oracle_rank(image + chosen + [vec]) > oracle_rank(image + chosen):
                 chosen.append(vec)
-        assert linalg.quotient_representatives(kernel, image, ncols) == chosen, name
+        reps = linalg.quotient_representatives(rows[cut:], rows[:cut], ncols)
+        assert reps == sparse_rows(chosen), name
+        assert_no_stored_zero(reps, name)
+        # the image only matters through its span
+        image_c = compact_shuffled(rng, rows[:cut])
+        assert linalg.quotient_representatives(rows[cut:], image_c, ncols) == reps, name

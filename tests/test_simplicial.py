@@ -56,7 +56,8 @@ from sdga.simplicial import (
     whitney_projection,
     whitney_tuples,
 )
-from sdga import sampling
+from sdga import linalg, sampling
+from test_linalg import oracle_nullspace
 
 
 def line_dga():
@@ -500,6 +501,70 @@ def test_cotensor_report_simplex_and_zero():
         assert entry["dim"] == len(monomial_basis(T.table, entry["weight"], p, 3))
     zero = cotensor_report(ZERO_ALGEBRA, 2, "boundary", None, 0, 2, 3)
     assert all(entry["dim"] == 0 for entry in zero["entries"])
+
+
+def dense_cotensor_kernel_oracle(cot, weight, parity, cap):
+    """The compatibility rows of a cotensor written out dense, every entry
+    summed into place, and their kernel from the dense elimination."""
+    fb = cot.facet_basis(weight, parity, cap)
+    nfac = len(cot.facets)
+    ncols = nfac * len(fb)
+    if cot.n < 2 or not fb:
+        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
+    ob = monomial_basis(cot.overlap_forms.table, weight, parity, cap)
+    oidx = {m: i for i, m in enumerate(ob)}
+    rows = []
+    for a in range(nfac):
+        for b in range(a + 1, nfac):
+            j, jp = cot.facets[a], cot.facets[b]
+            ra, rb = cot._restriction(j, jp - 1), cot._restriction(jp, j)
+            block = [[Fraction(0)] * ncols for _ in ob]
+            for bi, mono in enumerate(fb):
+                elem = Element.monomial(cot.facet_forms.table, mono)
+                for m, c in ra(elem).terms.items():
+                    block[oidx[m]][a * len(fb) + bi] += c
+                for m, c in rb(elem).terms.items():
+                    block[oidx[m]][b * len(fb) + bi] -= c
+            rows.extend(block)
+    return oracle_nullspace(rows, ncols)
+
+
+def cotensor_panel(seed):
+    """A seeded boundary or horn cotensor of the 1-, 2- or 3-simplex over one
+    to three generators, a Koszul pair a -> c * b among them for some seeds."""
+    rng = random.Random(8000 + seed)
+    total = rng.randint(1, 3)
+    koszul = seed % 2 and total >= 2
+    gens = [Generator("a", 0, EVEN), Generator("b", 1, ODD)] if koszul else []
+    for name in "cde"[: total - len(gens)]:
+        gens.append(Generator(name, rng.randint(0, 1), rng.randint(0, 1)))
+    table = GeneratorTable(gens)
+    c = Fraction(rng.choice([-3, -2, 2, 3]), rng.choice([1, 2]))
+    d = Derivation(table, {"a": Element.generator(table, "b") * c} if koszul else {}, 1, ODD)
+    n = rng.choice([1, 2, 2, 3])
+    shape = rng.choice(["horn", "boundary"])
+    vertex = rng.randint(0, n) if shape == "horn" else None
+    cap = rng.randint(1, 4 - n // 2)
+    return SubShapeCotensor(DGAlgebra(table, d), n, shape, vertex), cap
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_cotensor_kernels_match_dense_oracle(seed):
+    """The sparse compatibility rows and kernel give the dense construction's
+    kernel vectors, and the families read from them are the same elements."""
+    cot, cap = cotensor_panel(seed)
+    for w in range(0, 3):
+        for p in (EVEN, ODD):
+            vectors, fb = cot._kernel(w, p, cap)
+            ncols = len(cot.facets) * len(fb)
+            expected = dense_cotensor_kernel_oracle(cot, w, p, cap)
+            assert [linalg.dense(vec, ncols) for vec in vectors] == expected, (w, p)
+            assert all(x for vec in vectors for x in vec.values())
+            families = [[Element(cot.facet_forms.table,
+                                 {m: vec[fi * len(fb) + bi] for bi, m in enumerate(fb)
+                                  if vec[fi * len(fb) + bi] != 0})
+                         for fi in range(len(cot.facets))] for vec in expected]
+            assert cot.basis(w, p, cap) == families, (w, p)
 
 
 def test_filling_reports_are_surjective():
