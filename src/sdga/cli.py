@@ -161,26 +161,32 @@ def _key_str(key: tuple[int, int]) -> str:
     return f"{key[0]},{parity_name(key[1])}"
 
 
-def _blocks(doc: dict, field: str) -> dict:
-    """The optional field of matrices keyed by bidegree, parsed."""
+def _blocks(doc: dict, field: str, what: str, shape) -> dict:
+    """The optional field of matrices keyed by bidegree, parsed as dense rows,
+    checked against the (rows, columns) that shape(key) gives, and returned
+    as blocks of sparse columns.  Zero blocks and blocks off the support are
+    checked too: the model would drop them unseen."""
     blocks = {}
-    for key, mat in _expect(doc.get(field, {}), dict, f"{field!r}").items():
-        what = f"block {key!r} of {field!r}"
-        blocks[_parse_key(key)] = [
-            [_parse_fraction(x) for x in _expect(row, list, f"a row of {what}")]
-            for row in _expect(mat, list, what)
+    for text, mat in _expect(doc.get(field, {}), dict, f"{field!r}").items():
+        where = f"block {text!r} of {field!r}"
+        key = _parse_key(text)
+        rows = [
+            [_parse_fraction(x) for x in _expect(row, list, f"a row of {where}")]
+            for row in _expect(mat, list, where)
         ]
+        nrows, ncols = shape(key)
+        if len(rows) != nrows or any(len(row) != ncols for row in rows):
+            raise InputError(f"{what} block at {key} has the wrong shape")
+        blocks[key] = [{r: row[j] for r, row in enumerate(rows) if row[j]}
+                       for j in range(ncols)]
     return blocks
 
 
 def _checked(build, *args):
-    """build(*args); a wrongly shaped block is malformed input (exit 2), any
-    other AlgebraError a failed mathematical check (exit 1)."""
+    """build(*args); an AlgebraError is a failed mathematical check (exit 1)."""
     try:
         return build(*args)
     except AlgebraError as exc:
-        if "wrong shape" in str(exc):
-            raise InputError(str(exc)) from exc
         raise _Verification({"witness": str(exc)}) from exc
 
 
@@ -193,30 +199,41 @@ def build_complex(doc: dict) -> model.Complex:
         if type(n) is not int or n < 0:
             raise InputError(f"bad dimension {n!r} at {key!r}")
         dims[_parse_key(key)] = n
-    return _checked(model.Complex, dims, _blocks(doc, "differential"))
+
+    def shape(key):
+        return dims.get(model._next_key(key), 0), dims.get(key, 0)
+
+    return _checked(model.Complex, dims, _blocks(doc, "differential", "differential", shape))
 
 
 def build_chain_map(doc: dict) -> model.ChainMap:
     from . import model
     if not isinstance(doc, dict) or "source" not in doc or "target" not in doc:
         raise InputError("chain map documents need 'source', 'target' and 'blocks'")
-    return _checked(model.ChainMap, build_complex(doc["source"]),
-                    build_complex(doc["target"]), _blocks(doc, "blocks"))
+    source, target = build_complex(doc["source"]), build_complex(doc["target"])
+
+    def shape(key):
+        return target.dim(key), source.dim(key)
+
+    return _checked(model.ChainMap, source, target, _blocks(doc, "blocks", "chain map", shape))
 
 
-def _matrix_json(mat) -> list[list[str]]:
-    return [[str(x) for x in row] for row in mat]
+def _matrix_json(block, nrows: int) -> list[list[str]]:
+    """A block written out as dense rows, the form documents give."""
+    return [[str(col.get(r, 0)) for col in block] for r in range(nrows)]
 
 
 def _complex_json(c: model.Complex) -> dict:
+    from .model import _next_key
     return {
         "dims": {_key_str(k): n for k, n in sorted(c.dims.items())},
-        "differential": {_key_str(k): _matrix_json(m) for k, m in sorted(c.diff.items())},
+        "differential": {_key_str(k): _matrix_json(m, c.dim(_next_key(k)))
+                         for k, m in sorted(c.diff.items())},
     }
 
 
 def _blocks_json(f: model.ChainMap) -> dict:
-    return {_key_str(k): _matrix_json(m) for k, m in sorted(f.blocks.items())}
+    return {_key_str(k): _matrix_json(m, f.target.dim(k)) for k, m in sorted(f.blocks.items())}
 
 
 # -- shared option handling -----------------------------------------------------------

@@ -12,8 +12,8 @@ restriction of d (no image term is ever silently dropped), and each reported
 dimension carries an `exact` flag that is True only when the truncated bases
 provably exhaust their weight spaces.
 
-A differential block is a list of sparse columns (`linalg.SparseRow`), one
-per source monomial.  The kernel is read from their transpose, the columns
+A differential block is a `linalg.Block`, a list of sparse columns, one per
+source monomial.  The kernel is read from their transpose, the columns
 into a weight space are its image as they stand, and a representative is
 rendered from its own sparse row, so no block or vector is written out dense.
 """
@@ -267,11 +267,11 @@ class CohomologyReport:
 
 def _differential_matrix(table: GeneratorTable, d: Derivation,
                          src: list[tuple[int, ...]], dst: list[tuple[int, ...]]
-                         ) -> list[linalg.SparseRow]:
+                         ) -> linalg.Block:
     """d on monomial bases as sparse columns: column j is d(src[j]) in dst
     coordinates.  Raises if an image leaves the basis."""
     index = {mono: i for i, mono in enumerate(dst)}
-    columns: list[linalg.SparseRow] = []
+    columns: linalg.Block = []
     for mono in src:
         column = {}
         for m, c in d(Element.monomial(table, mono)).terms.items():
@@ -312,7 +312,7 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
     # d into (w, p) is d out of (w - 1, p + 1): past the first weight its
     # columns, which span the image, and its rank come from the previous
     # weight's pass
-    outgoing: dict[int, tuple[list[linalg.SparseRow], int]] = {}
+    outgoing: dict[int, tuple[linalg.Block, int]] = {}
     for w in range(w_min, w_max + 1):
         incoming, outgoing = outgoing, {}
         for p in (EVEN, ODD):

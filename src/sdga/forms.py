@@ -32,7 +32,6 @@ from .core import (
     TableExtension,
     _add_into,
     as_scalar,
-    parity_name,
 )
 from .core import partial as partial_derivative
 from .dg import Derivation, DGAlgebra

@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals.
 
-Elimination works in one form: sparse rows, dicts from column to nonzero
+Everything works in one form: sparse rows, dicts from column to nonzero
 `Fraction`, so a zero is never stored, scanned, multiplied or negated.
 `rref` is the one elimination kernel: `rank`, `nullspace` and
 `solve_with_certificate` read its result, and `RowSpan` keeps its basis in
@@ -8,86 +8,37 @@ the same sparse rows and reduces with the same row update.  Each takes
 sparse rows and returns sparse rows; a sparse row does not know its width,
 so the functions that need the column count take it as `ncols`.
 
-Dense matrices (lists of rows of Fractions) remain for `model`'s chain
-complex blocks: `zeros`, `identity`, `mat_vec`, `mat_mul` and `mats_agree`
-work on them, and `sparse`/`dense` convert one row at the caller's boundary.
-A dense matrix represents a linear map column-wise: column j is the image of
-the j-th source basis vector.  Every pivot decision is exact, so ranks,
-kernels and solutions carry no floating-point doubt.
+A linear map is a `Block`: a list of sparse columns, one per source basis
+vector, column j the image of basis vector j in target coordinates.  Its
+length is the source dimension; the target dimension is the caller's to
+know.  `apply` and `mat_mul` act with blocks, `transpose(block, nrows)` gives
+a block's rows for elimination, and `rank(block)` is the block's rank as it
+stands, since column rank equals row rank.  Every pivot decision is exact,
+so ranks, kernels and solutions carry no floating-point doubt.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 SparseRow = dict[int, Fraction]  # column -> nonzero entry
+Block = list[SparseRow]  # column j -> the image of source basis vector j
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[ZERO] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    mat = zeros(n, n)
-    for i in range(n):
-        mat[i][i] = ONE
-    return mat
-
-
-def mat_vec(mat: Matrix, vec: Vector) -> Vector:
-    return [sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in mat]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return []
-    cols = len(b[0]) if b else 0
-    # each row of b once, as (column, entry) pairs of its nonzero entries
-    b_rows = [[(j, x) for j, x in enumerate(row) if x] for row in b]
-    out = zeros(len(a), cols)
-    for row, orow in zip(a, out):
-        for k, brow in enumerate(b_rows):
-            aik = row[k]
-            if aik:
-                for j, x in brow:
-                    orow[j] += aik * x
+def apply(block: Block, vec: SparseRow) -> SparseRow:
+    """block @ vec: the combination of the block's columns that vec names."""
+    out: SparseRow = {}
+    for j, x in vec.items():
+        _add_multiple(out, x, block[j])
     return out
 
 
-def mats_agree(a: Matrix, b: Matrix) -> bool:
-    """Entrywise equality with missing rows and columns read as zero.
-
-    Products through a zero-dimensional space degenerate to [] or [[]] and
-    lose their nominal shape; as linear maps they are still zero, and this
-    comparison treats them that way.
-    """
-    for i in range(max(len(a), len(b))):
-        row_a = a[i] if i < len(a) else []
-        row_b = b[i] if i < len(b) else []
-        for j in range(max(len(row_a), len(row_b))):
-            va = row_a[j] if j < len(row_a) else ZERO
-            vb = row_b[j] if j < len(row_b) else ZERO
-            if va != vb:
-                return False
-    return True
-
-
-def sparse(vec: Vector) -> SparseRow:
-    """The nonzero entries of a dense vector."""
-    return {j: x for j, x in enumerate(vec) if x}
-
-
-def dense(row: SparseRow, ncols: int) -> Vector:
-    """A sparse row written out; every zero is the shared ZERO."""
-    vec = [ZERO] * ncols
-    for j, x in row.items():
-        vec[j] = x
-    return vec
+def mat_mul(a: Block, b: Block) -> Block:
+    """The block of a after b; it has one column per column of b."""
+    return [apply(a, col) for col in b]
 
 
 def transpose(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
@@ -105,15 +56,14 @@ def _normalized(row: SparseRow, col: int) -> SparseRow:
     return {j: x * inv for j, x in row.items()}
 
 
-def _subtract_multiple(row: SparseRow, factor: Fraction, pivot: SparseRow) -> None:
-    """row -= factor * pivot, in place; entries that cancel are dropped."""
-    neg = -factor
-    for j, x in pivot.items():
+def _add_multiple(row: SparseRow, factor: Fraction, other: SparseRow) -> None:
+    """row += factor * other, in place; entries that cancel are dropped."""
+    for j, x in other.items():
         y = row.get(j)
         if y is None:
-            row[j] = neg * x
+            row[j] = factor * x
         else:
-            y += neg * x
+            y += factor * x
             if y:
                 row[j] = y
             else:
@@ -144,7 +94,7 @@ def rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
         pivot = rows[top] = _normalized(rows[top], col)
         for r, row in enumerate(rows):
             if r != top and col in row:
-                _subtract_multiple(row, row[col], pivot)
+                _add_multiple(row, -row[col], pivot)
                 if r > top:
                     lead[r] = min(row, default=end)
         pivots.append(col)
@@ -172,7 +122,7 @@ def nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     return list(basis.values())
 
 
-def solve_with_certificate(rows: list[SparseRow], rhs: Vector,
+def solve_with_certificate(rows: list[SparseRow], rhs: list[Fraction],
                            ncols: int) -> tuple[SparseRow | None, dict]:
     """Solve rows @ x = rhs in ncols unknowns, with its rank certificate.
 
@@ -211,7 +161,7 @@ class RowSpan:
         v = dict(row)
         for basis_row, piv in zip(self.rows, self.pivots):
             if piv in v:
-                _subtract_multiple(v, v[piv], basis_row)
+                _add_multiple(v, -v[piv], basis_row)
         return v
 
     def add(self, row: SparseRow) -> bool:
@@ -222,7 +172,7 @@ class RowSpan:
         v = _normalized(v, piv)
         for basis_row in self.rows:
             if piv in basis_row:
-                _subtract_multiple(basis_row, basis_row[piv], v)
+                _add_multiple(basis_row, -basis_row[piv], v)
         self.rows.append(v)
         self.pivots.append(piv)
         return True

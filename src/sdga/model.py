@@ -2,7 +2,9 @@
 
 Objects are (weight, parity)-graded complexes with finite support; the
 differential raises weight by one and flips parity.  Chain maps are blockwise
-matrices.  On this ground floor of the projective model structure:
+linear maps.  Every block, differential or chain map, is a `linalg.Block`:
+one sparse column per source basis vector, column j the image of basis vector
+j.  On this ground floor of the projective model structure:
 
   * fibrations are the degreewise surjections,
   * cofibrations are the degreewise injections,
@@ -50,39 +52,64 @@ def _prev_key(key: Key) -> Key:
     return (key[0] - 1, (key[1] + 1) % 2)
 
 
+def _units(n: int, offset: int = 0) -> linalg.Block:
+    """The n basis vectors, placed from row offset on."""
+    return [{offset + i: linalg.ONE} for i in range(n)]
+
+
+def _canonical(block: linalg.Block) -> linalg.Block:
+    """A copy of the block with Fraction entries and no stored zero."""
+    return [{r: Fraction(x) for r, x in col.items() if x} for col in block]
+
+
+def _rows(block: linalg.Block, nrows: int) -> list[linalg.SparseRow]:
+    """All nrows rows of a block, the zero ones included."""
+    rows: list[linalg.SparseRow] = [{} for _ in range(nrows)]
+    for j, col in enumerate(block):
+        for r, x in col.items():
+            rows[r][j] = x
+    return rows
+
+
+def _kernel(block: linalg.Block, nrows: int) -> list[linalg.SparseRow]:
+    return linalg.nullspace(linalg.transpose(block, nrows), len(block))
+
+
+def _check_shape(block: linalg.Block, nrows: int, ncols: int, what: str, key: Key):
+    if len(block) != ncols or any(not 0 <= r < nrows for col in block for r in col):
+        raise AlgebraError(f"{what} block at {key} has the wrong shape")
+
+
 class Complex:
     """A bigraded complex with finitely many nonzero components."""
 
-    def __init__(self, dims: dict[Key, int], diff: dict[Key, linalg.Matrix],
+    def __init__(self, dims: dict[Key, int], diff: dict[Key, linalg.Block],
                  check: bool = True):
         self.dims = {key: n for key, n in dims.items() if n > 0}
         self.diff = {}
-        for key, mat in diff.items():
-            if any(any(x != 0 for x in row) for row in mat):
-                self.diff[key] = [[Fraction(x) for x in row] for row in mat]
+        for key, block in diff.items():
+            block = _canonical(block)
+            if any(block):
+                self.diff[key] = block
         if check:
             self.validate()
 
     def validate(self):
-        for key, mat in self.diff.items():
+        for key, block in self.diff.items():
+            _check_shape(block, self.dim(_next_key(key)), self.dim(key), "differential", key)
+        for key, block in self.diff.items():
             nxt = _next_key(key)
-            if len(mat) != self.dim(nxt) or any(len(row) != self.dim(key) for row in mat):
-                raise AlgebraError(f"differential block at {key} has the wrong shape")
-        for key in self.diff:
-            nxt = _next_key(key)
-            if nxt in self.diff:
-                prod = linalg.mat_mul(self.diff[nxt], self.diff[key])
-                if any(any(x != 0 for x in row) for row in prod):
-                    raise AlgebraError(f"d^2 != 0 at {key}")
+            if nxt in self.diff and any(linalg.mat_mul(self.diff[nxt], block)):
+                raise AlgebraError(f"d^2 != 0 at {key}")
 
     def dim(self, key: Key) -> int:
         return self.dims.get(key, 0)
 
-    def d_block(self, key: Key) -> linalg.Matrix:
-        mat = self.diff.get(key)
-        if mat is None:
-            return linalg.zeros(self.dim(_next_key(key)), self.dim(key))
-        return mat
+    def d_block(self, key: Key) -> linalg.Block:
+        block = self.diff.get(key)
+        if block is None:
+            return [{} for _ in range(self.dim(key))]
+        return block
 
     def support(self) -> list[Key]:
         return sorted(self.dims)
@@ -96,10 +123,8 @@ class Complex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Complex):
             return NotImplemented
-        if self.dims != other.dims:
-            return False
-        keys = set(self.diff) | set(other.diff)
-        return all(linalg.mats_agree(self.d_block(k), other.d_block(k)) for k in keys)
+        # zero blocks are dropped and no column stores a zero
+        return self.dims == other.dims and self.diff == other.diff
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -127,31 +152,13 @@ def direct_sum(a: Complex, b: Complex) -> tuple[Complex, "ChainMap", "ChainMap"]
         dims[key] = a.dim(key) + b.dim(key)
     diff = {}
     for key in set(a.diff) | set(b.diff):
-        nxt = _next_key(key)
-        mat = linalg.zeros(a.dim(nxt) + b.dim(nxt), a.dim(key) + b.dim(key))
-        da, db = a.d_block(key), b.d_block(key)
-        for i in range(a.dim(nxt)):
-            for j in range(a.dim(key)):
-                mat[i][j] = da[i][j]
-        for i in range(b.dim(nxt)):
-            for j in range(b.dim(key)):
-                mat[a.dim(nxt) + i][a.dim(key) + j] = db[i][j]
-        diff[key] = mat
+        shift = a.dim(_next_key(key))
+        diff[key] = a.d_block(key) + [
+            {shift + r: x for r, x in col.items()} for col in b.d_block(key)
+        ]
     total = Complex(dims, diff)
-    inc_a = {}
-    inc_b = {}
-    for key in total.dims:
-        na, nb = a.dim(key), b.dim(key)
-        mat_a = linalg.zeros(na + nb, na)
-        for i in range(na):
-            mat_a[i][i] = Fraction(1)
-        mat_b = linalg.zeros(na + nb, nb)
-        for i in range(nb):
-            mat_b[na + i][i] = Fraction(1)
-        if na:
-            inc_a[key] = mat_a
-        if nb:
-            inc_b[key] = mat_b
+    inc_a = {key: _units(a.dim(key)) for key in total.dims}
+    inc_b = {key: _units(b.dim(key), a.dim(key)) for key in total.dims}
     return total, ChainMap(a, total, inc_a), ChainMap(b, total, inc_b)
 
 
@@ -159,36 +166,31 @@ class ChainMap:
     """A degreewise linear map commuting with the differentials."""
 
     def __init__(self, source: Complex, target: Complex,
-                 blocks: dict[Key, linalg.Matrix], check: bool = True):
+                 blocks: dict[Key, linalg.Block], check: bool = True):
         self.source = source
         self.target = target
-        self.blocks = {}
-        for key, mat in blocks.items():
-            if source.dim(key) == 0 or target.dim(key) == 0:
-                continue
-            self.blocks[key] = [[Fraction(x) for x in row] for row in mat]
+        self.blocks = {
+            key: _canonical(block) for key, block in blocks.items()
+            if source.dim(key) and target.dim(key)
+        }
         if check:
             self.validate()
 
     def validate(self):
-        for key in set(self.source.dims) | set(self.blocks):
-            mat = self.block(key)
-            if len(mat) != self.target.dim(key) or (
-                mat and any(len(row) != self.source.dim(key) for row in mat)
-            ):
-                raise AlgebraError(f"chain map block at {key} has the wrong shape")
+        for key, block in self.blocks.items():
+            _check_shape(block, self.target.dim(key), self.source.dim(key), "chain map", key)
         for key in self.source.dims:
             nxt = _next_key(key)
             lhs = linalg.mat_mul(self.target.d_block(key), self.block(key))
             rhs = linalg.mat_mul(self.block(nxt), self.source.d_block(key))
-            if not linalg.mats_agree(lhs, rhs):
+            if lhs != rhs:
                 raise AlgebraError(f"map does not commute with d at {key}")
 
-    def block(self, key: Key) -> linalg.Matrix:
-        mat = self.blocks.get(key)
-        if mat is None:
-            return linalg.zeros(self.target.dim(key), self.source.dim(key))
-        return mat
+    def block(self, key: Key) -> linalg.Block:
+        block = self.blocks.get(key)
+        if block is None:
+            return [{} for _ in range(self.source.dim(key))]
+        return block
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChainMap):
@@ -196,24 +198,18 @@ class ChainMap:
         if self.source != other.source or self.target != other.target:
             return False
         keys = set(self.blocks) | set(other.blocks)
-        return all(linalg.mats_agree(self.block(k), other.block(k)) for k in keys)
+        return all(self.block(k) == other.block(k) for k in keys)
 
 
 def identity_chain_map(c: Complex) -> ChainMap:
-    return ChainMap(c, c, {key: linalg.identity(n) for key, n in c.dims.items()},
-                    check=False)
+    return ChainMap(c, c, {key: _units(n) for key, n in c.dims.items()}, check=False)
 
 
 def compose_chain_maps(outer: ChainMap, inner: ChainMap) -> ChainMap:
     if inner.target is not outer.source and inner.target != outer.source:
         raise AlgebraError("chain maps are not composable")
-    blocks = {}
-    for key in inner.source.dims:
-        # a zero middle dimension gives the zero block; omitting it keeps
-        # block() shapes honest where mat_mul cannot recover the column count
-        if inner.target.dim(key) == 0:
-            continue
-        blocks[key] = linalg.mat_mul(outer.block(key), inner.block(key))
+    blocks = {key: linalg.mat_mul(outer.block(key), inner.block(key))
+              for key in inner.source.dims}
     return ChainMap(inner.source, outer.target, blocks, check=False)
 
 
@@ -228,7 +224,7 @@ def disk_complex(n: int, parity: int) -> Complex:
     """Contractible two-cell complex: generator at (n, parity), its d above."""
     bottom = (n, parity)
     top = _next_key(bottom)
-    return Complex({bottom: 1, top: 1}, {bottom: [[Fraction(1)]]})
+    return Complex({bottom: 1, top: 1}, {bottom: _units(1)})
 
 
 def sphere_complex(n: int, parity: int) -> Complex:
@@ -240,7 +236,7 @@ def sphere_to_disk(n: int, parity: int) -> ChainMap:
     """The generating cofibration S^{(n+1, parity+1)} -> D^{(n, parity)}."""
     src = sphere_complex(n + 1, (parity + 1) % 2)
     dst = disk_complex(n, parity)
-    return ChainMap(src, dst, {(n + 1, (parity + 1) % 2): [[Fraction(1)]]})
+    return ChainMap(src, dst, {(n + 1, (parity + 1) % 2): _units(1)})
 
 
 def zero_to_disk(n: int, parity: int) -> ChainMap:
@@ -272,7 +268,7 @@ def cohomology_dims(c: Complex) -> dict[Key, int]:
 
     def rank_out(key: Key) -> int:
         if key not in ranks:
-            ranks[key] = linalg.rank(_sparse_rows(c.d_block(key)))
+            ranks[key] = linalg.rank(c.d_block(key))
         return ranks[key]
 
     for key in c.shift_keys():
@@ -299,22 +295,13 @@ def cone(f: ChainMap) -> Complex:
             dims[key] = n
     diff = {}
     for key in dims:
+        # columns: B at key, then A at the next key, whose d lands below B
         nxt = _next_key(key)
-        rows = B.dim(nxt) + A.dim(_next_key(nxt))
-        cols = dims[key]
-        mat = linalg.zeros(rows, cols)
-        db = B.d_block(key)
-        fa = f.block(_next_key(key))
-        da = A.d_block(_next_key(key))
-        for i in range(B.dim(nxt)):
-            for j in range(B.dim(key)):
-                mat[i][j] = db[i][j]
-            for j in range(A.dim(_next_key(key))):
-                mat[i][B.dim(key) + j] = fa[i][j]
-        for i in range(A.dim(_next_key(nxt))):
-            for j in range(A.dim(_next_key(key))):
-                mat[B.dim(nxt) + i][B.dim(key) + j] = -da[i][j]
-        diff[key] = mat
+        shift = B.dim(nxt)
+        diff[key] = B.d_block(key) + [
+            fcol | {shift + r: -x for r, x in dcol.items()}
+            for fcol, dcol in zip(f.block(nxt), A.d_block(nxt))
+        ]
     return Complex(dims, diff)
 
 
@@ -326,7 +313,7 @@ def is_weak_equivalence(f: ChainMap) -> bool:
 def is_fibration(f: ChainMap) -> bool:
     """Degreewise surjectivity."""
     for key, n in f.target.dims.items():
-        if linalg.rank(_sparse_rows(f.block(key))) < n:
+        if linalg.rank(f.block(key)) < n:
             return False
     return True
 
@@ -334,7 +321,7 @@ def is_fibration(f: ChainMap) -> bool:
 def is_cofibration(f: ChainMap) -> bool:
     """Degreewise injectivity."""
     for key, n in f.source.dims.items():
-        if linalg.rank(_sparse_rows(f.block(key))) < n:
+        if linalg.rank(f.block(key)) < n:
             return False
     return True
 
@@ -344,6 +331,49 @@ def is_acyclic(c: Complex) -> bool:
 
 
 # -- lifting problems -------------------------------------------------------------
+
+
+def _unknowns(source: Complex, target: Complex) -> tuple[dict[Key, int], int]:
+    """Flat coordinates of the maps source -> target: the entry (r, c) of
+    the block at key is unknown offsets[key] + r * source.dim(key) + c."""
+    offsets: dict[Key, int] = {}
+    total = 0
+    for key in sorted(source.dims):
+        if target.dim(key) == 0:
+            continue
+        offsets[key] = total
+        total += target.dim(key) * source.dim(key)
+    return offsets, total
+
+
+def _chain_equations(source: Complex, target: Complex,
+                     offsets: dict[Key, int]) -> list[linalg.SparseRow]:
+    """d_T f = f d_S in the unknowns `_unknowns` numbers, one row per entry of
+    the block at the next key; rows with no unknown are left out."""
+    rows: list[linalg.SparseRow] = []
+    for key in source.dims:
+        nxt = _next_key(key)
+        n, n_next = source.dim(key), source.dim(nxt)
+        for r, dt_row in enumerate(_rows(target.d_block(key), target.dim(nxt))):
+            for c, ds_col in enumerate(source.d_block(key)):
+                row = {offsets[key] + k * n + c: x for k, x in dt_row.items()}
+                row.update((offsets[nxt] + r * n_next + k, -x) for k, x in ds_col.items())
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def _unflatten(flat: linalg.SparseRow, offsets: dict[Key, int], source: Complex,
+               target: Complex) -> dict[Key, linalg.Block]:
+    """The blocks whose entries `_unknowns` numbers, read off flat."""
+    blocks = {}
+    for key, off in offsets.items():
+        n = source.dim(key)
+        blocks[key] = [
+            {r: flat[off + r * n + c] for r in range(target.dim(key)) if off + r * n + c in flat}
+            for c in range(n)
+        ]
+    return blocks
 
 
 def solve_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap):
@@ -360,189 +390,86 @@ def solve_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap):
     for key in set(A.dims):
         lhs = linalg.mat_mul(p.block(key), top.block(key))
         rhs = linalg.mat_mul(bottom.block(key), i.block(key))
-        if not linalg.mats_agree(lhs, rhs):
+        if lhs != rhs:
             raise AlgebraError("lifting square does not commute")
 
-    offsets: dict[Key, int] = {}
-    total = 0
-    for key in sorted(set(B.dims)):
-        if X.dim(key) == 0:
-            continue
-        offsets[key] = total
-        total += X.dim(key) * B.dim(key)
+    offsets, total = _unknowns(B, X)
 
     def var(key: Key, r: int, c: int) -> int:
         return offsets[key] + r * B.dim(key) + c
 
     rows: list[linalg.SparseRow] = []
     rhs: list[Fraction] = []
-
-    def emit(coeffs: dict[int, Fraction], value: Fraction):
-        rows.append({idx: cf for idx, cf in coeffs.items() if cf})
-        rhs.append(value)
-
     # h i = top
     for key in A.dims:
         if key not in offsets:
-            if any(any(x != 0 for x in row) for row in top.block(key)):
+            if any(top.block(key)):
                 return None, {"consistent": False, "reason": "top map misses X support"}
             continue
-        iblk = i.block(key)
-        tblk = top.block(key)
-        for r in range(X.dim(key)):
-            for c in range(A.dim(key)):
-                coeffs = {}
-                for k in range(B.dim(key)):
-                    if iblk[k][c] != 0:
-                        coeffs[var(key, r, k)] = iblk[k][c]
-                emit(coeffs, tblk[r][c])
+        for r, t_row in enumerate(_rows(top.block(key), X.dim(key))):
+            for c, i_col in enumerate(i.block(key)):
+                rows.append({var(key, r, k): x for k, x in i_col.items()})
+                rhs.append(t_row.get(c, linalg.ZERO))
     # p h = bottom
     for key in B.dims:
-        pblk = p.block(key)
-        bblk = bottom.block(key)
-        for r in range(Y.dim(key)):
-            for c in range(B.dim(key)):
-                coeffs = {}
-                if key in offsets:
-                    for k in range(X.dim(key)):
-                        if pblk[r][k] != 0:
-                            coeffs[var(key, k, c)] = pblk[r][k]
-                emit(coeffs, bblk[r][c])
+        for r, p_row in enumerate(_rows(p.block(key), Y.dim(key))):
+            for c, b_col in enumerate(bottom.block(key)):
+                rows.append({var(key, k, c): x for k, x in p_row.items()})
+                rhs.append(b_col.get(r, linalg.ZERO))
     # d_X h = h d_B
-    for key in B.dims:
-        nxt = _next_key(key)
-        dx = X.d_block(key)
-        db = B.d_block(key)
-        for r in range(X.dim(nxt)):
-            for c in range(B.dim(key)):
-                coeffs: dict[int, Fraction] = {}
-                if key in offsets:
-                    for k in range(X.dim(key)):
-                        if dx[r][k] != 0:
-                            coeffs[var(key, k, c)] = (
-                                coeffs.get(var(key, k, c), Fraction(0)) + dx[r][k]
-                            )
-                if nxt in offsets:
-                    for k in range(B.dim(nxt)):
-                        if db[k][c] != 0:
-                            idx = var(nxt, r, k)
-                            coeffs[idx] = coeffs.get(idx, Fraction(0)) - db[k][c]
-                if coeffs:
-                    emit(coeffs, Fraction(0))
+    chain = _chain_equations(B, X, offsets)
+    rows += chain
+    rhs += [linalg.ZERO] * len(chain)
 
     sol, cert = linalg.solve_with_certificate(rows, rhs, total)
     if sol is None:
         return None, cert
-    blocks = {}
-    for key, off in offsets.items():
-        mat = linalg.zeros(X.dim(key), B.dim(key))
-        for r in range(X.dim(key)):
-            for c in range(B.dim(key)):
-                mat[r][c] = sol.get(off + r * B.dim(key) + c, linalg.ZERO)
-        blocks[key] = mat
-    h = ChainMap(B, X, blocks)
-    return h, cert
+    return ChainMap(B, X, _unflatten(sol, offsets, B, X)), cert
 
 
 # -- factorization by cell attachment ----------------------------------------------
 
 
 class _MiddleBuilder:
-    """A complex grown from a base by attaching cell generators, with a map to B."""
+    """A complex grown from a base by attaching cell generators, with a map to B.
+
+    dcols[key] and qcols[key] are the blocks of d and q at key; each key
+    starts with as many columns as its dimension and gains one per generator.
+    """
 
     def __init__(self, base: Complex, f: ChainMap, B: Complex):
         self.base = base
         self.B = B
         self.dims = dict(base.dims)
-        self.dcols: dict[Key, list[dict[int, Fraction]]] = {}
-        self.qcols: dict[Key, list[list[Fraction]]] = {}
-        for key, n in base.dims.items():
-            dblk = base.d_block(key)
-            self.dcols[key] = [
-                {r: dblk[r][j] for r in range(len(dblk)) if dblk[r][j] != 0}
-                for j in range(n)
-            ]
-            fblk = f.block(key)
-            self.qcols[key] = [
-                [fblk[r][j] for r in range(B.dim(key))] for j in range(n)
-            ]
+        self.dcols = {key: list(base.d_block(key)) for key in base.dims}
+        self.qcols = {key: list(f.block(key)) for key in base.dims}
 
     def dim(self, key: Key) -> int:
         return self.dims.get(key, 0)
 
-    def add_generator(self, key: Key, dx: dict[int, Fraction] | None,
-                      q_image: list[Fraction]) -> int:
-        idx = self.dims.get(key, 0)
+    def add_generator(self, key: Key, dx: linalg.SparseRow,
+                      q_image: linalg.SparseRow) -> int:
+        idx = self.dim(key)
         self.dims[key] = idx + 1
-        self.dcols.setdefault(key, [])
-        self.qcols.setdefault(key, [])
-        while len(self.dcols[key]) < idx:
-            self.dcols[key].append({})
-        while len(self.qcols[key]) < idx:
-            self.qcols[key].append([Fraction(0)] * self.B.dim(key))
-        self.dcols[key].append(dict(dx) if dx else {})
-        self.qcols[key].append(list(q_image))
+        self.dcols.setdefault(key, []).append(dx)
+        self.qcols.setdefault(key, []).append(q_image)
         return idx
 
-    def attach_disk(self, key: Key, b_image: list[Fraction]) -> None:
+    def attach_disk(self, key: Key, b_image: linalg.SparseRow) -> None:
         """Add x at key and y = dx at the next key with q(x) = b, q(y) = d_B b."""
-        nxt = _next_key(key)
-        db = self.B.d_block(key)
-        top_image = linalg.mat_vec(db, b_image) if db else [Fraction(0)] * self.B.dim(nxt)
-        top_idx = self.add_generator(nxt, None, top_image)
-        self.add_generator(key, {top_idx: Fraction(1)}, b_image)
+        top_image = linalg.apply(self.B.d_block(key), b_image)
+        top_idx = self.add_generator(_next_key(key), {}, top_image)
+        self.add_generator(key, {top_idx: linalg.ONE}, b_image)
 
-    def materialize(self) -> tuple[Complex, ChainMap, ChainMap]:
-        dims = {k: n for k, n in self.dims.items() if n > 0}
-        diff = {}
-        for key, cols in self.dcols.items():
-            nxt = _next_key(key)
-            nrows = self.dim(nxt)
-            n = self.dim(key)
-            if nrows == 0 or n == 0:
-                continue
-            mat = linalg.zeros(nrows, n)
-            for j, col in enumerate(cols):
-                for r, val in col.items():
-                    mat[r][j] = val
-            diff[key] = mat
-        middle = Complex(dims, diff)
-        qblocks = {}
-        for key, cols in self.qcols.items():
-            nb = self.B.dim(key)
-            if nb == 0 or self.dim(key) == 0:
-                continue
-            mat = linalg.zeros(nb, self.dim(key))
-            for j, col in enumerate(cols):
-                for r in range(nb):
-                    mat[r][j] = col[r]
-            qblocks[key] = mat
-        q = ChainMap(middle, self.B, qblocks)
-        jblocks = {}
-        for key, n in self.base.dims.items():
-            mat = linalg.zeros(self.dim(key), n)
-            for i in range(n):
-                mat[i][i] = Fraction(1)
-            jblocks[key] = mat
-        j = ChainMap(self.base, middle, jblocks)
-        return middle, j, q
+    def kernel(self, key: Key) -> list[linalg.SparseRow]:
+        """The cocycles of the current middle complex at key."""
+        return _kernel(self.dcols.get(key, []), self.dim(_next_key(key)))
 
-    # -- views of the current state, used by the repair passes ----------------
-
-    def d_matrix(self, key: Key) -> linalg.Matrix:
-        nxt = _next_key(key)
-        mat = linalg.zeros(self.dim(nxt), self.dim(key))
-        for j, col in enumerate(self.dcols.get(key, [])):
-            for r, val in col.items():
-                mat[r][j] = val
-        return mat
-
-    def q_matrix(self, key: Key) -> linalg.Matrix:
-        mat = linalg.zeros(self.B.dim(key), self.dim(key))
-        for j, col in enumerate(self.qcols.get(key, [])):
-            for r in range(self.B.dim(key)):
-                mat[r][j] = col[r]
-        return mat
+    def materialize(self) -> tuple[ChainMap, ChainMap]:
+        """(j, q): the inclusion of the base and the map to B."""
+        middle = Complex(self.dims, self.dcols)
+        j = ChainMap(self.base, middle, {key: _units(n) for key, n in self.base.dims.items()})
+        return j, ChainMap(middle, self.B, self.qcols)
 
 
 def _all_keys(*complexes: Complex) -> list[Key]:
@@ -572,34 +499,31 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         if nb == 0:
             continue
         span = linalg.RowSpan(nb)
-        for col in _sparse_columns(builder.q_matrix(key)):
+        for col in builder.qcols.get(key, []):
             span.add(col)
         for r in range(nb):
             if span.add({r: linalg.ONE}):
-                builder.attach_disk(key, linalg.dense({r: linalg.ONE}, nb))
+                builder.attach_disk(key, {r: linalg.ONE})
 
     if mode == "acyclic_cofibration_fibration":
-        middle, j, q = builder.materialize()
-        return j, q
+        return builder.materialize()
 
     # pass 2: attach closed generators until H(q) is surjective
     for key in _all_keys(A, B):
         nb = B.dim(key)
         if nb == 0:
             continue
-        kernel_b = linalg.nullspace(_sparse_rows(B.d_block(key)), nb)
+        kernel_b = _kernel(B.d_block(key), B.dim(_next_key(key)))
         if not kernel_b:
             continue
         hit = linalg.RowSpan(nb)
-        for col in _sparse_columns(B.d_block(_prev_key(key))):
+        for col in B.d_block(_prev_key(key)):
             hit.add(col)
-        kernel_m = linalg.nullspace(_sparse_rows(builder.d_matrix(key)), builder.dim(key))
-        qmat = builder.q_matrix(key)
-        for vec in kernel_m:
-            hit.add(_apply(qmat, vec))
+        for col in linalg.mat_mul(builder.qcols.get(key, []), builder.kernel(key)):
+            hit.add(col)
         for vec in kernel_b:
             if hit.add(vec):
-                builder.add_generator(key, None, linalg.dense(vec, nb))
+                builder.add_generator(key, {}, vec)
 
     # pass 3: kill the kernel of H(q).  One nullspace per key of the stacked
     # system [-d_B | q K], K the cocycles of the middle complex, gives every
@@ -612,50 +536,22 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         nm = builder.dim(key)
         if nm == 0:
             continue
-        kernel_m = linalg.nullspace(_sparse_rows(builder.d_matrix(key)), nm)
+        kernel_m = builder.kernel(key)
         if not kernel_m:
             continue
         prev = _prev_key(key)
         prev_b = B.dim(prev)
-        stacked = [{j: -x for j, x in row.items()} for row in _sparse_rows(B.d_block(prev))]
-        qmat = builder.q_matrix(key)
-        for i, vec in enumerate(kernel_m):
-            for r, x in _apply(qmat, vec).items():
-                stacked[r][prev_b + i] = x
+        minus_db = [{r: -x for r, x in col.items()} for col in B.d_block(prev)]
+        stacked = minus_db + linalg.mat_mul(builder.qcols[key], kernel_m)
         boundaries = linalg.RowSpan(nm)
-        for col in _sparse_columns(builder.d_matrix(prev)):
+        for col in builder.dcols.get(prev, []):
             boundaries.add(col)
-        for pair in linalg.nullspace(stacked, prev_b + len(kernel_m)):
-            y = [pair.get(j, linalg.ZERO) for j in range(prev_b)]
-            c = [(x, kernel_m[j - prev_b]) for j, x in pair.items() if j >= prev_b]
-            z = {}
-            for r in range(nm):
-                v = sum((ci * vec[r] for ci, vec in c if r in vec), linalg.ZERO)
-                if v:
-                    z[r] = v
+        for pair in linalg.nullspace(linalg.transpose(stacked, B.dim(key)), len(stacked)):
+            y = {j: x for j, x in pair.items() if j < prev_b}
+            z = linalg.apply(kernel_m, {j - prev_b: x for j, x in pair.items() if j >= prev_b})
             if boundaries.add(z):
                 builder.add_generator(prev, z, y)
-    middle, j, q = builder.materialize()
-    return j, q
-
-
-def _sparse_rows(mat: linalg.Matrix) -> list[linalg.SparseRow]:
-    return [linalg.sparse(row) for row in mat]
-
-
-def _sparse_columns(mat: linalg.Matrix) -> list[linalg.SparseRow]:
-    """The nonzero columns of a dense block, as sparse rows."""
-    return linalg.transpose(_sparse_rows(mat), len(mat[0]) if mat else 0)
-
-
-def _apply(mat: linalg.Matrix, vec: linalg.SparseRow) -> linalg.SparseRow:
-    """mat @ vec for a dense block and a sparse vector, as a sparse row."""
-    out = {}
-    for r, row in enumerate(mat):
-        y = sum((row[j] * x for j, x in vec.items()), linalg.ZERO)
-        if y:
-            out[r] = y
-    return out
+    return builder.materialize()
 
 
 def verify_factorization(f: ChainMap, j: ChainMap, q: ChainMap, mode: str) -> dict:
@@ -690,13 +586,11 @@ def sym_dga(v: Complex, prefix: str = "v") -> tuple[DGAlgebra, dict[tuple[Key, i
     table = GeneratorTable(gens, allow_d_names=True)
     images: dict[str, Element] = {}
     for key in sorted(v.dims):
-        dblk = v.d_block(key)
         nxt = _next_key(key)
-        for i in range(v.dim(key)):
+        for i, col in enumerate(v.d_block(key)):
             img = Element.zero(table)
-            for r in range(v.dim(nxt)):
-                if dblk[r][i] != 0:
-                    img = img + Element.generator(table, names[(nxt, r)]) * dblk[r][i]
+            for r, x in sorted(col.items()):
+                img = img + Element.generator(table, names[(nxt, r)]) * x
             images[names[(key, i)]] = img
     differential = Derivation(table, images, 1, ODD)
     return DGAlgebra(table, differential), names
@@ -744,8 +638,9 @@ def kunneth_report(v: Complex, w_min: int, w_max: int, cap: int) -> dict:
 # -- random generators for property panels -------------------------------------------
 
 
-def random_invertible(rng: random.Random, n: int) -> linalg.Matrix:
-    mat = linalg.identity(n)
+def random_invertible(rng: random.Random, n: int) -> linalg.Block:
+    """Random row additions on the identity, then the rows shuffled."""
+    rows = _units(n)
     for _ in range(2 * n):
         a, b = rng.randrange(n), rng.randrange(n)
         if a == b:
@@ -753,20 +648,21 @@ def random_invertible(rng: random.Random, n: int) -> linalg.Matrix:
         lam = Fraction(rng.randint(-2, 2))
         if lam == 0:
             continue
-        for j in range(n):
-            mat[a][j] += lam * mat[b][j]
+        rows[a] = linalg.apply([rows[a], rows[b]], {0: linalg.ONE, 1: lam})
     order = list(range(n))
     rng.shuffle(order)
-    return [mat[i] for i in order]
+    # an invertible matrix has no zero column for transpose to leave out
+    return linalg.transpose([rows[i] for i in order], n)
 
 
-def invert_matrix(mat: linalg.Matrix) -> linalg.Matrix:
-    n = len(mat)
-    aug = [linalg.sparse(mat[i]) | {n + i: linalg.ONE} for i in range(n)]
+def invert_matrix(block: linalg.Block) -> linalg.Block:
+    # row i of [M^T | I] reduces to row i of [I | (M^-1)^T], column i of M^-1
+    n = len(block)
+    aug = [col | {n + i: linalg.ONE} for i, col in enumerate(block)]
     reduced, pivots = linalg.rref(aug)
     if pivots[:n] != list(range(n)):
         raise AlgebraError("matrix is not invertible")
-    return [[row.get(n + j, linalg.ZERO) for j in range(n)] for row in reduced]
+    return [{j - n: x for j, x in row.items() if j >= n} for row in reduced]
 
 
 def random_complex(rng: random.Random, max_cells: int = 3,
@@ -785,57 +681,16 @@ def random_complex(rng: random.Random, max_cells: int = 3,
     change = {key: random_invertible(rng, n) for key, n in total.dims.items()}
     diff = {}
     for key in total.diff:
-        nxt = _next_key(key)
-        t_next = change.get(nxt)
-        t_key = change[key]
-        mat = linalg.mat_mul(total.d_block(key), invert_matrix(t_key))
-        if t_next is not None:
-            mat = linalg.mat_mul(t_next, mat)
-        diff[key] = mat
+        # a nonzero block has rows, so the next key has a change of basis too
+        block = linalg.mat_mul(total.d_block(key), invert_matrix(change[key]))
+        diff[key] = linalg.mat_mul(change[_next_key(key)], block)
     return Complex(total.dims, diff)
 
 
 def random_chain_map(rng: random.Random, source: Complex, target: Complex) -> ChainMap:
     """A random rational point of the space of chain maps source -> target."""
-    offsets: dict[Key, int] = {}
-    total = 0
-    for key in sorted(source.dims):
-        if target.dim(key) == 0:
-            continue
-        offsets[key] = total
-        total += target.dim(key) * source.dim(key)
-    if total == 0:
-        return zero_chain_map(source, target)
-    rows: list[linalg.SparseRow] = []
-    for key in source.dims:
-        nxt = _next_key(key)
-        dt = target.d_block(key)
-        ds = source.d_block(key)
-        for r in range(target.dim(nxt)):
-            for c in range(source.dim(key)):
-                row = [Fraction(0)] * total
-                if key in offsets:
-                    for k in range(target.dim(key)):
-                        if dt[r][k] != 0:
-                            row[offsets[key] + k * source.dim(key) + c] += dt[r][k]
-                if nxt in offsets:
-                    for k in range(source.dim(nxt)):
-                        if ds[k][c] != 0:
-                            row[offsets[nxt] + r * source.dim(nxt) + k] -= ds[k][c]
-                row = linalg.sparse(row)
-                if row:
-                    rows.append(row)
-    flat = [linalg.ZERO] * total
-    for vec in linalg.nullspace(rows, total):
-        lam = Fraction(rng.randint(-3, 3))
-        if lam:
-            for j, x in vec.items():
-                flat[j] += lam * x
-    blocks = {}
-    for key, off in offsets.items():
-        mat = linalg.zeros(target.dim(key), source.dim(key))
-        for r in range(target.dim(key)):
-            for c in range(source.dim(key)):
-                mat[r][c] = flat[off + r * source.dim(key) + c]
-        blocks[key] = mat
-    return ChainMap(source, target, blocks)
+    offsets, total = _unknowns(source, target)
+    kernel = linalg.nullspace(_chain_equations(source, target, offsets), total)
+    scalars = [Fraction(rng.randint(-3, 3)) for _ in kernel]
+    flat = linalg.apply(kernel, {i: lam for i, lam in enumerate(scalars) if lam})
+    return ChainMap(source, target, _unflatten(flat, offsets, source, target))

@@ -312,44 +312,45 @@ def barycentric_whitney(n: int, indices: tuple[int, ...]) -> Element:
 
 
 def elementary_subcomplex(n: int) -> dict:
-    """Basis and boundary matrices of the span of the elementary forms.
+    """Basis and boundary blocks of the span of the elementary forms.
 
     The span is a subcomplex: d w_I expands exactly in elementary forms one
-    degree up, with coefficients read off by the dual integrals.  The matrix
+    degree up, with coefficients read off by the dual integrals.  The block
     in degree k sends the basis of k-tuples to the basis of (k+1)-tuples and
     agrees with the simplicial-cochain coboundary of the n-simplex.
     """
     forms = simplex_forms(n)
     basis = {k: whitney_tuples(n, k) for k in range(n + 1)}
-    matrices: dict[int, list[list[Fraction]]] = {}
+    blocks: dict[int, linalg.Block] = {}
     for k in range(n + 1):
-        rows_idx = basis.get(k + 1, [])
-        mat = [[Fraction(0)] * len(basis[k]) for _ in rows_idx]
-        for j, I in enumerate(basis[k]):
+        above = basis.get(k + 1, [])
+        block = []
+        for I in basis[k]:
             image = forms.d(whitney(forms, I))
-            for r, J in enumerate(rows_idx):
-                mat[r][j] = simplex_integral(forms, J, image)
+            col = {}
+            for r, J in enumerate(above):
+                x = simplex_integral(forms, J, image)
+                if x:
+                    col[r] = x
             # the expansion is exact: subtracting it leaves zero
             check = image
-            for r, J in enumerate(rows_idx):
-                check = check - whitney(forms, J) * mat[r][j]
+            for r, x in col.items():
+                check = check - whitney(forms, above[r]) * x
             if not check.is_zero():
                 raise AlgebraError("elementary span is not closed under d")
-        matrices[k] = mat
-    return {"basis": basis, "differential": matrices}
+            block.append(col)
+        blocks[k] = block
+    return {"basis": basis, "differential": blocks}
 
 
-def simplicial_coboundary(n: int, k: int) -> list[list[Fraction]]:
-    """The coboundary matrix of the simplicial cochain complex of the n-simplex."""
-    rows = whitney_tuples(n, k + 1)
-    cols = whitney_tuples(n, k)
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
-    for r, J in enumerate(rows):
+def simplicial_coboundary(n: int, k: int) -> linalg.Block:
+    """The coboundary of the simplicial cochain complex of the n-simplex."""
+    index = {face: c for c, face in enumerate(whitney_tuples(n, k))}
+    block: linalg.Block = [{} for _ in index]
+    for r, J in enumerate(whitney_tuples(n, k + 1)):
         for q in range(len(J)):
-            face = J[:q] + J[q + 1:]
-            c = cols.index(face)
-            mat[r][c] += (-1) ** q
-    return mat
+            block[index[J[:q] + J[q + 1:]]][r] = Fraction((-1) ** q)
+    return block
 
 
 # -- integration over faces ------------------------------------------------------

@@ -179,6 +179,10 @@ def test_criterion_03_whitney_suite():
            time.perf_counter() - start, 60)
 
 
+def sparse_rows(mat):
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
 def test_criterion_04_poincare_lemma():
     start = time.perf_counter()
     forms = simplex_forms(2)
@@ -192,7 +196,7 @@ def test_criterion_04_poincare_lemma():
         image = forms.d(Element.monomial(forms.table, mono))
         for m, c in image.terms.items():
             mat[index1[m]][j] += c
-    kernel0 = linalg.nullspace([linalg.sparse(row) for row in mat], len(basis0))
+    kernel0 = linalg.nullspace(sparse_rows(mat), len(basis0))
     assert len(kernel0) == 1
     constant = tuple(0 for _ in forms.table.generators)
     for vec in kernel0:
@@ -208,7 +212,7 @@ def test_criterion_04_poincare_lemma():
             image = forms.d(Element.monomial(forms.table, mono))
             for m, c in image.terms.items():
                 mat[index[m]][j] += c
-        for vec in linalg.nullspace([linalg.sparse(row) for row in mat], len(basis)):
+        for vec in linalg.nullspace(sparse_rows(mat), len(basis)):
             omega = Element(forms.table, {basis[j]: c for j, c in vec.items()})
             assert forms.d(omega).is_zero()
             assert forms.d(dilation_homotopy(forms, 0, omega)) == omega
@@ -284,6 +288,38 @@ def feasible_by_dense_elimination(rows, rhs, ncols):
     return True
 
 
+def dense_block(block, nrows):
+    """A block of sparse columns written out as dense rows."""
+    return [[col.get(r, Fraction(0)) for col in block] for r in range(nrows)]
+
+
+class DenseComplex:
+    """A complex seen through dense differential blocks, for the oracle."""
+
+    def __init__(self, c):
+        self.c = c
+        self.dims = c.dims
+
+    def dim(self, key):
+        return self.c.dim(key)
+
+    def d_block(self, key):
+        nxt = (key[0] + 1, (key[1] + 1) % 2)
+        return dense_block(self.c.d_block(key), self.c.dim(nxt))
+
+
+class DenseMap:
+    """A chain map seen through dense blocks, for the oracle."""
+
+    def __init__(self, f):
+        self.f = f
+        self.source = DenseComplex(f.source)
+        self.target = DenseComplex(f.target)
+
+    def block(self, key):
+        return dense_block(self.f.block(key), self.f.target.dim(key))
+
+
 def lift_equations(i, p, top, bottom):
     """Flatten h i = top, p h = bottom, d h = h d into one dense system."""
     A, B = i.source, i.target
@@ -348,13 +384,11 @@ def lift_equations(i, p, top, bottom):
 
 def projection_map(summand, total_complex, include):
     blocks = {}
-    for key, mat in include.blocks.items():
-        rows = summand.dim(key)
-        cols = total_complex.dim(key)
-        out = linalg.zeros(rows, cols)
-        for r in range(cols):
-            for c in range(rows):
-                out[c][r] = mat[r][c]
+    for key, block in include.blocks.items():
+        out = [{} for _ in range(total_complex.dim(key))]
+        for c, col in enumerate(block):
+            for r, x in col.items():
+                out[r][c] = x
         blocks[key] = out
     return model.ChainMap(total_complex, summand, blocks)
 
@@ -410,7 +444,7 @@ def test_criterion_07_model_toolkit():
             top = model.zero_chain_map(zero, x)
             bottom = model.random_chain_map(rng, b, y)
         h, _ = model.solve_lift(i, p, top, bottom)
-        rows, rhs, ncols = lift_equations(i, p, top, bottom)
+        rows, rhs, ncols = lift_equations(*(DenseMap(f) for f in (i, p, top, bottom)))
         oracle = feasible_by_dense_elimination(rows, rhs, ncols)
         assert (h is not None) == oracle, trial
         if h is not None:

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -125,6 +126,7 @@ def test_check_square_violation(tmp_path, capsys):
 
 
 _COMPLEX = {"dims": {"0,even": 1}}
+_DISK = {"dims": {"0,even": 1, "1,odd": 1}}
 
 MALFORMED = {
     "no-generators": (("check",), {"nope": 1}, "'generators' list"),
@@ -149,6 +151,17 @@ MALFORMED = {
     "map-block-shape": (("complex", "classify"),
                         {"source": _COMPLEX, "target": _COMPLEX, "blocks": {"0,even": [[1, 2]]}},
                         "chain map block at (0, 0) has the wrong shape"),
+    # zero blocks and blocks off the support are checked too
+    "zero-block-shape": (("complex", "cohomology"),
+                         {**_DISK, "differential": {"0,even": [[0], [0], [0]]}},
+                         "differential block at (0, 0) has the wrong shape"),
+    "off-support-block": (("complex", "cohomology"),
+                          {**_DISK, "differential": {"7,even": [[0, 0]]}},
+                          "differential block at (7, 0) has the wrong shape"),
+    "map-block-off-target": (("complex", "classify"),
+                             {"source": _COMPLEX, "target": {"dims": {"3,odd": 1}},
+                              "blocks": {"0,even": [[1, 2, 3], [4]], "3,odd": [[5]]}},
+                             "chain map block at (0, 0) has the wrong shape"),
     "even-mode-string": (("check",), {"generators": [], "even_mode": "no"},
                          "'even_mode' must be true or false, got 'no'"),
     "even-mode-null": (("check",), {"generators": [], "even_mode": None},
@@ -413,6 +426,31 @@ def test_complex_lift_unsolvable(tmp_path, capsys):
     assert report["solvable"] is False
     assert report["certificate"]["consistent"] is False
     assert report["certificate"]["rank"] < report["certificate"]["rank_augmented"]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_complex_documents_round_trip(seed):
+    """The CLI is the one place where dense rows become blocks and blocks
+    dense rows again: a complex and a chain map written out and read back
+    are equal to the originals, zero blocks kept, and no stored column
+    holds a zero."""
+    from sdga import model
+    rng = random.Random(8100 + seed)
+    a = model.random_complex(rng, max_cells=3)
+    b = model.random_complex(rng, max_cells=3)
+    f = model.random_chain_map(rng, a, b)
+    doc = json.loads(json.dumps({"source": cli._complex_json(a),
+                                 "target": cli._complex_json(b),
+                                 "blocks": cli._blocks_json(f)}))
+    assert cli.build_complex(doc["source"]) == a
+    back = cli.build_chain_map(doc)
+    assert back.source == a and back.target == b and back == f
+    assert back.blocks.keys() == f.blocks.keys()
+    assert cli._blocks_json(back) == doc["blocks"]
+    for c in (a, b, back.source, back.target):
+        assert all(x for block in c.diff.values() for col in block for x in col.values())
+    for g in (f, back):
+        assert all(x for block in g.blocks.values() for col in block for x in col.values())
 
 
 def test_cells_catalog(capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from sdga import linalg
+from sdga.model import ChainMap, Complex
 
 
 def random_matrix(rng, rows, cols, span=4):
@@ -15,12 +16,35 @@ def random_matrix(rng, rows, cols, span=4):
             for _ in range(rows)]
 
 
+# dense rows are the tests' own form: linalg takes sparse rows and blocks
+
+
 def sparse_rows(mat):
-    return [linalg.sparse(row) for row in mat]
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def dense_row(row, ncols):
+    vec = [Fraction(0)] * ncols
+    for j, x in row.items():
+        vec[j] = x
+    return vec
 
 
 def dense_rows(rows, ncols):
-    return [linalg.dense(row, ncols) for row in rows]
+    return [dense_row(row, ncols) for row in rows]
+
+
+def block_of(mat, ncols):
+    """The sparse columns of a dense matrix with ncols columns."""
+    return [{r: row[j] for r, row in enumerate(mat) if row[j]} for j in range(ncols)]
+
+
+def dense_of(block, nrows):
+    return [[col.get(r, Fraction(0)) for col in block] for r in range(nrows)]
+
+
+def dense_mat_vec(mat, vec):
+    return [sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in mat]
 
 
 def assert_no_stored_zero(rows, name=""):
@@ -28,7 +52,7 @@ def assert_no_stored_zero(rows, name=""):
 
 
 def test_rref_identity():
-    reduced, pivots = linalg.rref(sparse_rows(linalg.identity(3)))
+    reduced, pivots = linalg.rref([{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}])
     assert reduced == [{0: 1}, {1: 1}, {2: 1}]
     assert pivots == [0, 1, 2]
 
@@ -48,7 +72,7 @@ def test_nullspace_annihilates(seed):
     assert len(basis) == cols - linalg.rank(sparse_rows(mat))
     assert_no_stored_zero(basis)
     for vec in basis:
-        assert all(x == 0 for x in linalg.mat_vec(mat, linalg.dense(vec, cols)))
+        assert all(x == 0 for x in dense_mat_vec(mat, dense_row(vec, cols)))
 
 
 def test_nullspace_of_zero_row_matrix_needs_explicit_columns():
@@ -63,10 +87,10 @@ def test_solve_reproduces_rhs(seed):
     rows, cols = rng.randint(1, 5), rng.randint(1, 5)
     mat = random_matrix(rng, rows, cols)
     x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-    rhs = linalg.mat_vec(mat, x)
+    rhs = dense_mat_vec(mat, x)
     sol, cert = linalg.solve_with_certificate(sparse_rows(mat), rhs, cols)
     assert cert["consistent"]
-    assert linalg.mat_vec(mat, linalg.dense(sol, cols)) == rhs
+    assert dense_mat_vec(mat, dense_row(sol, cols)) == rhs
 
 
 def test_solve_certificate_on_inconsistent_system():
@@ -94,24 +118,39 @@ def test_quotient_representatives():
 
 
 def test_mat_mul_through_zero_dimension_degenerates():
-    """Products through a zero-dimensional middle space lose their shape,
-    so comparisons must read missing entries as zeros."""
-    a = [[]]          # 1 x 0
-    b = []            # 0 x 1
-    prod = linalg.mat_mul(a, b)
-    assert linalg.mats_agree(prod, [[Fraction(0)]])
-    assert linalg.mats_agree(prod, [])
-    assert not linalg.mats_agree(prod, [[Fraction(1)]])
+    """A product through a zero-dimensional middle space is the zero block
+    with one column per column of the right factor: a block keeps its column
+    count, so the product keeps its shape."""
+    a = []            # 0 columns into a 1-dimensional space
+    b = [{}, {}]      # 2 columns into a 0-dimensional space
+    assert linalg.mat_mul(a, b) == [{}] * 2
+    assert linalg.mat_mul([{0: Fraction(3)}], []) == []
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_mats_agree_is_entrywise_equality(seed):
+    """Complexes and chain maps agree when their blocks are equal entry by
+    entry: == on blocks, which never store a zero, and a missing block reads
+    as the zero block."""
     rng = random.Random(200 + seed)
     mat = random_matrix(rng, 3, 3)
-    assert linalg.mats_agree(mat, [row[:] for row in mat])
+    dims = {(0, 0): 3, (1, 1): 3}
+    source = Complex(dims, {})
+    f = ChainMap(source, source, {(0, 0): block_of(mat, 3)})
+    assert f == ChainMap(source, source, {(0, 0): block_of([row[:] for row in mat], 3)})
     bumped = [row[:] for row in mat]
     bumped[1][2] += 1
-    assert not linalg.mats_agree(mat, bumped)
+    assert f != ChainMap(source, source, {(0, 0): block_of(bumped, 3)})
+    # a stored zero block and a missing one are the same map
+    zero = [[Fraction(0)] * 3 for _ in range(3)]
+    assert ChainMap(source, source, {(1, 1): block_of(zero, 3)}) == ChainMap(source, source, {})
+    # explicit zeros in a column are not stored, so == still sees equal maps
+    assert ChainMap(source, source, {(0, 0): [{0: Fraction(0)}, {}, {}]}) == ChainMap(
+        source, source, {})
+    d = Complex(dims, {(0, 0): block_of(mat, 3)})
+    assert d == Complex(dict(dims), {(0, 0): block_of([row[:] for row in mat], 3)})
+    assert d != Complex(dims, {(0, 0): block_of(bumped, 3)})
+    assert Complex(dims, {(0, 0): block_of(zero, 3)}) == Complex(dims, {})
 
 
 # -- the sparse entry points against the dense elimination they replaced ------
@@ -244,15 +283,15 @@ def test_sparse_kernel_matches_dense_oracle(seed):
         sol, cert = linalg.solve_with_certificate(rows, rhs, ncols)
         assert_no_stored_zero([sol], name)
         if mat:
-            assert linalg.dense(sol, ncols) == oracle_solve(mat, rhs, ncols), name
-            assert linalg.mat_vec(mat, linalg.dense(sol, ncols)) == rhs, name
+            assert dense_row(sol, ncols) == oracle_solve(mat, rhs, ncols), name
+            assert dense_mat_vec(mat, dense_row(sol, ncols)) == rhs, name
             assert cert == {"rank": oracle_rank(mat), "rank_augmented": oracle_rank(mat),
                             "consistent": True}, name
         noise = [_entry(rng, 0.9) for _ in mat]
         sol, cert = linalg.solve_with_certificate(rows, noise, ncols)
         if mat:
             expected = oracle_solve(mat, noise, ncols)
-            assert (sol if sol is None else linalg.dense(sol, ncols)) == expected, name
+            assert (sol if sol is None else dense_row(sol, ncols)) == expected, name
         aug_rank = oracle_rank([row + [b] for row, b in zip(mat, noise)])
         if aug_rank > oracle_rank(mat):
             inconsistent += 1
@@ -269,14 +308,30 @@ def naive_mat_mul(a, b):
              for j in range(cols)] for i in range(len(a))]
 
 
+def block_product(a, b, ncols):
+    """a @ b for dense a and b, b with ncols columns, through blocks."""
+    middle = len(b)
+    return dense_of(linalg.mat_mul(block_of(a, middle), block_of(b, ncols)), len(a))
+
+
+def product_oracle(a, b, ncols):
+    """naive_mat_mul, with the shape a zero-dimensional middle loses written
+    out: a dense matrix with no rows does not know its column count."""
+    if not b:
+        return [[Fraction(0)] * ncols for _ in a]
+    return naive_mat_mul(a, b)
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_mat_mul_matches_naive_product(seed):
     rng = random.Random(900 + seed)
     for name, mat, ncols in oracle_panel(seed):
-        right = _fill(rng, ncols, rng.randint(1, 5), rng.choice([0.2, 0.7]))
-        assert linalg.mat_mul(mat, right) == naive_mat_mul(mat, right), name
+        k = rng.randint(1, 5)
+        right = _fill(rng, ncols, k, rng.choice([0.2, 0.7]))
+        assert block_product(mat, right, k) == product_oracle(mat, right, k), name
         left = _fill(rng, rng.randint(1, 5), len(mat), rng.choice([0.2, 0.7]))
-        assert linalg.mat_mul(left, mat) == naive_mat_mul(left, mat), name
+        assert block_product(left, mat, ncols) == product_oracle(left, mat, ncols), name
+        assert_no_stored_zero(linalg.mat_mul(block_of(left, len(mat)), block_of(mat, ncols)))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -295,7 +350,7 @@ def test_row_span_matches_dense_oracle(seed):
         basis = sorted(zip(span.pivots, span.rows))
         assert [piv for piv, _ in basis] == pivots, name
         for (piv, row), expected in zip(basis, reduced):
-            assert linalg.dense(row, ncols) == expected, name
+            assert dense_row(row, ncols) == expected, name
         cut = rng.randint(0, len(mat))
         image, kernel = mat[:cut], mat[cut:]
         chosen = []

@@ -45,13 +45,11 @@ MODES = ("acyclic_cofibration_fibration", "cofibration_acyclic_fibration")
 def projection_onto(summand: Complex, total: Complex, include: ChainMap) -> ChainMap:
     """Transpose the coordinate inclusion of a direct summand."""
     blocks = {}
-    for key, mat in include.blocks.items():
-        rows = summand.dim(key)
-        cols = total.dim(key)
-        out = linalg.zeros(rows, cols)
-        for i in range(cols):
-            for j in range(rows):
-                out[j][i] = mat[i][j]
+    for key, block in include.blocks.items():
+        out = [{} for _ in range(total.dim(key))]
+        for j, col in enumerate(block):
+            for i, x in col.items():
+                out[i][j] = x
         blocks[key] = out
     return ChainMap(total, summand, blocks)
 
@@ -60,12 +58,15 @@ def projection_onto(summand: Complex, total: Complex, include: ChainMap) -> Chai
 
 
 def test_complex_validation():
+    # blocks are columns: a row index past the target or an extra column
     with pytest.raises(AlgebraError, match="wrong shape"):
-        Complex({(0, 0): 1, (1, 1): 1}, {(0, 0): [[Fraction(1)], [Fraction(2)]]})
+        Complex({(0, 0): 1, (1, 1): 1}, {(0, 0): [{0: Fraction(1), 1: Fraction(2)}]})
+    with pytest.raises(AlgebraError, match="wrong shape"):
+        Complex({(0, 0): 1, (1, 1): 1}, {(0, 0): [{0: Fraction(1)}, {0: Fraction(2)}]})
     with pytest.raises(AlgebraError, match="d\\^2"):
         Complex(
             {(0, 0): 1, (1, 1): 1, (2, 0): 1},
-            {(0, 0): [[Fraction(1)]], (1, 1): [[Fraction(1)]]},
+            {(0, 0): [{0: Fraction(1)}], (1, 1): [{0: Fraction(1)}]},
         )
 
 
@@ -100,9 +101,11 @@ def test_chain_map_validation():
     d = disk_complex(0, 0)
     s = sphere_complex(0, 0)
     with pytest.raises(AlgebraError, match="does not commute"):
-        ChainMap(s, d, {(0, 0): [[Fraction(1)]]})
+        ChainMap(s, d, {(0, 0): [{0: Fraction(1)}]})
+    with pytest.raises(AlgebraError, match="wrong shape"):
+        ChainMap(s, d, {(0, 0): [{0: Fraction(1)}, {}]})
     # mapping the sphere to the top cell is a chain map
-    ChainMap(sphere_complex(1, 1), d, {(1, 1): [[Fraction(1)]]})
+    ChainMap(sphere_complex(1, 1), d, {(1, 1): [{0: Fraction(1)}]})
     zero_chain_map(s, d).validate()
     assert compose_chain_maps(identity_chain_map(d), identity_chain_map(d)) == identity_chain_map(d)
 
@@ -217,10 +220,10 @@ def test_solve_lift_against_projection():
 def test_solve_lift_negative_with_certificate():
     s = sphere_complex(-1, 1)
     x = disk_complex(-1, 1)
-    p = ChainMap(x, s, {(-1, 1): [[Fraction(1)]]})
+    p = ChainMap(x, s, {(-1, 1): [{0: Fraction(1)}]})
     i = zero_chain_map(zero_complex(), s)
     top = zero_chain_map(zero_complex(), x)
-    bottom = ChainMap(s, s, {(-1, 1): [[Fraction(1)]]})
+    bottom = ChainMap(s, s, {(-1, 1): [{0: Fraction(1)}]})
     h, cert = solve_lift(i, p, top, bottom)
     assert h is None
     assert cert["consistent"] is False
