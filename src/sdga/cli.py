@@ -26,11 +26,13 @@ from .core import (
     GeneratorTable,
     ODD,
     ParseError,
+    StructureError,
     parity_name,
     parse,
     render,
 )
 from .dg import DGAlgebra, Derivation
+from .linalg import entry
 
 
 class InputError(Exception):
@@ -136,11 +138,12 @@ def build_algebra(doc: dict) -> tuple[DGAlgebra | None, dict | None]:
     return dga, None
 
 
-def _parse_fraction(value) -> Fraction:
+def _parse_entry(value) -> int | Fraction:
+    """A matrix entry of a document, in `linalg`'s entry form."""
     # type(), not isinstance: true is not the entry 1
     if type(value) in (int, str):
         try:
-            return Fraction(value)
+            return entry(value)
         except (ValueError, ZeroDivisionError):
             pass
     raise InputError(f"bad rational entry {value!r}")
@@ -171,7 +174,7 @@ def _blocks(doc: dict, field: str, what: str, shape) -> dict:
         where = f"block {text!r} of {field!r}"
         key = _parse_key(text)
         rows = [
-            [_parse_fraction(x) for x in _expect(row, list, f"a row of {where}")]
+            [_parse_entry(x) for x in _expect(row, list, f"a row of {where}")]
             for row in _expect(mat, list, where)
         ]
         nrows, ncols = shape(key)
@@ -183,9 +186,12 @@ def _blocks(doc: dict, field: str, what: str, shape) -> dict:
 
 
 def _checked(build, *args):
-    """build(*args); an AlgebraError is a failed mathematical check (exit 1)."""
+    """build(*args); an AlgebraError is a failed mathematical check (exit 1),
+    except a StructureError, which is malformed input (exit 2)."""
     try:
         return build(*args)
+    except StructureError:
+        raise
     except AlgebraError as exc:
         raise _Verification({"witness": str(exc)}) from exc
 

@@ -28,6 +28,11 @@ class AlgebraError(ValueError):
     """Raised for malformed tables, inhomogeneous data or parity violations."""
 
 
+class StructureError(AlgebraError):
+    """Malformed structure, not a failed check: a block of the wrong shape,
+    or maps whose sources and targets do not fit together."""
+
+
 def parity_of(text: str | int) -> int:
     if text in (EVEN, ODD):
         return int(text)

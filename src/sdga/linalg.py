@@ -1,12 +1,24 @@
 """Exact linear algebra over the rationals.
 
 Everything works in one form: sparse rows, dicts from column to nonzero
-`Fraction`, so a zero is never stored, scanned, multiplied or negated.
-`rref` is the one elimination kernel: `rank`, `nullspace` and
+entry, so a zero is never stored, scanned, multiplied or negated.  An entry
+is an `int` when it is integral and a `Fraction` otherwise; it is never a
+float, a bool or a stored zero, and `entry` puts any exact scalar in that
+form.  `rref` is the one elimination kernel: `rank`, `nullspace` and
 `solve_with_certificate` read its result, and `RowSpan` keeps its basis in
 the same sparse rows and reduces with the same row update.  Each takes
 sparse rows and returns sparse rows; a sparse row does not know its width,
 so the functions that need the column count take it as `ncols`.
+
+Elimination is fraction-free.  Each row is first scaled to a primitive
+integer row: times the lcm of its denominators, then divided by its content
+(the gcd of its entries).  A row with entry b in the pivot column is updated
+as row <- (a/g) row - (b/g) pivot, a the pivot's entry there and
+g = gcd(a, b), and divided by its content again.  Each row so stays a
+nonzero multiple of the row a `Fraction` elimination would hold, with the
+same support, so the pivots are the same; the reduced rows are divided by
+their pivot entries only at the end (Bareiss, Math. Comp. 1968; Geddes,
+Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 9).
 
 A linear map is a `Block`: a list of sparse columns, one per source basis
 vector, column j the image of basis vector j in target coordinates.  Its
@@ -20,19 +32,38 @@ so ranks, kernels and solutions carry no floating-point doubt.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-SparseRow = dict[int, Fraction]  # column -> nonzero entry
+SparseRow = dict[int, int | Fraction]  # column -> nonzero entry
 Block = list[SparseRow]  # column j -> the image of source basis vector j
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def entry(x) -> int | Fraction:
+    """The exact scalar x as an entry: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def apply(block: Block, vec: SparseRow) -> SparseRow:
     """block @ vec: the combination of the block's columns that vec names."""
     out: SparseRow = {}
     for j, x in vec.items():
-        _add_multiple(out, x, block[j])
+        for r, y in block[j].items():
+            z = out.get(r)
+            if z is None:
+                out[r] = x * y
+            else:
+                z += x * y
+                if z:
+                    out[r] = z
+                else:
+                    del out[r]
+    for r, z in out.items():
+        if type(z) is not int and z.denominator == 1:
+            out[r] = z.numerator
     return out
 
 
@@ -50,24 +81,52 @@ def transpose(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     return [row for row in out if row]
 
 
-def _normalized(row: SparseRow, col: int) -> SparseRow:
-    """row scaled so that its entry in col is 1."""
-    inv = ONE / row[col]
-    return {j: x * inv for j, x in row.items()}
+def _divide_content(row: dict[int, int]) -> dict[int, int]:
+    """row divided by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return row
 
 
-def _add_multiple(row: SparseRow, factor: Fraction, other: SparseRow) -> None:
-    """row += factor * other, in place; entries that cancel are dropped."""
-    for j, x in other.items():
+def _primitive(row: SparseRow) -> dict[int, int]:
+    """The primitive integer row on the line of row, as a new row."""
+    den = lcm(*(x.denominator for x in row.values() if type(x) is not int))
+    if den == 1:
+        return _divide_content({j: int(x) for j, x in row.items()})
+    return _divide_content({j: x.numerator * (den // x.denominator)
+                            for j, x in row.items()})
+
+
+def _eliminate(row: dict[int, int], col: int, pivot: dict[int, int]) -> None:
+    """row <- (a/g) row - (b/g) pivot, a = pivot[col], b = row[col] and
+    g = gcd(a, b), in place and divided by its content; col drops out."""
+    a, b = pivot[col], row[col]
+    g = gcd(a, b)
+    s, t = a // g, b // g
+    if s != 1:
+        for j in row:
+            row[j] *= s
+    for j, x in pivot.items():
         y = row.get(j)
         if y is None:
-            row[j] = factor * x
+            row[j] = -t * x
         else:
-            y += factor * x
+            y -= t * x
             if y:
                 row[j] = y
             else:
                 del row[j]
+    _divide_content(row)
+
+
+def _divided(row: dict[int, int], col: int) -> SparseRow:
+    """row / row[col], each entry an int where the division is exact."""
+    a = row[col]
+    if a == 1:
+        return row
+    return {j: x // a if x % a == 0 else Fraction(x, a) for j, x in row.items()}
 
 
 def rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
@@ -80,7 +139,7 @@ def rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     leading column says whether it qualifies, and only rows that held the
     pivot column need their lead read again.
     """
-    rows = [dict(row) for row in rows]
+    rows = [_primitive(row) for row in rows]
     end = 1 + max((max(row) for row in rows if row), default=-1)
     lead = [min(row, default=end) for row in rows]  # end marks a zero row
     pivots: list[int] = []
@@ -91,13 +150,15 @@ def rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
         found = lead.index(col, top)
         rows[top], rows[found] = rows[found], rows[top]
         lead[top], lead[found] = lead[found], lead[top]
-        pivot = rows[top] = _normalized(rows[top], col)
+        pivot = rows[top]
         for r, row in enumerate(rows):
             if r != top and col in row:
-                _add_multiple(row, -row[col], pivot)
+                _eliminate(row, col, pivot)
                 if r > top:
                     lead[r] = min(row, default=end)
         pivots.append(col)
+    for top, col in enumerate(pivots):
+        rows[top] = _divided(rows[top], col)
     return rows, pivots
 
 
@@ -114,7 +175,7 @@ def nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     """
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
-    basis = {free: {free: ONE} for free in range(ncols) if free not in pivot_set}
+    basis = {free: {free: 1} for free in range(ncols) if free not in pivot_set}
     for row, col in zip(reduced, pivots):
         for free, x in row.items():
             if free != col:
@@ -122,7 +183,7 @@ def nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     return list(basis.values())
 
 
-def solve_with_certificate(rows: list[SparseRow], rhs: list[Fraction],
+def solve_with_certificate(rows: list[SparseRow], rhs: list[int | Fraction],
                            ncols: int) -> tuple[SparseRow | None, dict]:
     """Solve rows @ x = rhs in ncols unknowns, with its rank certificate.
 
@@ -148,20 +209,23 @@ class RowSpan:
 
     add() returns True when the row enlarged the span, which makes it handy
     both for rank bookkeeping and for picking representatives independent of a
-    previously seeded subspace.
+    previously seeded subspace.  The basis is kept as primitive integer rows,
+    each with no entry at another basis row's pivot; `rows` reads them out
+    divided by their pivot entries.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[SparseRow] = []
+        self._basis: list[dict[int, int]] = []
         self.pivots: list[int] = []
 
-    def reduce(self, row: SparseRow) -> SparseRow:
-        """row minus its component in the span, as a new sparse row."""
-        v = dict(row)
-        for basis_row, piv in zip(self.rows, self.pivots):
+    def reduce(self, row: SparseRow) -> dict[int, int]:
+        """A nonzero multiple of row minus its component in the span, as a
+        new primitive integer row; {} when row lies in the span."""
+        v = _primitive(row)
+        for basis_row, piv in zip(self._basis, self.pivots):
             if piv in v:
-                _add_multiple(v, -v[piv], basis_row)
+                _eliminate(v, piv, basis_row)
         return v
 
     def add(self, row: SparseRow) -> bool:
@@ -169,17 +233,21 @@ class RowSpan:
         if not v:
             return False
         piv = min(v)
-        v = _normalized(v, piv)
-        for basis_row in self.rows:
+        for basis_row in self._basis:
             if piv in basis_row:
-                _add_multiple(basis_row, -basis_row[piv], v)
-        self.rows.append(v)
+                _eliminate(basis_row, piv, v)
+        self._basis.append(v)
         self.pivots.append(piv)
         return True
 
     @property
+    def rows(self) -> list[SparseRow]:
+        """The basis rows in the order added, each 1 at its pivot."""
+        return [_divided(dict(row), piv) for row, piv in zip(self._basis, self.pivots)]
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._basis)
 
 
 def quotient_representatives(kernel: list[SparseRow], image: list[SparseRow],

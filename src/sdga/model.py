@@ -36,6 +36,7 @@ from .core import (
     Element,
     Generator,
     GeneratorTable,
+    StructureError,
     monomial_basis,
     parity_name,
 )
@@ -54,12 +55,16 @@ def _prev_key(key: Key) -> Key:
 
 def _units(n: int, offset: int = 0) -> linalg.Block:
     """The n basis vectors, placed from row offset on."""
-    return [{offset + i: linalg.ONE} for i in range(n)]
+    return [{offset + i: 1} for i in range(n)]
 
 
-def _canonical(block: linalg.Block) -> linalg.Block:
-    """A copy of the block with Fraction entries and no stored zero."""
-    return [{r: Fraction(x) for r, x in col.items() if x} for col in block]
+def _canonical(block: linalg.Block, nrows: int, ncols: int, what: str,
+               key: Key) -> linalg.Block:
+    """A copy of the block in `linalg`'s entry form, with no stored zero,
+    once its shape is checked: ncols columns with rows below nrows."""
+    if len(block) != ncols or any(not 0 <= r < nrows for col in block for r in col):
+        raise StructureError(f"{what} block at {key} has the wrong shape")
+    return [{r: linalg.entry(x) for r, x in col.items() if x} for col in block]
 
 
 def _rows(block: linalg.Block, nrows: int) -> list[linalg.SparseRow]:
@@ -75,11 +80,6 @@ def _kernel(block: linalg.Block, nrows: int) -> list[linalg.SparseRow]:
     return linalg.nullspace(linalg.transpose(block, nrows), len(block))
 
 
-def _check_shape(block: linalg.Block, nrows: int, ncols: int, what: str, key: Key):
-    if len(block) != ncols or any(not 0 <= r < nrows for col in block for r in col):
-        raise AlgebraError(f"{what} block at {key} has the wrong shape")
-
-
 class Complex:
     """A bigraded complex with finitely many nonzero components."""
 
@@ -88,15 +88,14 @@ class Complex:
         self.dims = {key: n for key, n in dims.items() if n > 0}
         self.diff = {}
         for key, block in diff.items():
-            block = _canonical(block)
+            block = _canonical(block, self.dim(_next_key(key)), self.dim(key),
+                               "differential", key)
             if any(block):
                 self.diff[key] = block
         if check:
             self.validate()
 
     def validate(self):
-        for key, block in self.diff.items():
-            _check_shape(block, self.dim(_next_key(key)), self.dim(key), "differential", key)
         for key, block in self.diff.items():
             nxt = _next_key(key)
             if nxt in self.diff and any(linalg.mat_mul(self.diff[nxt], block)):
@@ -169,16 +168,15 @@ class ChainMap:
                  blocks: dict[Key, linalg.Block], check: bool = True):
         self.source = source
         self.target = target
-        self.blocks = {
-            key: _canonical(block) for key, block in blocks.items()
-            if source.dim(key) and target.dim(key)
-        }
+        self.blocks = {}
+        for key, block in blocks.items():
+            block = _canonical(block, target.dim(key), source.dim(key), "chain map", key)
+            if source.dim(key) and target.dim(key):
+                self.blocks[key] = block
         if check:
             self.validate()
 
     def validate(self):
-        for key, block in self.blocks.items():
-            _check_shape(block, self.target.dim(key), self.source.dim(key), "chain map", key)
         for key in self.source.dims:
             nxt = _next_key(key)
             lhs = linalg.mat_mul(self.target.d_block(key), self.block(key))
@@ -207,7 +205,7 @@ def identity_chain_map(c: Complex) -> ChainMap:
 
 def compose_chain_maps(outer: ChainMap, inner: ChainMap) -> ChainMap:
     if inner.target is not outer.source and inner.target != outer.source:
-        raise AlgebraError("chain maps are not composable")
+        raise StructureError("chain maps are not composable")
     blocks = {key: linalg.mat_mul(outer.block(key), inner.block(key))
               for key in inner.source.dims}
     return ChainMap(inner.source, outer.target, blocks, check=False)
@@ -386,7 +384,7 @@ def solve_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap):
     A, B = i.source, i.target
     X, Y = p.source, p.target
     if top.source != A or top.target != X or bottom.source != B or bottom.target != Y:
-        raise AlgebraError("lifting square has mismatched corners")
+        raise StructureError("lifting square has mismatched corners")
     for key in set(A.dims):
         lhs = linalg.mat_mul(p.block(key), top.block(key))
         rhs = linalg.mat_mul(bottom.block(key), i.block(key))
@@ -399,7 +397,7 @@ def solve_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap):
         return offsets[key] + r * B.dim(key) + c
 
     rows: list[linalg.SparseRow] = []
-    rhs: list[Fraction] = []
+    rhs: list[int | Fraction] = []
     # h i = top
     for key in A.dims:
         if key not in offsets:
@@ -409,17 +407,17 @@ def solve_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap):
         for r, t_row in enumerate(_rows(top.block(key), X.dim(key))):
             for c, i_col in enumerate(i.block(key)):
                 rows.append({var(key, r, k): x for k, x in i_col.items()})
-                rhs.append(t_row.get(c, linalg.ZERO))
+                rhs.append(t_row.get(c, 0))
     # p h = bottom
     for key in B.dims:
         for r, p_row in enumerate(_rows(p.block(key), Y.dim(key))):
             for c, b_col in enumerate(bottom.block(key)):
                 rows.append({var(key, k, c): x for k, x in p_row.items()})
-                rhs.append(b_col.get(r, linalg.ZERO))
+                rhs.append(b_col.get(r, 0))
     # d_X h = h d_B
     chain = _chain_equations(B, X, offsets)
     rows += chain
-    rhs += [linalg.ZERO] * len(chain)
+    rhs += [0] * len(chain)
 
     sol, cert = linalg.solve_with_certificate(rows, rhs, total)
     if sol is None:
@@ -459,7 +457,7 @@ class _MiddleBuilder:
         """Add x at key and y = dx at the next key with q(x) = b, q(y) = d_B b."""
         top_image = linalg.apply(self.B.d_block(key), b_image)
         top_idx = self.add_generator(_next_key(key), {}, top_image)
-        self.add_generator(key, {top_idx: linalg.ONE}, b_image)
+        self.add_generator(key, {top_idx: 1}, b_image)
 
     def kernel(self, key: Key) -> list[linalg.SparseRow]:
         """The cocycles of the current middle complex at key."""
@@ -502,8 +500,8 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         for col in builder.qcols.get(key, []):
             span.add(col)
         for r in range(nb):
-            if span.add({r: linalg.ONE}):
-                builder.attach_disk(key, {r: linalg.ONE})
+            if span.add({r: 1}):
+                builder.attach_disk(key, {r: 1})
 
     if mode == "acyclic_cofibration_fibration":
         return builder.materialize()
@@ -645,10 +643,10 @@ def random_invertible(rng: random.Random, n: int) -> linalg.Block:
         a, b = rng.randrange(n), rng.randrange(n)
         if a == b:
             continue
-        lam = Fraction(rng.randint(-2, 2))
+        lam = rng.randint(-2, 2)
         if lam == 0:
             continue
-        rows[a] = linalg.apply([rows[a], rows[b]], {0: linalg.ONE, 1: lam})
+        rows[a] = linalg.apply([rows[a], rows[b]], {0: 1, 1: lam})
     order = list(range(n))
     rng.shuffle(order)
     # an invertible matrix has no zero column for transpose to leave out
@@ -658,7 +656,7 @@ def random_invertible(rng: random.Random, n: int) -> linalg.Block:
 def invert_matrix(block: linalg.Block) -> linalg.Block:
     # row i of [M^T | I] reduces to row i of [I | (M^-1)^T], column i of M^-1
     n = len(block)
-    aug = [col | {n + i: linalg.ONE} for i, col in enumerate(block)]
+    aug = [col | {n + i: 1} for i, col in enumerate(block)]
     reduced, pivots = linalg.rref(aug)
     if pivots[:n] != list(range(n)):
         raise AlgebraError("matrix is not invertible")
@@ -691,6 +689,6 @@ def random_chain_map(rng: random.Random, source: Complex, target: Complex) -> Ch
     """A random rational point of the space of chain maps source -> target."""
     offsets, total = _unknowns(source, target)
     kernel = linalg.nullspace(_chain_equations(source, target, offsets), total)
-    scalars = [Fraction(rng.randint(-3, 3)) for _ in kernel]
+    scalars = [rng.randint(-3, 3) for _ in kernel]
     flat = linalg.apply(kernel, {i: lam for i, lam in enumerate(scalars) if lam})
     return ChainMap(source, target, _unflatten(flat, offsets, source, target))

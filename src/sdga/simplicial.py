@@ -788,7 +788,7 @@ class SubShapeCotensor:
         nfac = len(self.facets)
         ncols = nfac * len(fb)
         if self.n < 2 or not fb:
-            vectors = [{j: linalg.ONE} for j in range(ncols)]
+            vectors = [{j: 1} for j in range(ncols)]
         else:
             ob = monomial_basis(self.overlap_forms.table, weight, parity, cap)
             oidx = {m: i for i, m in enumerate(ob)}

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -162,6 +163,10 @@ MALFORMED = {
                              {"source": _COMPLEX, "target": {"dims": {"3,odd": 1}},
                               "blocks": {"0,even": [[1, 2, 3], [4]], "3,odd": [[5]]}},
                              "chain map block at (0, 0) has the wrong shape"),
+    # maps whose sources and targets do not form a square
+    "lift-mismatched-corners": (("complex", "lift"),
+                                dict.fromkeys(("i", "p", "top", "bottom"), SPHERE_TO_DISK_DOC),
+                                "lifting square has mismatched corners"),
     "even-mode-string": (("check",), {"generators": [], "even_mode": "no"},
                          "'even_mode' must be true or false, got 'no'"),
     "even-mode-null": (("check",), {"generators": [], "even_mode": None},
@@ -426,6 +431,19 @@ def test_complex_lift_unsolvable(tmp_path, capsys):
     assert report["solvable"] is False
     assert report["certificate"]["consistent"] is False
     assert report["certificate"]["rank"] < report["certificate"]["rank_augmented"]
+
+
+def test_matrix_json_prints_int_and_fraction_entries_alike():
+    """Blocks hold an int where an entry is integral; written out they read
+    as the Fraction entries did."""
+    as_fraction = [{0: Fraction(2), 1: Fraction(-1, 2)}, {}, {1: Fraction(-3)}]
+    as_int = [{0: 2, 1: Fraction(-1, 2)}, {}, {1: -3}]
+    expected = [["2", "0", "0"], ["-1/2", "0", "-3"]]
+    assert cli._matrix_json(as_fraction, 2) == cli._matrix_json(as_int, 2) == expected
+    doc = {"dims": {"0,even": 3, "1,odd": 2}, "differential": {"0,even": expected}}
+    c = cli.build_complex(doc)
+    assert [type(x) for col in c.diff[(0, 0)] for x in col.values()] == [int, Fraction, int]
+    assert cli._complex_json(c) == doc
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -47,8 +47,14 @@ def dense_mat_vec(mat, vec):
     return [sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in mat]
 
 
-def assert_no_stored_zero(rows, name=""):
-    assert all(x for row in rows for x in row.values()), name
+def assert_entry_form(rows, name=""):
+    """linalg's entry contract: an int when integral, otherwise a Fraction;
+    never a float, a bool or a stored zero."""
+    for row in rows:
+        for x in row.values():
+            assert type(x) in (int, Fraction), (name, x)
+            assert x, (name, x)
+            assert type(x) is int or x.denominator != 1, (name, x)
 
 
 def test_rref_identity():
@@ -70,7 +76,7 @@ def test_nullspace_annihilates(seed):
     mat = random_matrix(rng, rows, cols)
     basis = linalg.nullspace(sparse_rows(mat), cols)
     assert len(basis) == cols - linalg.rank(sparse_rows(mat))
-    assert_no_stored_zero(basis)
+    assert_entry_form(basis)
     for vec in basis:
         assert all(x == 0 for x in dense_mat_vec(mat, dense_row(vec, cols)))
 
@@ -175,7 +181,7 @@ def dense_rref_oracle(mat):
         if pivot_row is None:
             continue
         m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = linalg.ONE / m[row][col]
+        inv = Fraction(1, m[row][col])
         m[row] = [x * inv for x in m[row]]
         for r in range(nrows):
             if r != row and m[r][col] != 0:
@@ -227,6 +233,17 @@ def oracle_panel(seed):
     yield "zero row and column", holes, ncols + 1
     yield "0 x n", [], ncols
     yield "n x 0", [[] for _ in range(nrows)], 0
+    # plain int input, and entries that make the fraction-free update scale
+    # rows by the lcm of their denominators and divide out large contents
+    yield "int entries", [[rng.randint(-3, 3) for _ in range(ncols)]
+                          for _ in range(nrows)], ncols
+    rationals = [0, 0, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 6), Fraction(-9, 4)]
+    yield "non-integral", [[rng.choice(rationals) for _ in range(ncols)]
+                           for _ in range(nrows + 1)], ncols
+    big = [[rng.choice([0, rng.randint(-10**12, 10**12),
+                        Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))])
+             for _ in range(ncols)] for _ in range(nrows)]
+    yield "large entries", big + [[x * 6 for x in rng.choice(big)]], ncols
 
 
 def oracle_nullspace(mat, ncols):
@@ -268,7 +285,7 @@ def test_sparse_kernel_matches_dense_oracle(seed):
         reduced, pivots = linalg.rref(rows)
         assert rows == sparse_rows(mat), name
         assert (dense_rows(reduced, ncols), pivots) == dense_rref_oracle(mat), name
-        assert_no_stored_zero(reduced, name)
+        assert_entry_form(reduced, name)
         compact = compact_shuffled(rng, rows)
         reduced_c, pivots_c = linalg.rref(compact)
         assert pivots_c == pivots, name
@@ -277,11 +294,11 @@ def test_sparse_kernel_matches_dense_oracle(seed):
         kernel = linalg.nullspace(rows, ncols)
         assert dense_rows(kernel, ncols) == oracle_nullspace(mat, ncols), name
         assert linalg.nullspace(compact, ncols) == kernel, name
-        assert_no_stored_zero(kernel, name)
+        assert_entry_form(kernel, name)
         x = [_entry(rng, 0.7) for _ in range(ncols)]
         rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in mat]
         sol, cert = linalg.solve_with_certificate(rows, rhs, ncols)
-        assert_no_stored_zero([sol], name)
+        assert_entry_form([sol], name)
         if mat:
             assert dense_row(sol, ncols) == oracle_solve(mat, rhs, ncols), name
             assert dense_mat_vec(mat, dense_row(sol, ncols)) == rhs, name
@@ -292,6 +309,7 @@ def test_sparse_kernel_matches_dense_oracle(seed):
         if mat:
             expected = oracle_solve(mat, noise, ncols)
             assert (sol if sol is None else dense_row(sol, ncols)) == expected, name
+            assert_entry_form([sol or {}], name)
         aug_rank = oracle_rank([row + [b] for row, b in zip(mat, noise)])
         if aug_rank > oracle_rank(mat):
             inconsistent += 1
@@ -331,7 +349,7 @@ def test_mat_mul_matches_naive_product(seed):
         assert block_product(mat, right, k) == product_oracle(mat, right, k), name
         left = _fill(rng, rng.randint(1, 5), len(mat), rng.choice([0.2, 0.7]))
         assert block_product(left, mat, ncols) == product_oracle(left, mat, ncols), name
-        assert_no_stored_zero(linalg.mat_mul(block_of(left, len(mat)), block_of(mat, ncols)))
+        assert_entry_form(linalg.mat_mul(block_of(left, len(mat)), block_of(mat, ncols)), name)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -342,9 +360,12 @@ def test_row_span_matches_dense_oracle(seed):
         span = linalg.RowSpan(ncols)
         for i, row in enumerate(rows):
             grew = oracle_rank(mat[: i + 1]) > oracle_rank(mat[:i])
+            remainder = span.reduce(row)
+            assert bool(remainder) == grew, name
+            assert_entry_form([remainder], name)
             assert span.add(row) == grew, name
         assert rows == sparse_rows(mat), name
-        assert_no_stored_zero(span.rows, name)
+        assert_entry_form(span.rows, name)
         reduced, pivots = dense_rref_oracle(mat)
         assert span.dim == len(pivots), name
         basis = sorted(zip(span.pivots, span.rows))
@@ -359,7 +380,21 @@ def test_row_span_matches_dense_oracle(seed):
                 chosen.append(vec)
         reps = linalg.quotient_representatives(rows[cut:], rows[:cut], ncols)
         assert reps == sparse_rows(chosen), name
-        assert_no_stored_zero(reps, name)
+        assert all(x for row in reps for x in row.values()), name
         # the image only matters through its span
         image_c = compact_shuffled(rng, rows[:cut])
         assert linalg.quotient_representatives(rows[cut:], image_c, ncols) == reps, name
+
+
+def test_entry_form_of_exact_scalars():
+    """entry() gives an int where a scalar is integral.  str, == and hash
+    agree between n and Fraction(n), so an int where a Fraction used to be
+    moves no report, block comparison or dict lookup."""
+    assert [linalg.entry(x) for x in (3, Fraction(6, 2), True, "4/2", 0.5, "-3/7")] == [
+        3, 3, 1, 2, Fraction(1, 2), Fraction(-3, 7)]
+    assert [type(linalg.entry(x)) for x in (Fraction(6, 2), True, 0.5, "-3/7")] == [
+        int, int, Fraction, Fraction]
+    for n in (0, 1, -1, 7, -12, 10**30, -(10**30)):
+        assert str(n) == str(Fraction(n))
+        assert n == Fraction(n)
+        assert hash(n) == hash(Fraction(n))

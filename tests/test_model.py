@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from sdga.core import AlgebraError
+from sdga.core import AlgebraError, StructureError
 from sdga import linalg
 from sdga.model import (
     ChainMap,
@@ -54,20 +54,59 @@ def projection_onto(summand: Complex, total: Complex, include: ChainMap) -> Chai
     return ChainMap(total, summand, blocks)
 
 
+def assert_entry_form(*maps):
+    """Every block of the chain maps and of their sources and targets in
+    linalg's entry form: an int when integral, otherwise a Fraction, never a
+    float, a bool or a stored zero."""
+    for f in maps:
+        for block in [*f.blocks.values(), *f.source.diff.values(), *f.target.diff.values()]:
+            for col in block:
+                for x in col.values():
+                    assert type(x) in (int, Fraction) and x, x
+                    assert type(x) is int or x.denominator != 1, x
+
+
 # -- complexes ---------------------------------------------------------------------
 
 
 def test_complex_validation():
     # blocks are columns: a row index past the target or an extra column
-    with pytest.raises(AlgebraError, match="wrong shape"):
-        Complex({(0, 0): 1, (1, 1): 1}, {(0, 0): [{0: Fraction(1), 1: Fraction(2)}]})
-    with pytest.raises(AlgebraError, match="wrong shape"):
-        Complex({(0, 0): 1, (1, 1): 1}, {(0, 0): [{0: Fraction(1)}, {0: Fraction(2)}]})
+    dims = {(0, 0): 1, (1, 1): 1}
+    with pytest.raises(StructureError, match="wrong shape"):
+        Complex(dims, {(0, 0): [{0: Fraction(1), 1: Fraction(2)}]})
+    with pytest.raises(StructureError, match="wrong shape"):
+        Complex(dims, {(0, 0): [{0: Fraction(1)}, {0: Fraction(2)}]})
+    # zero blocks and blocks off the support are dropped, but only once
+    # their shape is checked
+    with pytest.raises(StructureError, match=r"differential block at \(7, 0\) has the wrong shape"):
+        Complex(dims, {(7, 0): [{}, {}]})
+    with pytest.raises(StructureError, match="wrong shape"):
+        Complex(dims, {(0, 0): [{}, {}]})
+    with pytest.raises(StructureError, match="wrong shape"):
+        Complex(dims, {(0, 0): [{3: 0}]})
+    with pytest.raises(StructureError, match="wrong shape"):
+        Complex(dims, {(1, 1): [{0: 1}]})
+    assert Complex(dims, {(0, 0): [{}], (1, 1): [{}]}) == Complex(dims, {})
     with pytest.raises(AlgebraError, match="d\\^2"):
         Complex(
             {(0, 0): 1, (1, 1): 1, (2, 0): 1},
             {(0, 0): [{0: Fraction(1)}], (1, 1): [{0: Fraction(1)}]},
         )
+
+
+def test_integral_entries_are_stored_as_int():
+    """Blocks given with Fraction entries are stored with an int wherever the
+    entry is integral, and are equal to the same blocks given with ints."""
+    dims = {(0, 0): 2, (1, 1): 2}
+    as_fraction = [{0: Fraction(2), 1: Fraction(-1, 2)}, {1: Fraction(6, 2)}]
+    as_int = [{0: 2, 1: Fraction(-1, 2)}, {1: 3}]
+    a, b = Complex(dims, {(0, 0): as_fraction}), Complex(dims, {(0, 0): as_int})
+    assert a == b
+    assert [type(x) for col in a.diff[(0, 0)] for x in col.values()] == [int, Fraction, int]
+    f = ChainMap(a, b, {(0, 0): [{0: Fraction(1)}, {1: Fraction(1)}],
+                        (1, 1): [{0: Fraction(1)}, {1: True}]})
+    assert f == identity_chain_map(b)
+    assert_entry_form(f)
 
 
 def test_cells_and_catalog():
@@ -102,8 +141,16 @@ def test_chain_map_validation():
     s = sphere_complex(0, 0)
     with pytest.raises(AlgebraError, match="does not commute"):
         ChainMap(s, d, {(0, 0): [{0: Fraction(1)}]})
-    with pytest.raises(AlgebraError, match="wrong shape"):
+    with pytest.raises(StructureError, match="wrong shape"):
         ChainMap(s, d, {(0, 0): [{0: Fraction(1)}, {}]})
+    # off the support: no source, no target, neither
+    with pytest.raises(StructureError, match=r"chain map block at \(1, 1\)"):
+        ChainMap(s, d, {(1, 1): [{0: 1}]})
+    with pytest.raises(StructureError, match="wrong shape"):
+        ChainMap(s, zero_complex(), {(0, 0): [{0: 1}]})
+    with pytest.raises(StructureError, match=r"chain map block at \(7, 0\) has the wrong shape"):
+        ChainMap(s, d, {(7, 0): [{}]})
+    assert ChainMap(s, zero_complex(), {(0, 0): [{}]}) == zero_chain_map(s, zero_complex())
     # mapping the sphere to the top cell is a chain map
     ChainMap(sphere_complex(1, 1), d, {(1, 1): [{0: Fraction(1)}]})
     zero_chain_map(s, d).validate()
@@ -176,10 +223,16 @@ def test_factorize_crowded_panel(seed):
     a = crowded_complex(rng, keys)
     b = crowded_complex(rng, keys)
     f = random_chain_map(rng, a, b)
-    for mode in MODES:
-        j, q = factorize(f, mode)
-        report = verify_factorization(f, j, q, mode)
-        assert report["ok"], (mode, report)
+    # the same map scaled by a non-integral or a large factor
+    lam = rng.choice([Fraction(1, 2), Fraction(-3, 7), 10**12 + 39])
+    scaled = ChainMap(a, b, {key: [{r: x * lam for r, x in col.items()} for col in block]
+                             for key, block in f.blocks.items()})
+    for g in (f, scaled):
+        for mode in MODES:
+            j, q = factorize(g, mode)
+            report = verify_factorization(g, j, q, mode)
+            assert report["ok"], (mode, report)
+            assert_entry_form(g, j, q, compose_chain_maps(q, j))
 
 
 def test_two_out_of_three():
