@@ -19,7 +19,7 @@ Simplicial de Rham cohomology and characteristic classes of flat bundles,
 Topology 1976), all verified here with exact rational coefficients.
 
 Both ingredients have closed forms on a monomial t^a dt_J with |J| = k, and
-these are what the operators evaluate:
+these are what the operators evaluate; s itself is one walk over them:
 
 * Face integral.  Sort I, carrying the sign of the sorting permutation.  A t
   or dt off the face gives 0.  Otherwise
@@ -38,6 +38,11 @@ these are what the operators evaluate:
                         (p+m)! (a_i-m)! / (p+a_i+1)!,
 
   which for i = 0 is the Poincare-lemma factor 1/(|a| + k).
+* Dupont homotopy: one prefix walk; h^i over (p+a_i+1)!.  The closed form of
+  h^i is an integer polynomial over D = (p+a_i+1)!, so the dilations sum
+  integer multiples over a common denominator.  s visits each increasing
+  vertex prefix I once, applying h^{i_k} to the whole value of its parent
+  prefix, and adds w_I times the result.
 
 Tensoring with a coefficient algebra B and imposing the face compatibility
 constraints computes B^K for K a simplex, a boundary or a horn; surjectivity
@@ -64,6 +69,7 @@ from .core import (
     GeneratorTable,
     TableExtension,
     _add_into,
+    _mul_terms,
     monomial_basis,
     parity_name,
 )
@@ -94,9 +100,10 @@ class SimplexForms(FormsAlgebra):
     """Polynomial forms on the n-simplex in eliminated coordinates.
 
     Per-monomial results of the simplicial operators are kept in the
-    `_*_cache` dicts.  A face integral or a dilation homotopy missing from its
-    cache is evaluated by the closed forms of the module docstring, with no
-    algebra map, substitution or polynomial integration.
+    `_*_cache` dicts; the Dupont homotopy keeps none of its own.  A face
+    integral or a dilation homotopy missing from its cache is evaluated by the
+    closed forms of the module docstring, with no algebra map, substitution or
+    polynomial integration.
     """
 
     def __init__(self, n: int):
@@ -109,7 +116,9 @@ class SimplexForms(FormsAlgebra):
         self._whitney_cache: dict[tuple[int, ...], Element] = {}
         self._integral_cache: dict[tuple, Fraction] = {}
         self._dilation_cache: dict[int, tuple[Cylinder, AlgebraMap]] = {}
-        self._h_cache: dict[tuple[int, tuple[int, ...]], Element] = {}
+        self._h_cache: dict[tuple[int, tuple[int, ...]], tuple[dict, int]] = {}
+        # never filled: the walk in dupont_homotopy keeps no per-monomial
+        # results, and perfbench/tracer.py reads the attribute
         self._s_cache: dict[tuple[int, ...], Element] = {}
         self._p_cache: dict[tuple[int, ...], Element] = {}
 
@@ -533,29 +542,51 @@ def dilation_homotopy(forms: SimplexForms, i: int, element: Element) -> Element:
     with p = |a| - a_i + k - 1: the u-integral of the pullback along
     `dilation`, a Beta integral once (u t_i + 1 - u)^{a_i} is expanded.  For
     i = 0 (a_i = 0, no delta) the factor is 1/(|a| + k).
+
+    The closed form is an integer polynomial over D = (p+a_i+1)!, cached per
+    (i, monomial) as that pair.  A term c t^a dt_J contributes the polynomial
+    times the numerator of c over D times the denominator of c; the
+    contributions are summed as integer multiples over the lcm of those
+    denominators, and each output coefficient becomes one Fraction.
     """
-    terms: dict[tuple[int, ...], Fraction] = {}
+    cache = forms._h_cache
+    parts = []
     for mono, c in element.terms.items():
         key = (i, mono)
-        cached = forms._h_cache.get(key)
+        cached = cache.get(key)
         if cached is None:
-            cached = Element(forms.table, _dilation_of_monomial(forms.n, i, mono))
-            forms._h_cache[key] = cached
-        _add_into(terms, cached.terms, c)
-    return Element(forms.table, terms)
+            cached = cache[key] = _dilation_of_monomial(forms.n, i, mono)
+        image, den = cached
+        if image:
+            parts.append((c.numerator, image, c.denominator * den))
+    return _sum_over_lcm(forms.table, parts)
 
 
-def _dilation_of_monomial(n: int, i: int, mono: tuple[int, ...]) -> dict:
-    """The terms of h^i(t^a dt_J), by the closed form in dilation_homotopy."""
+def _sum_over_lcm(table: GeneratorTable, parts) -> Element:
+    """sum of num * terms / den over the parts (num, terms, den), terms with
+    integer coefficients: integer multiples over the lcm of the dens, and one
+    Fraction per output term."""
+    common = math.lcm(*(den for _, _, den in parts))
+    acc: dict[tuple[int, ...], int] = {}
+    for num, terms, den in parts:
+        scale = num * (common // den)
+        for mono, v in terms.items():
+            acc[mono] = acc.get(mono, 0) + scale * v
+    return Element(table, {m: Fraction(v, common) for m, v in acc.items() if v})
+
+
+def _dilation_of_monomial(n: int, i: int, mono: tuple[int, ...]) -> tuple[dict, int]:
+    """h^i(t^a dt_J) as (integer terms, D): the closed form of dilation_homotopy
+    is the terms over D = (p+a_i+1)!."""
     J = [j for j in range(1, n + 1) if mono[n + j - 1]]
     if not J:
-        return {}
+        return {}, 1
     ai = mono[i - 1] if i else 0
     p = sum(mono[:n]) - ai + len(J) - 1
-    # sum_m weights[m] t_i^m: the u-integral, by the power of t_i it leaves
-    weights = [Fraction(math.comb(ai, m) * math.factorial(p + m) * math.factorial(ai - m),
-                        math.factorial(p + ai + 1)) for m in range(ai + 1)]
-    terms: dict[tuple[int, ...], Fraction] = {}
+    # sum_m weights[m] t_i^m: the u-integral times D, by the power of t_i it leaves
+    weights = [math.comb(ai, m) * math.factorial(p + m) * math.factorial(ai - m)
+               for m in range(ai + 1)]
+    terms: dict[tuple[int, ...], int] = {}
     for r, j in enumerate(J):
         sign = -1 if r % 2 else 1
         out = list(mono)
@@ -572,7 +603,7 @@ def _dilation_of_monomial(n: int, i: int, mono: tuple[int, ...]) -> dict:
             if i:
                 out[i - 1] = m
             terms[tuple(out)] = sign * w
-    return terms
+    return terms, math.factorial(p + ai + 1)
 
 
 def vertex_projection(forms: SimplexForms, i: int, element: Element) -> Element:
@@ -581,30 +612,35 @@ def vertex_projection(forms: SimplexForms, i: int, element: Element) -> Element:
 
 
 def dupont_homotopy(forms: SimplexForms, element: Element) -> Element:
-    """The simplicial contraction s with d s + s d = id - P."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for mono, c in element.terms.items():
-        cached = forms._s_cache.get(mono)
-        if cached is None:
-            cached = _dupont_of_monomial(forms, mono)
-            forms._s_cache[mono] = cached
-        _add_into(terms, cached.terms, c)
-    return Element(forms.table, terms)
+    """The simplicial contraction s with d s + s d = id - P.
 
-
-def _dupont_of_monomial(forms: SimplexForms, mono: tuple[int, ...]) -> Element:
-    out = Element.zero(forms.table)
-    for k in range(0, forms.n):
-        sign = _DUPONT_SIGN(k)
-        for I in whitney_tuples(forms.n, k):
-            value = Element.monomial(forms.table, mono)
-            for vertex in I:
-                value = dilation_homotopy(forms, vertex, value)
-                if value.is_zero():
-                    break
-            if not value.is_zero():
-                out = out + whitney(forms, I) * value * sign
-    return out
+    s is linear, so s(x) = sum_I (-1)^(|I|-1) w_I * h^I(x) with
+    h^I = h^{i_k} o ... o h^{i_0} (see _DUPONT_SIGN).  One depth-first walk
+    over the increasing vertex prefixes I applies h^{i_k} once per prefix, to
+    the whole value its parent prefix left, and stops a branch whose value
+    is zero.  Each h^i lowers form weight by one, so the walk goes no deeper
+    than the element's top form weight, nor than n.
+    """
+    n, table = forms.n, forms.table
+    depth = min(n, max(map(forms.form_weight_of, element.terms), default=0))
+    parts = []
+    stack: list[tuple[tuple[int, ...], Element]] = [((), element)] if depth else []
+    while stack:
+        prefix, value = stack.pop()
+        sign = _DUPONT_SIGN(len(prefix))
+        for vertex in range(prefix[-1] + 1 if prefix else 0, n + 1):
+            image = dilation_homotopy(forms, vertex, value)
+            if not image.terms:
+                continue
+            I = prefix + (vertex,)
+            # w_I times h^I(x), both as integer numerators
+            den = math.lcm(*(c.denominator for c in image.terms.values()))
+            nums = {m: c.numerator * (den // c.denominator) for m, c in image.terms.items()}
+            w = {m: c.numerator for m, c in whitney(forms, I).terms.items()}
+            parts.append((sign, _mul_terms(table, w, nums), den))
+            if len(I) < depth:
+                stack.append((I, image))
+    return _sum_over_lcm(table, parts)
 
 
 def dupont_defect(forms: SimplexForms, element: Element) -> Element:

@@ -658,26 +658,42 @@ SULLIVAN_DOC = {
 }
 
 
+def _traced_spans(argv, stdin=b""):
+    """Run the CLI plainly and under perfbench/tracer.py; check that both exit
+    0 with the same stdout, and return that stdout and the traced spans."""
+    src = os.path.dirname(os.path.dirname(sdga.__file__))
+    tracer = os.path.join(os.path.dirname(src), "perfbench", "tracer.py")
+    env = {**os.environ, "PYTHONPATH": src}
+    plain = subprocess.run([sys.executable, "-m", "sdga.cli", *argv], input=stdin,
+                           capture_output=True, env=env)
+    traced = subprocess.run([sys.executable, tracer, *argv], input=stdin,
+                            capture_output=True, env=env)
+    assert plain.returncode == traced.returncode == 0
+    assert traced.stdout == plain.stdout
+    marker = "PERFBENCH_TRACE "
+    line = next(ln for ln in traced.stderr.decode().splitlines() if ln.startswith(marker))
+    return json.loads(plain.stdout), json.loads(line[len(marker):])["spans"]
+
+
 def test_tracer_reports_the_untraced_output_and_the_cohomology_layers():
     """perfbench/tracer.py wraps sdga's functions by name: the traced CLI
     prints the untraced report byte for byte, and the differential-block and
     elimination spans it times are the ones the cohomology path calls."""
-    src = os.path.dirname(os.path.dirname(sdga.__file__))
-    tracer = os.path.join(os.path.dirname(src), "perfbench", "tracer.py")
     argv = ["cohomology", "--input", "-", "--window=0:6", "--degcap", "4"]
-    env = {**os.environ, "PYTHONPATH": src}
-    doc = json.dumps(SULLIVAN_DOC)
-    plain = subprocess.run([sys.executable, "-m", "sdga.cli", *argv], input=doc.encode(),
-                           capture_output=True, env=env)
-    traced = subprocess.run([sys.executable, tracer, *argv], input=doc.encode(),
-                            capture_output=True, env=env)
-    assert plain.returncode == traced.returncode == 0
-    assert json.loads(plain.stdout)["ok"] is True
-    assert traced.stdout == plain.stdout
-    marker = "PERFBENCH_TRACE "
-    line = next(ln for ln in traced.stderr.decode().splitlines() if ln.startswith(marker))
-    spans = json.loads(line[len(marker):])["spans"]
+    out, spans = _traced_spans(argv, json.dumps(SULLIVAN_DOC).encode())
+    assert out["ok"] is True
     for name in ("dg.differential_matrix", "linalg.rref", "linalg.nullspace"):
+        assert spans.get(name, [0])[0] > 0, name
+
+
+def test_tracer_reports_the_untraced_output_and_the_simplicial_layers():
+    """The same for `simplicial dupont`: the Dupont walk calls the contraction
+    and the dilation homotopy through the bindings the tracer wraps."""
+    argv = ["simplicial", "dupont", "--n", "3",
+            "--form", "1/2 * t0^3 * t1 * dt2 - 3/7 * t1 * t2^2 * dt1 * dt3"]
+    out, spans = _traced_spans(argv)
+    assert out["report"]["identity_check"] is True
+    for name in ("simplicial.dupont", "simplicial.dilation_homotopy"):
         assert spans.get(name, [0])[0] > 0, name
 
 

@@ -56,7 +56,7 @@ from sdga.simplicial import (
     whitney_projection,
     whitney_tuples,
 )
-from sdga import linalg, sampling
+from sdga import linalg, sampling, simplicial
 from test_linalg import dense_row, oracle_nullspace
 
 
@@ -277,8 +277,20 @@ def closed_form_panel(seed, n):
     return monos, faces
 
 
+# mixed and large denominators, so sums reach the common-denominator path
+PANEL_COEFFICIENTS = [Fraction(1, 2), Fraction(-3, 7), Fraction(5, 10**6 + 3),
+                      Fraction(10**12 + 39)]
+
+
+def assert_fraction_terms(element):
+    """core's contract: every stored coefficient is a nonzero Fraction."""
+    for c in element.terms.values():
+        assert type(c) is Fraction and c != 0, c
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_closed_forms_match_their_oracles(seed):
+    rng = random.Random(7500 + seed)
     for n in range(1, 5):
         # a fresh instance, so every value below is a cache miss
         forms = SimplexForms(n)
@@ -287,6 +299,22 @@ def test_closed_forms_match_their_oracles(seed):
             for i in range(n + 1):
                 got = dilation_homotopy(forms, i, Element.monomial(forms.table, mono))
                 assert got == dilation_homotopy_oracle(forms, i, mono), (n, i, mono)
+        pool = monos + [m for _, cases in faces for m in cases]
+        for _ in range(3):
+            # again a fresh instance, so the sum misses the cache term by term
+            fresh = SimplexForms(n)
+            chosen = rng.sample(pool, min(3, len(pool)))
+            coeffs = rng.sample(PANEL_COEFFICIENTS, len(chosen))
+            total = Element.zero(fresh.table)
+            for mono, c in zip(chosen, coeffs):
+                total = total + Element.monomial(fresh.table, mono, c)
+            for i in range(n + 1):
+                got = dilation_homotopy(fresh, i, total)
+                want = Element.zero(forms.table)
+                for mono, c in total.terms.items():
+                    want = want + dilation_homotopy_oracle(forms, i, mono) * c
+                assert got == want, (n, i, chosen)
+                assert_fraction_terms(got)
         off_face = 0
         for I, cases in faces:
             for mono in monos + cases:
@@ -410,6 +438,72 @@ def test_dupont_contraction():
         w = sampling.random_element(rng, f2.table, max_degree=3)
         assert dupont_defect(f2, w).is_zero()
         assert dupont_homotopy(f2, dupont_homotopy(f2, w)).is_zero()
+
+
+def dupont_oracle(forms, element):
+    """What dupont_homotopy used to run: for every monomial and every
+    increasing tuple I of at most n vertices, h^{i_k} ... h^{i_0} applied to
+    the monomial from the start, then w_I times that with the sign (-1)^k.
+    Kept as the reference for the prefix walk."""
+    out = Element.zero(forms.table)
+    for mono, c in element.terms.items():
+        for k in range(forms.n):
+            for I in whitney_tuples(forms.n, k):
+                value = Element.monomial(forms.table, mono, c)
+                for vertex in I:
+                    value = dilation_homotopy(forms, vertex, value)
+                    if value.is_zero():
+                        break
+                if not value.is_zero():
+                    out = out + whitney(forms, I) * value * (-1) ** k
+    return out
+
+
+def dupont_panel_element(rng, forms):
+    """A sum of two to four monomials of mixed form weight, exponents up to
+    3, with coefficients from the mixed-denominator list."""
+    n = forms.n
+    out = Element.zero(forms.table)
+    for _ in range(rng.randint(2, 4)):
+        mono = tuple([rng.randint(0, 3) for _ in range(n)]
+                     + [int(rng.random() < 0.5) for _ in range(n)])
+        out = out + Element.monomial(forms.table, mono, rng.choice(PANEL_COEFFICIENTS))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_dupont_walk_matches_the_per_tuple_oracle(seed):
+    rng = random.Random(9100 + seed)
+    for n in range(1, 5):
+        forms = SimplexForms(n)
+        x = dupont_panel_element(rng, forms)
+        got = dupont_homotopy(forms, x)
+        assert got == dupont_oracle(forms, x), (n, x)
+        assert_fraction_terms(got)
+        assert dupont_defect(forms, x).is_zero()
+        assert poincare_defect(forms, x).is_zero()
+
+
+def test_dupont_walk_is_bounded_by_form_weight(monkeypatch):
+    """h^i lowers form weight by one, so on a 1-form the walk stops after the
+    C(13, 1) = 13 one-vertex prefixes of the 12-simplex; the per-tuple loop
+    made thousands of dilation calls there."""
+    calls = []
+    inner = simplicial.dilation_homotopy
+
+    def counted(forms, i, element):
+        calls.append(i)
+        return inner(forms, i, element)
+
+    monkeypatch.setattr(simplicial, "dilation_homotopy", counted)
+    forms = SimplexForms(12)
+    x = (Element.generator(forms.table, "t1") * Element.generator(forms.table, "dt1")
+         + Element.generator(forms.table, "t2") ** 2
+         * Element.generator(forms.table, "dt5") * Fraction(1, 3))
+    s = dupont_homotopy(forms, x)
+    assert 0 < len(calls) <= 13
+    assert not s.is_zero()
+    assert dupont_defect(forms, x).is_zero()
 
 
 def test_dupont_naturality_under_faces():
