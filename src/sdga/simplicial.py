@@ -47,7 +47,16 @@ these are what the operators evaluate; s itself is one walk over them:
 Tensoring with a coefficient algebra B and imposing the face compatibility
 constraints computes B^K for K a simplex, a boundary or a horn; surjectivity
 of the restriction maps onto horns and boundaries is decided by exact rank
-computations on truncated bases.
+computations on truncated bases.  The face restrictions act on monomials:
+
+* Face restriction.  On B tensor Omega_n the restriction to the facet
+  opposite vertex i is id_B tensor delta_i^*, and a monomial is b * omega
+  with every B exponent before every form exponent, so its image is b times
+  each term of delta_i^*(omega), with no sign.  For i >= 1, delta_i^*
+  deletes a coordinate: a monomial holding t_i or dt_i goes to 0, any other
+  loses those two positions with coefficient 1 (the remaining dt keep their
+  order).  For i = 0, t_1 -> 1 - sum(t) and dt_1 -> -sum(dt), the others
+  shift down by one; this image is computed once per form part omega.
 """
 
 from __future__ import annotations
@@ -711,18 +720,37 @@ class TensorForms(TableExtension):
         self.include_forms = AlgebraMap(self.forms.table, self.table, {
             name: Element.generator(self.table, name) for name in self.forms.table.names
         })
-        self._face_cache: dict[int, AlgebraMap] = {}
 
     include_base = TableExtension.include
 
-    def face_restriction(self, i: int) -> AlgebraMap:
-        """Restrict to the facet opposite vertex i, in B tensor Omega_{n-1}."""
-        cached = self._face_cache.get(i)
-        if cached is None:
-            target = tensor_forms(self.coefficients, self.n - 1)
-            cached = _operator_pullback_tensor(self, target, face_tuple(self.n, i))
-            self._face_cache[i] = cached
-        return cached
+    def face_terms(self, i: int):
+        """delta_i^* on one monomial (see the module docstring): a function
+        from an exponent tuple to its image's integer terms over
+        tensor_forms(B, n - 1).  For i = 0 the function keeps the image of
+        each form part it has seen, for as long as its caller keeps it."""
+        n, nb = self.n, self.nbase
+        if not 0 <= i <= n:
+            raise AlgebraError("face index out of range")
+        if i:
+            t, dt = nb + i - 1, nb + n + i - 1
+
+            def delete(mono: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+                if mono[t] or mono[dt]:
+                    return {}
+                return {mono[:t] + mono[t + 1:dt] + mono[dt + 1:]: 1}
+
+            return delete
+        face = pullback(face_tuple(n, 0), self.forms, simplex_forms(n - 1))
+        images: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+
+        def substitute_first(mono: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+            form = mono[nb:]
+            if form not in images:
+                image = face(Element.monomial(self.forms.table, form))
+                images[form] = {m: c.numerator for m, c in image.terms.items()}
+            return {mono[:nb] + m: c for m, c in images[form].items()}
+
+        return substitute_first
 
 
 # Keyed by the coefficient algebra's identity, so an unbounded cache would
@@ -734,18 +762,6 @@ TENSOR_FORMS_CACHE_SIZE = 32
 @lru_cache(maxsize=TENSOR_FORMS_CACHE_SIZE)
 def tensor_forms(coefficients: DGAlgebra, n: int) -> TensorForms:
     return TensorForms(coefficients, n)
-
-
-def _operator_pullback_tensor(src: TensorForms, dst: TensorForms,
-                              phi: tuple[int, ...]) -> AlgebraMap:
-    fmap = pullback(phi, src.forms, dst.forms)
-    images: dict[str, Element] = {}
-    for g in src.coefficients.table.generators:
-        images[g.name] = Element.generator(dst.table, g.name)
-    for k in range(1, src.n + 1):
-        images[f"t{k}"] = dst.include_forms(fmap.image_of(f"t{k}"))
-        images[f"dt{k}"] = dst.include_forms(fmap.image_of(f"dt{k}"))
-    return AlgebraMap(src.table, dst.table, images, check=False)
 
 
 # The zero algebra (1 = 0) is terminal; its cotensor with any simplicial set
@@ -769,7 +785,9 @@ class SubShapeCotensor:
 
     An element is a family (w_j) over the facets of K, compatible along the
     shared (n-2)-faces.  Per bidegree and degree cap this is the exact kernel
-    of a rational constraint matrix.
+    of an integer constraint matrix, whose entries `TensorForms.face_terms`
+    gives: face i >= 1 deletes t_i and dt_i, face 0 sends t_1 -> 1 - sum(t)
+    and dt_1 -> -sum(dt).
     """
 
     def __init__(self, coefficients: DGAlgebra, n: int, shape: str,
@@ -783,18 +801,8 @@ class SubShapeCotensor:
         self.facets = _facet_list(n, shape, horn_vertex)
         self.facet_forms = tensor_forms(coefficients, n - 1)
         self.overlap_forms = tensor_forms(coefficients, n - 2) if n >= 2 else None
-        self._restrictions: dict[tuple[int, int], AlgebraMap] = {}
         # (weight, parity, cap) -> dimension, left by each kernel computed
         self._dims: dict[tuple[int, int, int], int] = {}
-
-    def _restriction(self, facet: int, face: int) -> AlgebraMap:
-        key = (facet, face)
-        cached = self._restrictions.get(key)
-        if cached is None:
-            phi = face_tuple(self.n - 1, face)
-            cached = _operator_pullback_tensor(self.facet_forms, self.overlap_forms, phi)
-            self._restrictions[key] = cached
-        return cached
 
     def facet_basis(self, weight: int, parity: int, cap: int) -> list[tuple[int, ...]]:
         return monomial_basis(self.facet_forms.table, weight, parity, cap)
@@ -828,19 +836,22 @@ class SubShapeCotensor:
         else:
             ob = monomial_basis(self.overlap_forms.table, weight, parity, cap)
             oidx = {m: i for i, m in enumerate(ob)}
+            # facets j < jp meet along face jp - 1 of j and face j of jp;
+            # the facet basis is restricted once per face
+            faces = {f for a, j in enumerate(self.facets)
+                     for jp in self.facets[a + 1:] for f in (jp - 1, j)}
+            images = {f: list(map(self.facet_forms.face_terms(f), fb)) for f in faces}
             rows: list[linalg.SparseRow] = []
             for a in range(nfac):
                 for b in range(a + 1, nfac):
                     j, jp = self.facets[a], self.facets[b]
-                    ra = self._restriction(j, jp - 1)
-                    rb = self._restriction(jp, j)
                     # each entry is one restriction's term: no sums to take
                     block: list[linalg.SparseRow] = [{} for _ in ob]
-                    for bi, mono in enumerate(fb):
-                        elem = Element.monomial(self.facet_forms.table, mono)
-                        for m, c in ra(elem).terms.items():
+                    for bi, image in enumerate(images[jp - 1]):
+                        for m, c in image.items():
                             block[oidx[m]][a * len(fb) + bi] = c
-                        for m, c in rb(elem).terms.items():
+                    for bi, image in enumerate(images[j]):
+                        for m, c in image.items():
                             block[oidx[m]][b * len(fb) + bi] = -c
                     rows.extend(block)
             vectors = linalg.nullspace(rows, ncols)
@@ -858,6 +869,10 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
     cap escalates up to cap + max_extra before reporting failure.  A given
     `cotensor` (built from the same arguments) keeps each kernel's dimension,
     so a cotensor_report on it afterwards eliminates nothing again.
+
+    The domain columns restrict each monomial of B tensor Omega_n once per
+    call, by `TensorForms.face_terms`: facet j >= 1 deletes t_j and dt_j,
+    facet 0 sends t_1 -> 1 - sum(t) and dt_1 -> -sum(dt).
     """
     out: dict = {
         "shape": shape,
@@ -878,6 +893,10 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
         return out
     cot = cotensor or SubShapeCotensor(coefficients, n, shape, horn_vertex)
     total = tensor_forms(coefficients, n)
+    restrict = [total.face_terms(j) for j in cot.facets]
+    # domain monomial -> its image on each facet; a retry at a larger cap
+    # restricts only the monomials that are new there
+    images: dict[tuple[int, ...], list[dict]] = {}
     for w in range(w_min, w_max + 1):
         for p in (EVEN, ODD):
             targets, fb = cot._kernel(w, p, cap)
@@ -892,25 +911,20 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
                 cap_dom = cap + extra
                 fb_big = cot.facet_basis(w, p, cap_dom)
                 big_idx = {m: i for i, m in enumerate(fb_big)}
-                nfac = len(cot.facets)
-                ncols_big = nfac * len(fb_big)
-                dom_basis = monomial_basis(total.table, w, p, cap_dom)
+                ncols_big = len(cot.facets) * len(fb_big)
                 columns = []
-                for mono in dom_basis:
-                    elem = Element.monomial(total.table, mono)
+                for mono in monomial_basis(total.table, w, p, cap_dom):
+                    facet_images = images.get(mono)
+                    if facet_images is None:
+                        facet_images = images[mono] = [r(mono) for r in restrict]
                     vec = {}
-                    ok = True
-                    for fi, j in enumerate(cot.facets):
-                        restricted = total.face_restriction(j)(elem)
-                        for m, c in restricted.terms.items():
-                            if m not in big_idx:
-                                ok = False
-                                break
-                            vec[fi * len(fb_big) + big_idx[m]] = c
-                        if not ok:
-                            break
-                    if not ok:
-                        raise AlgebraError("face restriction left the truncated basis")
+                    for fi, image in enumerate(facet_images):
+                        for m, c in image.items():
+                            bi = big_idx.get(m)
+                            if bi is None:
+                                raise AlgebraError(
+                                    "face restriction left the truncated basis")
+                            vec[fi * len(fb_big) + bi] = c
                     columns.append(vec)
                 padded_targets = []
                 for tvec in targets:

@@ -57,7 +57,7 @@ from sdga.simplicial import (
     whitney_tuples,
 )
 from sdga import linalg, sampling, simplicial
-from test_linalg import dense_row, oracle_nullspace
+from test_linalg import dense_row, oracle_nullspace, oracle_rank
 
 
 def line_dga():
@@ -554,15 +554,83 @@ def test_tensor_forms_cache_is_bounded():
     assert info.currsize <= TENSOR_FORMS_CACHE_SIZE
 
 
+def operator_pullback_tensor(src, dst, phi):
+    """id_B tensor Omega(phi) as an algebra map on the whole tensor table:
+    each B generator to itself, each t_k and dt_k to its pullback image."""
+    fmap = pullback(phi, src.forms, dst.forms)
+    images = {g.name: Element.generator(dst.table, g.name)
+              for g in src.coefficients.table.generators}
+    for k in range(1, src.n + 1):
+        images[f"t{k}"] = dst.include_forms(fmap.image_of(f"t{k}"))
+        images[f"dt{k}"] = dst.include_forms(fmap.image_of(f"dt{k}"))
+    return AlgebraMap(src.table, dst.table, images, check=False)
+
+
+def face_restriction_oracle(T, i):
+    """The restriction of B tensor Omega_n to the facet opposite vertex i, as
+    an algebra map on the whole tensor table: the reference for
+    TensorForms.face_terms, which acts on the form factor of one monomial."""
+    target = tensor_forms(T.coefficients, T.n - 1)
+    return operator_pullback_tensor(T, target, face_tuple(T.n, i))
+
+
+def restrict_linearly(T, i, element):
+    """face_terms(i) extended linearly to an element of B tensor Omega_n."""
+    restrict = T.face_terms(i)
+    terms = {}
+    for mono, c in element.terms.items():
+        for m, x in restrict(mono).items():
+            terms[m] = terms.get(m, 0) + c * x
+    target = tensor_forms(T.coefficients, T.n - 1)
+    return Element(target.table, {m: c for m, c in terms.items() if c})
+
+
 def test_face_restriction_is_chain_map():
     rng = random.Random(51)
-    T = tensor_forms(line_dga(), 1)
-    T0 = tensor_forms(line_dga(), 0)
-    for i in range(2):
-        phi = T.face_restriction(i)
-        for _ in range(5):
-            w = sampling.random_element(rng, T.table, max_degree=3)
-            assert phi(T.dga.d(w)) == T0.dga.d(phi(w))
+    for B, n in ((line_dga(), 1), (line_dga(), 2), (face_panel_dgas()[1], 2)):
+        T, T1 = tensor_forms(B, n), tensor_forms(B, n - 1)
+        for i in range(n + 1):
+            for _ in range(5):
+                w = sampling.random_element(rng, T.table, max_degree=3)
+                assert restrict_linearly(T, i, T.dga.d(w)) == \
+                    T1.dga.d(restrict_linearly(T, i, w))
+
+
+def face_panel_dgas():
+    """Coefficient algebras for the face panel: an even generator with an
+    odd differential partner, and a table that puts odd generators of weight
+    0 and 1 before the form coordinates."""
+    koszul = GeneratorTable([Generator("a", 0, EVEN), Generator("b", 1, ODD)])
+    d = Derivation(koszul, {"a": Element.generator(koszul, "b")}, 1, ODD)
+    mixed = GeneratorTable([Generator("c", 1, ODD), Generator("e", 0, ODD),
+                            Generator("f", 2, EVEN)])
+    return DGAlgebra(koszul, d), DGAlgebra(mixed, Derivation(mixed, {}, 1, ODD))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_face_terms_match_the_algebra_map(n):
+    """Every face, every monomial of a truncated basis: the monomial-level
+    restriction gives the algebra map's image, with int coefficients."""
+    cap = 3 if n < 4 else 2
+    for B in face_panel_dgas():
+        T = tensor_forms(B, n)
+        for i in range(n + 1):
+            restrict, oracle = T.face_terms(i), face_restriction_oracle(T, i)
+            t, dt = T.table.position(f"t{max(i, 1)}"), T.table.position(f"dt{max(i, 1)}")
+            touched = killed = 0
+            for w in range(3):
+                for p in (EVEN, ODD):
+                    for mono in monomial_basis(T.table, w, p, cap):
+                        image = restrict(mono)
+                        assert image == oracle(Element.monomial(T.table, mono)).terms, \
+                            (i, mono)
+                        assert all(type(c) is int and c for c in image.values())
+                        if mono[t] or mono[dt]:
+                            touched += 1
+                            killed += not image
+            # the basis holds monomials with t_i or dt_i, and for i >= 1
+            # exactly those die
+            assert touched and (killed == touched if i else killed < touched)
 
 
 def test_boundary_cotensor_of_interval_is_a_product():
@@ -609,7 +677,8 @@ def dense_cotensor_kernel_oracle(cot, weight, parity, cap):
     for a in range(nfac):
         for b in range(a + 1, nfac):
             j, jp = cot.facets[a], cot.facets[b]
-            ra, rb = cot._restriction(j, jp - 1), cot._restriction(jp, j)
+            ra = face_restriction_oracle(cot.facet_forms, jp - 1)
+            rb = face_restriction_oracle(cot.facet_forms, j)
             block = [[Fraction(0)] * ncols for _ in ob]
             for bi, mono in enumerate(fb):
                 elem = Element.monomial(cot.facet_forms.table, mono)
@@ -657,6 +726,55 @@ def test_cotensor_kernels_match_dense_oracle(seed):
                                   if vec[fi * len(fb) + bi] != 0})
                          for fi in range(len(cot.facets))] for vec in expected]
             assert cot.basis(w, p, cap) == families, (w, p)
+
+
+def filling_oracle(cot, w_min, w_max, cap, max_extra=3):
+    """filling_report's entries from the dense kernel oracle, the algebra-map
+    restriction and dense ranks: a target family is reached when adding it
+    to the restricted domain monomials leaves the rank unchanged."""
+    total = tensor_forms(cot.coefficients, cot.n)
+    maps = [face_restriction_oracle(total, j) for j in cot.facets]
+    entries = []
+    for w in range(w_min, w_max + 1):
+        for p in (EVEN, ODD):
+            fb = cot.facet_basis(w, p, cap)
+            targets = dense_cotensor_kernel_oracle(cot, w, p, cap)
+            entry = {"weight": w, "parity": "even" if p == EVEN else "odd",
+                     "target_dim": len(targets), "surjective": not targets,
+                     "cap_used": cap if not targets else None}
+            for cap_dom in range(cap, cap + max_extra + 1) if targets else ():
+                fb_big = cot.facet_basis(w, p, cap_dom)
+                big_idx = {m: i for i, m in enumerate(fb_big)}
+                ncols = len(cot.facets) * len(fb_big)
+                domain = []
+                for mono in monomial_basis(total.table, w, p, cap_dom):
+                    vec = [Fraction(0)] * ncols
+                    for fi, face in enumerate(maps):
+                        for m, c in face(Element.monomial(total.table, mono)).terms.items():
+                            vec[fi * len(fb_big) + big_idx[m]] += c
+                    domain.append(vec)
+                padded = []
+                for tvec in targets:
+                    vec = [Fraction(0)] * ncols
+                    for k, c in enumerate(tvec):
+                        fi, bi = divmod(k, len(fb))
+                        vec[fi * len(fb_big) + big_idx[fb[bi]]] = c
+                    padded.append(vec)
+                if oracle_rank(domain + padded) == oracle_rank(domain):
+                    entry["surjective"], entry["cap_used"] = True, cap_dom
+                    break
+            entries.append(entry)
+    return entries
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_filling_matches_the_algebra_map_oracle(seed):
+    cot, cap = cotensor_panel(seed)
+    rep = filling_report(cot.coefficients, cot.n, cot.shape, cot.horn_vertex, 0, 2, cap)
+    expected = filling_oracle(cot, 0, 2, cap)
+    assert [{k: e[k] for k in ("weight", "parity", "target_dim", "surjective", "cap_used")}
+            for e in rep["entries"]] == expected
+    assert rep["all_surjective"] == all(e["surjective"] for e in expected)
 
 
 def test_filling_reports_are_surjective():
