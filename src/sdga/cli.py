@@ -530,23 +530,17 @@ def cmd_simplicial_duality(args) -> dict:
 def cmd_cotensor(args) -> dict:
     from . import simplicial
     doc = _expect(_load_json(args.input), dict, "document")
-    zero = simplicial.ZERO_ALGEBRA
-    coefficients = zero if doc.get("zero") else _require_algebra(doc)
+    zero = doc.get("zero", False)
+    if type(zero) is not bool:
+        raise InputError(f"'zero' must be true or false, got {zero!r}")
+    coefficients = simplicial.ZERO_ALGEBRA if zero else _require_algebra(doc)
     shape, horn_vertex = args.shape, args.horn_vertex
     if shape == "horn" and horn_vertex is None:
         raise InputError("--shape horn needs --horn-vertex")
     if shape != "horn" and horn_vertex is not None:
         raise InputError(f"--horn-vertex needs --shape horn, not --shape {shape}")
-    request = (coefficients, args.n, shape, horn_vertex, *args.window, args.degcap)
-    if shape == "simplex" or coefficients == zero:
-        return simplicial.cotensor_report(*request)
-    # filling first: the cotensor keeps the dimension of each kernel it
-    # eliminates, and the cotensor entries read them from there
-    cot = simplicial.SubShapeCotensor(coefficients, args.n, shape, horn_vertex)
-    filling = simplicial.filling_report(*request, cotensor=cot)
-    out = simplicial.cotensor_report(*request, cotensor=cot)
-    out["filling"] = filling
-    return out
+    return simplicial.cotensor_report(coefficients, args.n, shape, horn_vertex,
+                                      *args.window, args.degcap)
 
 
 def cmd_path_object(args) -> dict:
@@ -670,7 +664,8 @@ def cmd_sym_kunneth(args) -> dict:
 def _option_dict(args) -> dict:
     out = {key: value for key, value in vars(args).items()
            if key not in ("func", "command", "subcommand") and value is not None}
-    out["window"] = "{}:{}".format(*args.window)
+    if "window" in out:
+        out["window"] = "{}:{}".format(*args.window)
     return out
 
 
@@ -714,72 +709,63 @@ def _emit(envelope: dict, fmt: str) -> None:
 
 # -- command table and entry point ------------------------------------------------
 
+_INPUT = ("--input", {"default": "-", "help": "input JSON document (file path or '-' for stdin)"})
+_WINDOW = ("--window", {"default": "-3:3", "help": "weight window W_MIN:W_MAX (default -3:3)"})
+_DEGCAP = ("--degcap", {"type": int, "default": 4, "help": "polynomial degree cap (default 4)"})
+_SEED = ("--seed", {"type": int, "default": 0, "help": "seed for randomized panels (default 0)"})
+_BARYCENTRIC = ("--barycentric", {
+    "action": "store_true", "help": "also print simplicial forms in redundant coordinates"})
+# options of several commands: a parser adds them in this order, then --json and
+# --text, then the row's own options
+_SHARED = (_INPUT, _WINDOW, _DEGCAP, _SEED, _BARYCENTRIC)
 _N = ("--n", {"type": int, "required": True})
 _EXPR = ("--expr", {"required": True})
 _FORM = ("--form", {"required": True})
 
-# One row per command: its words, its help and its own options, added in this
-# order after the common ones.  The handler of a row is the module's
+# One row per command: its words, its help and every option its handler reads;
+# argparse rejects any other.  The handler of a row is the module's
 # cmd_<words>, spaces and dashes turned into "_", looked up when the command
 # runs, so that a rebinding of cli.cmd_* after import takes effect.
 COMMANDS = (
-    ("check", "validate an algebra document and report its cohomology", []),
-    ("cohomology", "cohomology dimensions, exactness flags and representatives", []),
-    ("forms-omega", "the de Rham forms algebra of the input algebra", []),
+    ("check", "validate an algebra document and report its cohomology",
+     [_INPUT, _WINDOW, _DEGCAP]),
+    ("cohomology", "cohomology dimensions, exactness flags and representatives",
+     [_INPUT, _WINDOW, _DEGCAP]),
+    ("forms-omega", "the de Rham forms algebra of the input algebra", [_INPUT]),
     ("cartan-check", "verify the six contraction/Lie-derivative relations",
-     [("--pairs", {"type": int, "default": 10})]),
+     [_INPUT, _SEED, ("--pairs", {"type": int, "default": 10})]),
     ("integrate", "definite integral in one even variable",
-     [_EXPR, ("--var", {"required": True}), ("--lower", {"default": "0"}),
+     [_INPUT, _EXPR, ("--var", {"required": True}), ("--lower", {"default": "0"}),
       ("--upper", {"default": "1"})]),
     ("berezin", "Berezin integral in one odd variable",
-     [_EXPR, ("--var", {"required": True})]),
+     [_INPUT, _EXPR, ("--var", {"required": True})]),
     ("cylinder-contract", "apply the cylinder contraction and check its identity",
-     [_EXPR, ("--var", {"default": "t"})]),
+     [_INPUT, _EXPR, ("--var", {"default": "t"})]),
     ("simplicial faces", "cosimplicial structure maps and their pullbacks", [_N]),
-    ("simplicial whitney", "elementary forms", [_N, ("--k", {"type": int})]),
-    ("simplicial project", "projection onto the elementary forms", [_N, _FORM]),
+    ("simplicial whitney", "elementary forms", [_BARYCENTRIC, _N, ("--k", {"type": int})]),
+    ("simplicial project", "projection onto the elementary forms",
+     [_BARYCENTRIC, _N, _FORM]),
     ("simplicial dupont", "the contraction homotopy and its identity", [_N, _FORM]),
     ("simplicial duality", "integrals against elementary forms are a dual basis", [_N]),
     ("cotensor", "cotensor of an algebra with a simplex, boundary or horn",
-     [_N, ("--shape", {"choices": ["simplex", "boundary", "horn"], "default": "simplex"}),
+     [_INPUT, _WINDOW, _DEGCAP, _N,
+      ("--shape", {"choices": ["simplex", "boundary", "horn"], "default": "simplex"}),
       ("--horn-vertex", {"type": int})]),
     ("path-object", "path object checks: diagonal factorization and homotopy",
-     [("--trials", {"type": int, "default": 100}), ("--var", {"default": "t"})]),
-    ("complex cohomology", "exact cohomology dimensions of a complex", []),
-    ("complex classify", "fibration/cofibration/weak-equivalence predicates", []),
-    ("complex lift", "solve a lifting square, with a solvability certificate", []),
+     [_INPUT, _SEED, ("--trials", {"type": int, "default": 100}), ("--var", {"default": "t"})]),
+    ("complex cohomology", "exact cohomology dimensions of a complex", [_INPUT]),
+    ("complex classify", "fibration/cofibration/weak-equivalence predicates", [_INPUT]),
+    ("complex lift", "solve a lifting square, with a solvability certificate", [_INPUT]),
     ("complex factorize", "factor a chain map through a middle complex",
-     [("--mode", {"choices": ["acyclic_cofibration_fibration",
-                              "cofibration_acyclic_fibration"],
-                  "default": "acyclic_cofibration_fibration"})]),
+     [_INPUT, ("--mode", {"choices": ["acyclic_cofibration_fibration",
+                                      "cofibration_acyclic_fibration"],
+                          "default": "acyclic_cofibration_fibration"})]),
     ("cells", "the catalog of disk and sphere complexes", []),
-    ("sym-kunneth", "compare H(Sym V) with the free algebra on H(V)", []),
+    ("sym-kunneth", "compare H(Sym V) with the free algebra on H(V)", [_INPUT, _WINDOW, _DEGCAP]),
 )
 
 GROUPS = {"simplicial": "simplex forms operations",
           "complex": "finite cochain complex operations"}
-
-# commands whose first word is one of these read no document
-_NO_INPUT = ("simplicial", "cells")
-
-
-def _add_common(parser: argparse.ArgumentParser, needs_input: bool) -> None:
-    parser.add_argument("--input", default="-" if needs_input else None,
-                        help="input JSON document (file path or '-' for stdin)")
-    parser.add_argument("--window", default="-3:3",
-                        help="weight window W_MIN:W_MAX (default -3:3)")
-    parser.add_argument("--degcap", type=int, default=4,
-                        help="polynomial degree cap (default 4)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized panels (default 0)")
-    parser.add_argument("--barycentric", action="store_true",
-                        help="also print simplicial forms in redundant coordinates")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="format", action="store_const", const="json",
-                       help="JSON output (default)")
-    group.add_argument("--text", dest="format", action="store_const", const="text",
-                       help="plain text output")
-    parser.set_defaults(format="json")
 
 
 def build_parser(selected: str | None = None) -> argparse.ArgumentParser:
@@ -801,8 +787,15 @@ def build_parser(selected: str | None = None) -> argparse.ArgumentParser:
         p = subparsers[group].add_parser(name, help=summary, add_help=built)
         if not built:
             continue
-        _add_common(p, needs_input=words.split()[0] not in _NO_INPUT)
-        for flag, kwargs in options:
+        for flag, kwargs in [option for option in _SHARED if option in options]:
+            p.add_argument(flag, **kwargs)
+        output = p.add_mutually_exclusive_group()
+        output.add_argument("--json", dest="format", action="store_const", const="json",
+                            help="JSON output (default)")
+        output.add_argument("--text", dest="format", action="store_const", const="text",
+                            help="plain text output")
+        p.set_defaults(format="json")
+        for flag, kwargs in [option for option in options if option not in _SHARED]:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func="cmd_" + words.replace(" ", "_").replace("-", "_"))
     return parser
@@ -818,13 +811,12 @@ def main(argv=None) -> int:
     if getattr(args, "subcommand", None):
         command = f"{command} {args.subcommand}"
     try:
-        args.window = _parse_window(args.window)
+        if "window" in args:
+            args.window = _parse_window(args.window)
         for flag in ("degcap", "n", "pairs", "trials"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise InputError(f"--{flag} must be non-negative; got {value}")
-        if args.input is not None and args.command in _NO_INPUT:
-            raise InputError(f"{command} reads no document; --input is not accepted")
     except InputError as exc:
         _emit({"error": str(exc), "tool": "sdga", "version": __version__}, args.format)
         return 2

@@ -349,7 +349,7 @@ def elementary_subcomplex(n: int) -> dict:
             for r, J in enumerate(above):
                 x = simplex_integral(forms, J, image)
                 if x:
-                    col[r] = x
+                    col[r] = linalg.entry(x)
             # the expansion is exact: subtracting it leaves zero
             check = image
             for r, x in col.items():
@@ -367,7 +367,7 @@ def simplicial_coboundary(n: int, k: int) -> linalg.Block:
     block: linalg.Block = [{} for _ in index]
     for r, J in enumerate(whitney_tuples(n, k + 1)):
         for q in range(len(J)):
-            block[index[J[:q] + J[q + 1:]]][r] = Fraction((-1) ** q)
+            block[index[J[:q] + J[q + 1:]]][r] = (-1) ** q
     return block
 
 
@@ -801,8 +801,6 @@ class SubShapeCotensor:
         self.facets = _facet_list(n, shape, horn_vertex)
         self.facet_forms = tensor_forms(coefficients, n - 1)
         self.overlap_forms = tensor_forms(coefficients, n - 2) if n >= 2 else None
-        # (weight, parity, cap) -> dimension, left by each kernel computed
-        self._dims: dict[tuple[int, int, int], int] = {}
 
     def facet_basis(self, weight: int, parity: int, cap: int) -> list[tuple[int, ...]]:
         return monomial_basis(self.facet_forms.table, weight, parity, cap)
@@ -820,10 +818,7 @@ class SubShapeCotensor:
         return families
 
     def dimension(self, weight: int, parity: int, cap: int) -> int:
-        key = (weight, parity, cap)
-        if key not in self._dims:
-            self._kernel(weight, parity, cap)
-        return self._dims[key]
+        return len(self._kernel(weight, parity, cap)[0])
 
     def _kernel(self, weight: int, parity: int, cap: int):
         """The compatible families as sparse rows over the facet bases laid
@@ -855,20 +850,20 @@ class SubShapeCotensor:
                             block[oidx[m]][b * len(fb) + bi] = -c
                     rows.extend(block)
             vectors = linalg.nullspace(rows, ncols)
-        self._dims[(weight, parity, cap)] = len(vectors)
         return vectors, fb
 
 
+# how far filling_report raises the domain's degree cap above the target's
+FILLING_MAX_EXTRA = 3
+
+
 def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
-                   w_min: int, w_max: int, cap: int, max_extra: int = 3,
-                   cotensor: SubShapeCotensor | None = None) -> dict:
+                   w_min: int, w_max: int, cap: int) -> dict:
     """Check surjectivity of B tensor Omega_n onto the sub-shape cotensor.
 
     For each bidegree in the window, every compatible family of total degree
     at most cap must be the restriction of a global form; the domain degree
-    cap escalates up to cap + max_extra before reporting failure.  A given
-    `cotensor` (built from the same arguments) keeps each kernel's dimension,
-    so a cotensor_report on it afterwards eliminates nothing again.
+    cap escalates up to cap + FILLING_MAX_EXTRA before reporting failure.
 
     The domain columns restrict each monomial of B tensor Omega_n once per
     call, by `TensorForms.face_terms`: facet j >= 1 deletes t_j and dt_j,
@@ -891,7 +886,7 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
                      "surjective": True, "cap_used": cap}
                 )
         return out
-    cot = cotensor or SubShapeCotensor(coefficients, n, shape, horn_vertex)
+    cot = SubShapeCotensor(coefficients, n, shape, horn_vertex)
     total = tensor_forms(coefficients, n)
     restrict = [total.face_terms(j) for j in cot.facets]
     # domain monomial -> its image on each facet; a retry at a larger cap
@@ -907,7 +902,7 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
                 entry["cap_used"] = cap
                 out["entries"].append(entry)
                 continue
-            for extra in range(0, max_extra + 1):
+            for extra in range(FILLING_MAX_EXTRA + 1):
                 cap_dom = cap + extra
                 fb_big = cot.facet_basis(w, p, cap_dom)
                 big_idx = {m: i for i, m in enumerate(fb_big)}
@@ -949,12 +944,12 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
 
 
 def cotensor_report(coefficients, n: int, shape: str, horn_vertex: int | None,
-                    w_min: int, w_max: int, cap: int,
-                    cotensor: SubShapeCotensor | None = None) -> dict:
+                    w_min: int, w_max: int, cap: int) -> dict:
     """Dimensions per bidegree of B^K on truncated bases.
 
-    For a boundary or horn, a given `cotensor` (built from the same arguments)
-    supplies the dimensions of kernels it has already computed.
+    For a boundary or horn, the report carries its filling_report under
+    "filling", and each dimension is the target_dim of that report's entry:
+    each kernel is eliminated once.
     """
     out: dict = {
         "shape": shape,
@@ -964,27 +959,14 @@ def cotensor_report(coefficients, n: int, shape: str, horn_vertex: int | None,
         "degree_cap": cap,
         "entries": [],
     }
-    if coefficients == ZERO_ALGEBRA:
-        for w in range(w_min, w_max + 1):
-            for p in (EVEN, ODD):
-                out["entries"].append(
-                    {"weight": w, "parity": parity_name(p), "dim": 0}
-                )
+    if coefficients != ZERO_ALGEBRA and shape != "simplex":
+        out["filling"] = filling_report(coefficients, n, shape, horn_vertex, w_min, w_max, cap)
+        out["entries"] = [{"weight": e["weight"], "parity": e["parity"], "dim": e["target_dim"]}
+                          for e in out["filling"]["entries"]]
         return out
-    if shape == "simplex":
-        total = tensor_forms(coefficients, n)
-        for w in range(w_min, w_max + 1):
-            for p in (EVEN, ODD):
-                dim = len(monomial_basis(total.table, w, p, cap))
-                out["entries"].append(
-                    {"weight": w, "parity": parity_name(p), "dim": dim}
-                )
-        return out
-    cot = cotensor or SubShapeCotensor(coefficients, n, shape, horn_vertex)
+    table = None if coefficients == ZERO_ALGEBRA else tensor_forms(coefficients, n).table
     for w in range(w_min, w_max + 1):
         for p in (EVEN, ODD):
-            out["entries"].append(
-                {"weight": w, "parity": parity_name(p),
-                 "dim": cot.dimension(w, p, cap)}
-            )
+            dim = 0 if table is None else len(monomial_basis(table, w, p, cap))
+            out["entries"].append({"weight": w, "parity": parity_name(p), "dim": dim})
     return out

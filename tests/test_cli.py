@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -11,12 +12,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import sdga
 from sdga import cli, simplicial
 from sdga.cli import build_algebra, main
+from sdga.core import parity_name
 
 
 KOSZUL_DOC = {
@@ -171,6 +174,10 @@ MALFORMED = {
                          "'even_mode' must be true or false, got 'no'"),
     "even-mode-null": (("check",), {"generators": [], "even_mode": None},
                        "'even_mode' must be true or false, got None"),
+    # a string is not the zero algebra's flag, whatever it says
+    "zero-string": (("cotensor", "--n", "1", "--shape", "boundary"),
+                    {**LINE_DOC, "zero": "false"}, "'zero' must be true or false, got 'false'"),
+    "zero-one": (("cotensor", "--n", "1"), {"zero": 1}, "'zero' must be true or false, got 1"),
 }
 
 
@@ -318,9 +325,6 @@ def test_cotensor_horn_needs_vertex(tmp_path, capsys):
      "--horn-vertex needs --shape horn, not --shape simplex"),
     (("cotensor", "--n", "2", "--shape", "boundary", "--horn-vertex", "0"),
      "--horn-vertex needs --shape horn, not --shape boundary"),
-    (("simplicial", "faces", "--n", "1", "--input", "-"),
-     "simplicial faces reads no document; --input is not accepted"),
-    (("cells", "--input", "doc.json"), "cells reads no document; --input is not accepted"),
 ])
 def test_ignored_option_fails(capsys, monkeypatch, argv, error):
     """An option the command would not use exits 2 instead of being echoed."""
@@ -328,6 +332,29 @@ def test_ignored_option_fails(capsys, monkeypatch, argv, error):
     code, env = run_json(capsys, *argv)
     assert code == 2
     assert env["error"] == error
+
+
+def _required(options) -> list[str]:
+    """A value for each required option of a row."""
+    return [arg for flag, kwargs in options if kwargs.get("required") for arg in (flag, "1")]
+
+
+UNLISTED_SHARED = [(words, option[0]) for words, _, options in cli.COMMANDS
+                   for option in cli._SHARED if option not in options]
+SHARED_VALUES = {"--input": ["-"], "--window": ["0:1"], "--degcap": ["7"], "--seed": ["9"],
+                 "--barycentric": []}
+
+
+@pytest.mark.parametrize("words, flag", UNLISTED_SHARED,
+                         ids=[f"{words}-{flag}" for words, flag in UNLISTED_SHARED])
+def test_unlisted_shared_option_exits_2(capsys, monkeypatch, words, flag):
+    """A shared option its row does not list is a usage error, not an echo."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(LINE_DOC)))
+    options = next(row[2] for row in cli.COMMANDS if row[0] == words)
+    with pytest.raises(SystemExit) as err:
+        main([*words.split(), *_required(options), flag, *SHARED_VALUES[flag]])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_cotensor_horn_filling(tmp_path, capsys):
@@ -591,17 +618,25 @@ def test_cotensor_eliminates_each_kernel_once(tmp_path, capsys, monkeypatch, sha
     path = write_doc(tmp_path, "line.json", LINE_DOC)
     code, env = run_json(capsys, "cotensor", "--input", path, "--n", "2",
                          "--shape", *shape, "--window", "0:2", "--degcap", "3")
+    once = [(w, p, 3) for w in range(3) for p in (0, 1)]
     assert code == 0
-    assert sorted(calls) == [(w, p, 3) for w in range(3) for p in (0, 1)]
-    # the same reports as each function on its own cotensor
-    monkeypatch.undo()
+    assert sorted(calls) == once
+    # the library call is the CLI's report, and eliminates each kernel once too
     dga, _ = build_algebra(LINE_DOC)
     vertex = 1 if shape[0] == "horn" else None
-    expected = simplicial.cotensor_report(dga, 2, shape[0], vertex, 0, 2, 3)
-    expected["filling"] = simplicial.filling_report(dga, 2, shape[0], vertex, 0, 2, 3)
-    assert env["report"] == expected
-    assert [e["dim"] for e in expected["entries"]] == \
-        [e["target_dim"] for e in expected["filling"]["entries"]]
+    calls.clear()
+    report = simplicial.cotensor_report(dga, 2, shape[0], vertex, 0, 2, 3)
+    assert sorted(calls) == once
+    assert report == env["report"]
+    # the dimensions of the cotensor, with the filling report attached
+    monkeypatch.undo()
+    cot = simplicial.SubShapeCotensor(dga, 2, shape[0], vertex)
+    assert report == {
+        "shape": shape[0], "n": 2, "horn_vertex": vertex, "window": [0, 2], "degree_cap": 3,
+        "entries": [{"weight": w, "parity": parity_name(p), "dim": cot.dimension(w, p, 3)}
+                    for w in range(3) for p in (0, 1)],
+        "filling": simplicial.filling_report(dga, 2, shape[0], vertex, 0, 2, 3),
+    }
 
 
 @pytest.mark.parametrize("command", [
@@ -697,6 +732,16 @@ def test_tracer_reports_the_untraced_output_and_the_simplicial_layers():
         assert spans.get(name, [0])[0] > 0, name
 
 
+def _sample(flag, kwargs) -> list[str]:
+    """The option, abbreviated, with a value of its kind."""
+    short = flag[:5]
+    if kwargs.get("action") == "store_true":
+        return [short]
+    if kwargs.get("type") is int:
+        return [short, "3"]
+    return [f"{short}={kwargs.get('choices', ['-1:2'])[-1]}"]
+
+
 def _subparser(parser, words):
     """The parser of the command path `words` in the tree under `parser`."""
     for word in words:
@@ -718,10 +763,8 @@ def test_selected_parser_is_the_full_parser(monkeypatch, words):
         assert (_subparser(selected, path[:depth]).format_help()
                 == _subparser(full, path[:depth]).format_help())
     options = next(row[2] for row in cli.COMMANDS if row[0] == words)
-    required = [arg for flag, kwargs in options if kwargs.get("required")
-                for arg in (flag, "1")]
-    for extra in ([], ["--deg", "3"], ["--window=-1:2"], ["--text"]):
-        argv = [*path, *required, *extra]
+    for extra in [[], ["--text"], *(_sample(*option) for option in options)]:
+        argv = [*path, *_required(options), *extra]
         assert selected.parse_args(argv) == full.parse_args(argv)
 
 
@@ -746,6 +789,35 @@ def test_command_table_matches_handlers():
     assert len(set(named)) == len(named)
     assert set(named) == {name for name in vars(cli) if name.startswith("cmd_")}
     assert all(callable(getattr(cli, name)) for name in named)
+
+
+def _attributes_read(functions: dict, name: str, param: str) -> set[str]:
+    """The attributes of parameter `param` that cli function `name` reads,
+    with those of each cli function it passes `param` to."""
+    read = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == param):
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+            callee = functions[node.func.id]
+            for arg, formal in zip(node.args, callee.args.args):
+                if isinstance(arg, ast.Name) and arg.id == param:
+                    read |= _attributes_read(functions, callee.name, formal.arg)
+    return read
+
+
+@pytest.mark.parametrize("words, options", [(row[0], row[2]) for row in cli.COMMANDS],
+                         ids=[row[0] for row in cli.COMMANDS])
+def test_each_row_lists_the_options_its_handler_reads(words, options):
+    """A row's options are exactly the fields of args that its handler and the
+    cli helpers it hands args to read, and --json/--text's format."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    handler = "cmd_" + words.replace(" ", "_").replace("-", "_")
+    declared = {kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
+                for flag, kwargs in options}
+    assert declared == _attributes_read(functions, handler, "args") - {"format"}
 
 
 GOLDEN_DOC = {
