@@ -841,58 +841,58 @@ GOLDEN_FORMS = [
 # reports stay byte-identical whatever the arithmetic beneath them does
 GOLDEN_DIGESTS = {
     ("simplicial", "dupont", "--n", "3", "--form", GOLDEN_FORMS[0]):
-        "36899892d87f06569e5d8996c31a8aef8e9761e011ba660205e102b58c458ec3",
+        "f9a96cee9b22c8b6685085d44d386a1ca41e5b6ccac80d236b0dd547acdb4dd0",
     ("simplicial", "dupont", "--n", "3", "--form", GOLDEN_FORMS[1]):
-        "d6b62f913f503a9c7a3e8a21f35706457f31f9fe97ace8df957ed3b812e360b0",
+        "761fb66df446765c577445c1a97a7c523a95f0174203058ac483f40e5b0f49c5",
     ("simplicial", "dupont", "--n", "3", "--form", GOLDEN_FORMS[2]):
-        "1fd62d9c15ed15afd03f45e22949b23b95c9221e5b7f6df895c3e8d497aa959f",
+        "4492d29c7385e8518fd4e489d36d0cc58751101f0bc09062c2a5aecace77ac32",
     ("simplicial", "dupont", "--n", "3", "--form", GOLDEN_FORMS[3]):
-        "4838174da256e5386141da7020fe384243e9144b7a19da139e5bad4c292220f8",
+        "76535701a8199687d2fe2c4fe03e8f2b272274ea7f7458de512d8469998b2d62",
     ("simplicial", "project", "--n", "3", "--form", GOLDEN_FORMS[0]):
-        "09790d7edb5439adc4f691d550faf7e1b6db94fa93c7758e0ba002ef19d219b1",
+        "bdf37a2acc4274a2036fc7914c4a6d37b491c49b711ec8c5d26dabf5031d5494",
     ("simplicial", "project", "--n", "3", "--form", GOLDEN_FORMS[1]):
-        "3b8350ed2776d6605ed026f7de576a952eac6d8428e71e9de3a2b1ee631114d5",
+        "caed2898427c163d0a57e305e9d1af719e4c6e0069834e17f54fef21d436b6cc",
     ("simplicial", "project", "--n", "3", "--form", GOLDEN_FORMS[2]):
-        "0d9d94480c04346c782b8450c466c9aa0dbb20bead6eede16fed4a1ae8229d8d",
+        "d204e74a335dccaadf73ea5dd8f047776f7e012eef55138ad51ffdc3080defde",
     ("simplicial", "project", "--n", "3", "--form", GOLDEN_FORMS[3]):
-        "a384e5caf9be51c484383c36e5e9af3df1b224def84c7b32c5b08ce569a32d0a",
+        "8e8a305bdb2acb7acb07843d8a5f5c9eaa10895eb6428037ae9250cc13f8330d",
     ("simplicial", "duality", "--n", "3"):
-        "446dacbfd97bcbb4b4c70e7098df2f5d09dbb20329dc09667fffbb8f7e8e25c9",
+        "ff6be74c0085b61e68cd65620a140148bda9977aa50ecc83e5d605d9bf763771",
     ("simplicial", "whitney", "--n", "3"):
-        "395abc4c26cde4a588210e970557105c9378f476e7e4b9ef953093ee740d920a",
+        "e3e6fd9bcbc7afa38aba11912b687f0de87154efbdb09edce528f66794f83ab8",
     ("simplicial", "faces", "--n", "3"):
-        "c5be8a858d081ced19cb3e2031cf0431e9fe3736fc2b3eb4c736a16a83365648",
+        "4b519efa75fa8380be4e71c06f67cf6d410ad6e7888e830b58a7a0e9830efca5",
     ("integrate", "--input", "-", "--expr", "x^2 * y + 3/2 * x * xi - y * eta",
      "--var", "x", "--lower", "y", "--upper", "1 - x"):
-        "273acdc8d21b66291312b13d036752f7705b4666b8526532d095aa2179b0d83a",
+        "9b20c2f86ff86f94f97a4e9bb8ea8f09175022b2f181ab277ed1d83647194746",
     ("integrate", "--input", "-", "--expr", "x^3 * xi - 2/5 * x * eta",
      "--var", "x", "--lower", "1/2", "--upper", "3"):
-        "ad7acae1da0ae1c3481966415fa7cecc1e77133c8b106c7450ed551a3b0bbb09",
+        "2319ed0d427e108327090d1bcd76317da816a3ee7167b4fcb43233dc25f0d416",
     ("cylinder-contract", "--input", "-", "--expr",
      "x^2 * y * t * dt + xi * t^2 - eta * dt + 7/3 * x * t^3 * dt"):
-        "115cc405409c8dcdaa1d639d0fb96b9be44183662b7224ece2728e4ef3cef2f2",
+        "faff5f025678a81307c9ed78eaecebb9c49b4565b4aabc6c39999d77bb17843a",
     ("path-object", "--input", "-", "--trials", "5"):
-        "89c262a090ac10f3f4f1ab75530dbacb992d532519415c7dcee7d5ab97beb834",
+        "09836ca85a335854705fbcc9d2aa3e5af29acd6ebf7173441e128a376866b6d5",
     ("check",):
-        "4a19e4d0caec04b57cba0c9a95312adc429df247259cfdc3180217ef292c6d0f",
+        "955dfa1a8392d9973ab6d780de8a85fb84c78f4824bd8758660a8c5a2c886b8e",
     ("cohomology",):
-        "595e37305072befd507055d42a14dc8abc3809d124e76f13f5d52547e617ccb9",
+        "c6f3ad6f9f682e0b469543795ac7da7ad4489e95be7dfef0c50a0d1107c4af7a",
     ("cohomology", "--text"):
-        "11c5360532a92f21f424f4beb54c13b300f4c5c0e85b4449507464f9b75fcc3d",
+        "a2444af2d659a479e54aa07b51cdfbd906042b91c4c9495008206026a3b1bbe9",
     ("forms-omega",):
-        "2fff2572043874bb582ff65e25e20a99005b13b74450d5aab85f91d42a84e0e9",
+        "f030402874252691577515b66cc699bfefef042cdbb77b40d0db5023b083ef96",
     ("cartan-check", "--pairs", "3", "--seed", "5"):
-        "be61ddb586d5854929af9ebe69c24d506c8ce01a84f94c4df88fcd3187126786",
+        "31e6ab43f1bdb9e511bd86949aae4e81c9c9323033393e14afc214f194583adf",
     ("berezin", "--expr", "x * xi * eta + 2/3 * y * eta - xi", "--var", "eta"):
-        "26088bc50dbc19840358205e79feaf03d55dc55d200d22b19d7d781766261be3",
+        "ba6f351ba897237d5590221ea668900947a04c4844eb12b4bd1945427e9d3c2a",
     ("cotensor", "--n", "2"):
-        "d71cc0a93b99ec2d9e0a1b889dfbc7c8abb0532e5bf7516f9307afa1b51cff85",
+        "f44b659a78b46ed1a6fab5da2a9fe925a81e157c75516b8c4a813fff275e75f7",
     ("cotensor", "--n", "2", "--shape", "boundary"):
-        "5594e1b14bb048238a64951ba0e1bb87cbfeae6f595c367f91a4f3814978c03e",
+        "db2a83f9709abe017f0b84721d2c762454756fcb4522f9d9b6bae83fb935e561",
     ("cotensor", "--n", "2", "--shape", "horn", "--horn-vertex", "1"):
-        "95381485b23cc46171364a39564b9faa06170151fc8eeab719754595404f74fc",
+        "65224cb3b18abc4217c3cf2fe41b4e4352bbe4aea08b0a8aefe60612a08d9ce5",
     ("cells",):
-        "5844b9c7c04b14918c509f6e44cb3128b878e800e1701355cc08a80aa53bcb2d",
+        "1813cf498fb9ae3c438ee13f5850c2a57c7ebdd642c40f6216fdf1c207242c37",
 }
 
 
@@ -932,21 +932,21 @@ NOT_A_COMPLEX = {"dims": {"0,even": 1, "1,odd": 1, "2,even": 1},
 # complex commands, and one envelope of each failure kind
 GOLDEN_ENVELOPES = [
     (GOLDEN_COMPLEX, ("complex", "cohomology"), 0,
-     "ebe8932bd9fe9afaa8edc095a24b3bf29fb1359f9f33d862136bfb5cb9976ebb"),
+     "e253021ba1f717555823d05dc4b8ee5de4e1f95ed28bd508ea204d3c67b27e0e"),
     (GOLDEN_COMPLEX, ("sym-kunneth", "--window=-2:2"), 0,
-     "7db1b1fcf7d7079adc1edd546e74e1340719b5df52819939d9024d09da303ad1"),
+     "9e2d2e5a53a8e4a8897b28c682f2d2b3812e5d7a39990cda234ebbb1df94e1ed"),
     (GOLDEN_MAP, ("complex", "classify"), 0,
-     "356acde5128d62e6ce7e8f31a8d4e756d871e84a44dd264e7571ba3c361e0315"),
+     "2ef8c9a5d1926322a2ea638bd89ea66ddb014a54d95ffb0a97c23c1594a213f3"),
     (GOLDEN_MAP, ("complex", "factorize"), 0,
-     "88a8305f3fb3732b140b21b2c6c7812515db4e160e8b2cee8f1535f808529832"),
+     "3226e59acf784b5490a8faa06d0bd4ed05d92468c6e6aa0c76388b3e96b22c93"),
     (GOLDEN_MAP, ("complex", "factorize", "--mode", "cofibration_acyclic_fibration"), 0,
-     "bbfd8237351716c5da1260535ee667c2022e49b282223222dc28ca97192b7aee"),
+     "139a5b0a7a6ad0578d2109710bae7bd7f33ae6a97875c3eeba147587e4342279"),
     (GOLDEN_LIFT, ("complex", "lift"), 0,
-     "40d1b88cb78ae69a47e3e37ba1f3c1ec090d3cb4943bcd286453835d4345106f"),
+     "7ff99b1c8a8a5723eb463fbbf6a2cfaad582766ae2b651a9ce27ff33d77ae43c"),
     (NOT_A_COMPLEX, ("complex", "cohomology"), 1,
-     "910d541bdd064ec5a513205c0fe9defbd9bfc25cafafc6aac554cee898d236fa"),
+     "d10bd14838656fe0c6beeaa5744bd5fe76a8d1720d0f58dd2036a5c8dd77a010"),
     (GOLDEN_DOC, ("integrate", "--expr", "x", "--var", "nope"), 2,
-     "e038072ade872c381f4413cad3ef244098551eedb658d1ff0b5d61175d000d2f"),
+     "ccfc81d12af672ac6bc394f45ddb0c7b025f0472d39b3139925c265a7607f966"),
     (GOLDEN_DOC, ("check", "--window", "3:-3"), 2,
      "1cf8d0321509e6c9f846db994f4bdb62b39cd0e9a3aa5ff4ec3a4c548009dd9b"),
 ]
@@ -967,49 +967,49 @@ HELP_DIGESTS = {
     ("--help",):
         (0, "9990789664f78430a85eab09569469207da0379b12682f35c738dc07c7505df7"),
     ("check", "--help"):
-        (0, "a25666be92875b2fbf1c0b813e7cee15ba772915c14468a45eebbaca01a2ed0f"),
+        (0, "cf5cb27f25ae3e34c0fb437eedf65e3118f98bfc4bd7310a72aeaec07bf4a721"),
     ("cohomology", "--help"):
-        (0, "7f5fcc20f5bd2a18da5a2e4af0b6b9be0897c6891a8467173f9ddaf71876588c"),
+        (0, "a9ab19eeb4d66254e56fcabb5a906d8888c24a9436eb1a88ea595d5b2af3e4a8"),
     ("forms-omega", "--help"):
-        (0, "3ca6627825b92c161cbc7274ceabde8bdcb5e6a5671fc919e5c3449332d19177"),
+        (0, "816755931266376ae486f1688223e0594e11016fff053e62b20a137bd3836f23"),
     ("cartan-check", "--help"):
-        (0, "2be98790a6b93f32d79cfdafaadc28e5f0c2a5c74fea091e395a91c57cdd3f3b"),
+        (0, "8a87e683f00a51050f76dcfd0dd9249af548475883ff84c146075eebc8c496cf"),
     ("integrate", "--help"):
-        (0, "4b483babc43ec1889e52a4b192587be515c7059005fc3cf64e9829966ebe4824"),
+        (0, "eeed8b473bcca18c19796454f38ffee1087a5cb28716a99048fccf3316e6cc37"),
     ("berezin", "--help"):
-        (0, "4a1478be378aa90c754e7521dfa3df570ba56f89ab70b4a946c7fe3f8baa27fd"),
+        (0, "6013a8d9114804a3340f5eaf56a134476bef62a56491f4c892683630fcf1466b"),
     ("cylinder-contract", "--help"):
-        (0, "314ead876a4bf7486e2780c1e73bca6c13bb1e08d05ba2adb54142c157f9dee6"),
+        (0, "10f37332522159a7b4f89b7de9ce85b10027c5efb7bf60258d5fcace247d1aaa"),
     ("simplicial", "--help"):
         (0, "53d042e7ffc2ef833c78ce9dc7f09166da44751f6174a73d23c41502688cab74"),
     ("simplicial", "faces", "--help"):
-        (0, "e5b35ba6ad6fc938edc3e70342cdd72c67af81736053a43cdfba40c4c49394a8"),
+        (0, "9e2c978dae25ab418728b0ea04b62224d6294da212bb1e34086a119a654a7eb2"),
     ("simplicial", "whitney", "--help"):
-        (0, "c1f30fed2c11f2df5cbd1d387e45bd0fc80573d636d3384b3638cde4798416ef"),
+        (0, "43e3a1dcc05eac0bcce35b34a9cc3378d683460c02d8aa6611612e5619fdae9a"),
     ("simplicial", "project", "--help"):
-        (0, "aa9bcb4a415b9959a2f5bd54e1ecb7dd5e45976c5fa807661a477050344e9cc5"),
+        (0, "47f5d76b96a0530e2728627142d16a3b44d9865968ffe8ae8c99ed29c31f7637"),
     ("simplicial", "dupont", "--help"):
-        (0, "4ce0668d9e898d2bee27f3111035db8bba768db73550bc158ae628d0390b2ce6"),
+        (0, "d6ad8528ff332799bec951ce5bcec0fa66fc21ff846ac35d86953cbe9e976153"),
     ("simplicial", "duality", "--help"):
-        (0, "7aa4b7e9e76ffa50608af1258270316571281fe6eb5c87f85abb5a096ea29962"),
+        (0, "10ed569a863d402064037af8bcf907a2c70a53067db6b76d35f04c3cf38990f5"),
     ("cotensor", "--help"):
-        (0, "21459d62b6d8ce44045ab811846e65b87e0f5546da4ec897ba4faac558a11476"),
+        (0, "94516e2a2134f8a04d9569fb074a4051f65e13f7327326676f49294d9504c39c"),
     ("path-object", "--help"):
-        (0, "3bdf10bd158c1b234c26a564ec1be6729ebcf51ffab71ddbee6bbd61abd01236"),
+        (0, "e4321c283fe72185fd66b10a2dd9ebdf9b7309ea945a0014765c46c2266f33b3"),
     ("complex", "--help"):
         (0, "af399099aa6bbbeb7f2bea13c66e89626e482ab68af2fcf5119b67f2a79bba4b"),
     ("complex", "cohomology", "--help"):
-        (0, "8b8fd1a8836972c8152d566234f1f1303795bf0d58ec8fd873f1e64fba6810b5"),
+        (0, "9775759a50f6a7da36ea90c15d1d9c36430457959ace7295a2e37a0948dbf989"),
     ("complex", "classify", "--help"):
-        (0, "6d3e0528da0e14fbcc5e4d41ad534547b0fed3ee0fcdd397f707d45a04f50f66"),
+        (0, "feeebd970637ac56088ad70ad6dd60667f9b42ce7d4d2eafb96d68ff2deeb35b"),
     ("complex", "lift", "--help"):
-        (0, "26fe4e3b3f6faed375c03de9a62879ef4012cf278f794c0203e4d1f0e111be0a"),
+        (0, "7ce3384f7306bd3a8a17c795b6b240e6a1e1e361d44e16d7f1d6e946f8bc0925"),
     ("complex", "factorize", "--help"):
-        (0, "fb8a56f5f0d6355fa70f81a1b7aed0af5eb0c08a1b44cebf375967d05875f003"),
+        (0, "69d2c83b6f66790af9e2a88aac5b351e8c663ac452b796f38c9665c13b73244a"),
     ("cells", "--help"):
-        (0, "f44b40e64d6c739892cf4b1e97b136ba8d2d4a2564cc6ca1c9d34cf0738be9ce"),
+        (0, "8ac5e919cf94007d4125c3d74cb5a9cf8d1287ce9c8fa72d98dca55043517cd6"),
     ("sym-kunneth", "--help"):
-        (0, "7081b37d6dc9e414d7a7f0d36e609ee2b5709b3769cbb6126a43eeb8d8264353"),
+        (0, "cfe92ff4274264a32bbc8b646e696afc73610ce3ced2a0e2ab993793027d8a86"),
     ():
         (2, "4e67bd5741b372e2a03fec47b4d5106f77b31c5406129288a25f5df0687d4358"),
     ("simplicial",):
@@ -1019,9 +1019,9 @@ HELP_DIGESTS = {
     ("check", "--bogus"):
         (2, "ffbb3dbb385b66d0e67e7a1cf4a1d570a50a7ad54d8527f787eaa1d80278c9b8"),
     ("simplicial", "faces"):
-        (2, "4a6179059144886bc80967242cabf3efeae2dc73fbaba0b7f5544d08e7e74581"),
+        (2, "d1053baf617f7b13fa9bfcf3913713c24a47ed14ce295aa7010ce8bd97dea91d"),
     ("cotensor", "--n", "1", "--shape", "cube"):
-        (2, "cab68bbaa8c28ea56f6d9f0a3a9494db04ed73735ed0ad72b60271863b5ed768"),
+        (2, "e30f5cbb8c353b9d5a7db475e67ac80e563e6b671ad550636bba8b5261eb8795"),
 }
 
 
