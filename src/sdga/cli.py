@@ -7,13 +7,15 @@ tool version and the exact options used, and randomized panels draw all of
 their randomness from the --seed flag.
 
 Exit codes: 0 on success, 1 on a failed verification (the report carries a
-witness), 2 on malformed input or an impossible request.
+witness), 2 on malformed input, an impossible request or a report that cannot
+be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -700,11 +702,20 @@ def _scalar_text(value) -> str:
     return str(value)
 
 
-def _emit(envelope: dict, fmt: str) -> None:
-    if fmt == "text":
-        sys.stdout.write("\n".join(_render_text(envelope)) + "\n")
-    else:
-        sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+def _emit(envelope: dict, fmt: str, code: int) -> int:
+    """Write the envelope to stdout; code, or 2 when stdout cannot take it."""
+    text = ("\n".join(_render_text(envelope)) if fmt == "text"
+            else json.dumps(envelope, indent=2, sort_keys=True))
+    try:
+        sys.stdout.write(text + "\n")
+    except OSError as exc:
+        return _unwritten(exc)
+    return code
+
+
+def _unwritten(exc: OSError) -> int:
+    sys.stderr.write(f"sdga: cannot write the report: {exc}\n")
+    return 2
 
 
 # -- command table and entry point ------------------------------------------------
@@ -802,6 +813,7 @@ def build_parser(selected: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """One request, in-process; returns its exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # the command's words: a group's name and the word after it, or one word
     words = " ".join(argv[:2] if argv and argv[0] in GROUPS else argv[:1])
@@ -818,8 +830,8 @@ def main(argv=None) -> int:
             if value is not None and value < 0:
                 raise InputError(f"--{flag} must be non-negative; got {value}")
     except InputError as exc:
-        _emit({"error": str(exc), "tool": "sdga", "version": __version__}, args.format)
-        return 2
+        return _emit({"error": str(exc), "tool": "sdga", "version": __version__},
+                     args.format, 2)
     envelope = {
         "tool": "sdga",
         "version": __version__,
@@ -833,9 +845,23 @@ def main(argv=None) -> int:
     except (InputError, AlgebraError) as exc:
         envelope["error"], code = str(exc), 2
     envelope["ok"] = code == 0
-    _emit(envelope, args.format)
-    return code
+    return _emit(envelope, args.format, code)
+
+
+def run() -> None:
+    """The `sdga` command and `python -m sdga.cli`: main(), then stdout and
+    stderr flushed and the process left by os._exit.  A request's objects die
+    with its process, so the interpreter's finalization (collector passes over
+    every object, module teardown) would only cost time; atexit hooks do not
+    run either.  Argparse's exits and uncaught exceptions still raise."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _unwritten(exc)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -771,6 +771,10 @@ ZERO_ALGEBRA = "zero"
 
 
 def _facet_list(n: int, shape: str, horn_vertex: int | None) -> list[int]:
+    """The facets of the boundary or horn K of the n-simplex; AlgebraError
+    when n, shape and horn_vertex name no such K."""
+    if n < 1:
+        raise AlgebraError("boundary and horn cotensors need n >= 1")
     if shape == "boundary":
         return list(range(n + 1))
     if shape == "horn":
@@ -792,8 +796,6 @@ class SubShapeCotensor:
 
     def __init__(self, coefficients: DGAlgebra, n: int, shape: str,
                  horn_vertex: int | None = None):
-        if n < 1:
-            raise AlgebraError("boundary and horn cotensors need n >= 1")
         self.coefficients = coefficients
         self.n = n
         self.shape = shape
@@ -879,6 +881,7 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
         "all_surjective": True,
     }
     if coefficients == ZERO_ALGEBRA:
+        _facet_list(n, shape, horn_vertex)  # the shape is checked as over any algebra
         for w in range(w_min, w_max + 1):
             for p in (EVEN, ODD):
                 out["entries"].append(
@@ -949,7 +952,8 @@ def cotensor_report(coefficients, n: int, shape: str, horn_vertex: int | None,
 
     For a boundary or horn, the report carries its filling_report under
     "filling", and each dimension is the target_dim of that report's entry:
-    each kernel is eliminated once.
+    each kernel is eliminated once.  Over ZERO_ALGEBRA the shape is checked
+    the same way, and the all-zero report carries no "filling".
     """
     out: dict = {
         "shape": shape,
@@ -959,10 +963,12 @@ def cotensor_report(coefficients, n: int, shape: str, horn_vertex: int | None,
         "degree_cap": cap,
         "entries": [],
     }
-    if coefficients != ZERO_ALGEBRA and shape != "simplex":
-        out["filling"] = filling_report(coefficients, n, shape, horn_vertex, w_min, w_max, cap)
+    if shape != "simplex":
+        filling = filling_report(coefficients, n, shape, horn_vertex, w_min, w_max, cap)
         out["entries"] = [{"weight": e["weight"], "parity": e["parity"], "dim": e["target_dim"]}
-                          for e in out["filling"]["entries"]]
+                          for e in filling["entries"]]
+        if coefficients != ZERO_ALGEBRA:
+            out["filling"] = filling
         return out
     table = None if coefficients == ZERO_ALGEBRA else tensor_forms(coefficients, n).table
     for w in range(w_min, w_max + 1):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import errno
 import hashlib
 import io
 import json
@@ -178,6 +179,11 @@ MALFORMED = {
     "zero-string": (("cotensor", "--n", "1", "--shape", "boundary"),
                     {**LINE_DOC, "zero": "false"}, "'zero' must be true or false, got 'false'"),
     "zero-one": (("cotensor", "--n", "1"), {"zero": 1}, "'zero' must be true or false, got 1"),
+    # the zero algebra's shape is checked as any algebra's
+    "zero-horn-vertex": (("cotensor", "--n", "2", "--shape", "horn", "--horn-vertex", "7"),
+                         {"zero": True}, "horn vertex out of range"),
+    "zero-boundary-n0": (("cotensor", "--n", "0", "--shape", "boundary"), {"zero": True},
+                         "boundary and horn cotensors need n >= 1"),
 }
 
 
@@ -1035,3 +1041,92 @@ def test_help_and_usage_digests(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     digest = hashlib.sha256((captured.out + captured.err).encode()).hexdigest()
     assert (err.value.code, digest) == HELP_DIGESTS[argv]
+
+
+# -- the process exit: run() flushes and leaves by os._exit ---------------------------
+
+
+def _cli_child(argv, stdin=b"", **streams):
+    """`python -m sdga.cli argv` in a child with sdga on the path and stdout
+    block-buffered, as on any pipe or file unless PYTHONUNBUFFERED is set:
+    what run() leaves in the buffer is lost unless it flushes."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdga.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "sdga.cli", *argv], input=stdin,
+                          env=env, **streams)
+
+
+# (stdin document, argv, exit code): one request of each way out of the CLI
+EXITS = [
+    (GOLDEN_DOC, ("cohomology",), 0),
+    ({"generators": [{"name": "x", "weight": 0, "parity": "even"}],
+      "differential": {"x": "x"}}, ("check",), 1),
+    (GOLDEN_DOC, ("integrate", "--expr", "x", "--var", "nope"), 2),
+    (GOLDEN_DOC, ("check", "--bogus"), 2),
+    (GOLDEN_DOC, ("--version",), 0),
+    # over the 64 KiB of a pipe's buffer: 123,362 bytes
+    (GOLDEN_DOC, ("simplicial", "whitney", "--n", "7", "--barycentric"), 0),
+]
+
+
+@pytest.mark.parametrize("doc, argv, code", EXITS, ids=["-".join(case[1]) for case in EXITS])
+def test_process_prints_what_main_prints(capsys, monkeypatch, doc, argv, code):
+    """The CLI process exits with main()'s code and prints main()'s stdout,
+    byte for byte, whether main returns or argparse raises SystemExit."""
+    child = _cli_child(argv, json.dumps(doc).encode(), capture_output=True)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    assert (child.returncode, child.stdout) == (got, capsys.readouterr().out.encode())
+    assert got == code
+    if argv[0] == "simplicial":
+        assert len(child.stdout) > 65536
+
+
+def test_console_script_is_run():
+    """`sdga` leaves the way `python -m sdga.cli` does."""
+    text = (Path(sdga.__file__).parents[2] / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        assert 'sdga = "sdga.cli:run"' in text.splitlines()
+    else:
+        assert tomllib.loads(text)["project"]["scripts"] == {"sdga": "sdga.cli:run"}
+
+
+def _unwritable(sink: str):
+    """A file that refuses every write: a pipe whose reader is gone, or
+    /dev/full."""
+    if sink == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        return open("/dev/full", "wb")
+    read, write = os.pipe()
+    os.close(read)
+    return os.fdopen(write, "wb")
+
+
+# cells (8.6 kB) fails in main's write, simplicial faces --n 0 in run's flush
+@pytest.mark.parametrize("argv", [("cells",), ("simplicial", "faces", "--n", "0")],
+                         ids=["cells", "faces"])
+@pytest.mark.parametrize("sink", ["closed-pipe", "full"])
+def test_unwritable_report_exits_2(sink, argv):
+    with _unwritable(sink) as out:
+        child = _cli_child(argv, stdout=out, stderr=subprocess.PIPE)
+    assert child.returncode == 2
+    lines = child.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("sdga: cannot write the report: [Errno ")
+
+
+def test_main_returns_2_when_stdout_refuses_the_report(capsys, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["cells"]) == 2
+    assert capsys.readouterr().err == (
+        f"sdga: cannot write the report: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")

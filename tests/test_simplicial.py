@@ -667,6 +667,20 @@ def test_cotensor_report_simplex_and_zero():
     assert all(entry["dim"] == 0 for entry in zero["entries"])
 
 
+@pytest.mark.parametrize("report", [cotensor_report, filling_report])
+@pytest.mark.parametrize("n, shape, vertex, error", [
+    (2, "horn", 7, "horn vertex out of range"),
+    (0, "boundary", None, "need n >= 1"),
+    (2, "cube", None, "unknown shape"),
+])
+def test_zero_algebra_shape_is_checked(report, n, shape, vertex, error):
+    """Over the zero algebra a shape that names no boundary or horn fails as
+    it does over any algebra, not with an all-zero report."""
+    for coefficients in (ZERO_ALGEBRA, line_dga()):
+        with pytest.raises(AlgebraError, match=error):
+            report(coefficients, n, shape, vertex, 0, 2, 3)
+
+
 def dense_cotensor_kernel_oracle(cot, weight, parity, cap):
     """The compatibility rows of a cotensor written out dense, every entry
     summed into place, and their kernel from the dense elimination."""
