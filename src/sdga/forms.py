@@ -261,26 +261,6 @@ class Cylinder(TableExtension):
             + self.include(self.p0(element))
         )
 
-    # alternative route for cross-checking: Euler eigenspaces ---------------
-
-    def contract_by_euler(self, element: Element) -> Element:
-        """Same contraction via iota_E / n on (t, dt)-eigencomponents."""
-        iota = Derivation(
-            self.table,
-            {self.dvar: self.t()},
-            -1,
-            ODD,
-        )
-        out = Element.zero(self.table)
-        parts: dict[int, dict] = {}
-        for m, c in element.terms.items():
-            parts.setdefault(self.extension_degree(m), {})[m] = c
-        for n, terms in parts.items():
-            if n == 0:
-                continue
-            out = out + iota(Element(self.table, terms)) * Fraction(1, n)
-        return out
-
     def integrate_over(self, element: Element) -> Element:
         """int_0^1 of the dt-component, landing in the base algebra."""
         beta = partial_derivative(element, self.dvar)

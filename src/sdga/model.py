@@ -25,7 +25,6 @@ algebra on cohomology can be tested dimension by dimension.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from . import linalg
@@ -308,20 +307,19 @@ def is_weak_equivalence(f: ChainMap) -> bool:
     return not cohomology_dims(cone(f))
 
 
+def _full_rank(f: ChainMap, dims: dict[Key, int]) -> bool:
+    """Whether the block of f at each key of dims has rank dims[key]."""
+    return all(linalg.rank(f.block(key)) == n for key, n in dims.items())
+
+
 def is_fibration(f: ChainMap) -> bool:
     """Degreewise surjectivity."""
-    for key, n in f.target.dims.items():
-        if linalg.rank(f.block(key)) < n:
-            return False
-    return True
+    return _full_rank(f, f.target.dims)
 
 
 def is_cofibration(f: ChainMap) -> bool:
     """Degreewise injectivity."""
-    for key, n in f.source.dims.items():
-        if linalg.rank(f.block(key)) < n:
-            return False
-    return True
+    return _full_rank(f, f.source.dims)
 
 
 def is_acyclic(c: Complex) -> bool:
@@ -632,63 +630,3 @@ def kunneth_report(v: Complex, w_min: int, w_max: int, cap: int) -> dict:
         "all_agree": agree,
     }
 
-
-# -- random generators for property panels -------------------------------------------
-
-
-def random_invertible(rng: random.Random, n: int) -> linalg.Block:
-    """Random row additions on the identity, then the rows shuffled."""
-    rows = _units(n)
-    for _ in range(2 * n):
-        a, b = rng.randrange(n), rng.randrange(n)
-        if a == b:
-            continue
-        lam = rng.randint(-2, 2)
-        if lam == 0:
-            continue
-        rows[a] = linalg.apply([rows[a], rows[b]], {0: 1, 1: lam})
-    order = list(range(n))
-    rng.shuffle(order)
-    # an invertible matrix has no zero column for transpose to leave out
-    return linalg.transpose([rows[i] for i in order], n)
-
-
-def invert_matrix(block: linalg.Block) -> linalg.Block:
-    # row i of [M^T | I] reduces to row i of [I | (M^-1)^T], column i of M^-1
-    n = len(block)
-    aug = [col | {n + i: 1} for i, col in enumerate(block)]
-    reduced, pivots = linalg.rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise AlgebraError("matrix is not invertible")
-    return [{j - n: x for j, x in row.items() if j >= n} for row in reduced]
-
-
-def random_complex(rng: random.Random, max_cells: int = 3,
-                   weight_range: tuple[int, int] = (-2, 2),
-                   scramble: bool = True) -> Complex:
-    """A random direct sum of disks and spheres in disguised coordinates."""
-    total = zero_complex()
-    ncells = rng.randint(1, max_cells)
-    for _ in range(ncells):
-        n = rng.randint(weight_range[0], weight_range[1])
-        p = rng.randint(0, 1)
-        cell = disk_complex(n, p) if rng.random() < 0.5 else sphere_complex(n, p)
-        total, _, _ = direct_sum(total, cell)
-    if not scramble:
-        return total
-    change = {key: random_invertible(rng, n) for key, n in total.dims.items()}
-    diff = {}
-    for key in total.diff:
-        # a nonzero block has rows, so the next key has a change of basis too
-        block = linalg.mat_mul(total.d_block(key), invert_matrix(change[key]))
-        diff[key] = linalg.mat_mul(change[_next_key(key)], block)
-    return Complex(total.dims, diff)
-
-
-def random_chain_map(rng: random.Random, source: Complex, target: Complex) -> ChainMap:
-    """A random rational point of the space of chain maps source -> target."""
-    offsets, total = _unknowns(source, target)
-    kernel = linalg.nullspace(_chain_equations(source, target, offsets), total)
-    scalars = [rng.randint(-3, 3) for _ in kernel]
-    flat = linalg.apply(kernel, {i: lam for i, lam in enumerate(scalars) if lam})
-    return ChainMap(source, target, _unflatten(flat, offsets, source, target))

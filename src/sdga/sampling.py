@@ -56,26 +56,6 @@ def random_homogeneous(rng: random.Random, table: GeneratorTable,
     return out
 
 
-def random_homogeneous_pair(rng: random.Random, table: GeneratorTable,
-                            weight_range: tuple[int, int] = (0, 3),
-                            cap: int = 4) -> tuple[Element, Element]:
-    """Two random homogeneous elements with independently chosen bidegrees.
-
-    Bidegrees are drawn until both slices are nonempty, so the pair is
-    usable for supercommutativity checks without manual filtering.
-    """
-    for _ in range(50):
-        w1 = rng.randint(*weight_range)
-        w2 = rng.randint(*weight_range)
-        p1 = rng.randint(0, 1)
-        p2 = rng.randint(0, 1)
-        a = random_homogeneous(rng, table, w1, p1, cap)
-        b = random_homogeneous(rng, table, w2, p2, cap)
-        if not a.is_zero() and not b.is_zero():
-            return a, b
-    return Element.one(table), Element.one(table)
-
-
 def random_derivation(rng: random.Random, table: GeneratorTable,
                       weight_shift: int, parity_shift: int,
                       cap: int = 4, terms: int = 2) -> Derivation:

@@ -131,25 +131,22 @@ class SimplexForms(FormsAlgebra):
         self._s_cache: dict[tuple[int, ...], Element] = {}
         self._p_cache: dict[tuple[int, ...], Element] = {}
 
-    def t(self, i: int) -> Element:
+    def _vertex(self, name: str, i: int, constant: int) -> Element:
+        """name_i; at i = 0, constant minus the sum of name_1 .. name_n."""
         if not 0 <= i <= self.n:
             raise AlgebraError(f"vertex index {i} out of range for n={self.n}")
-        if i == 0:
-            out = Element.one(self.table)
-            for j in range(1, self.n + 1):
-                out = out - Element.generator(self.table, f"t{j}")
-            return out
-        return Element.generator(self.table, f"t{i}")
+        if i:
+            return Element.generator(self.table, f"{name}{i}")
+        out = Element.scalar(self.table, constant)
+        for j in range(1, self.n + 1):
+            out = out - Element.generator(self.table, f"{name}{j}")
+        return out
+
+    def t(self, i: int) -> Element:
+        return self._vertex("t", i, 1)
 
     def dt(self, i: int) -> Element:
-        if not 0 <= i <= self.n:
-            raise AlgebraError(f"vertex index {i} out of range for n={self.n}")
-        if i == 0:
-            out = Element.zero(self.table)
-            for j in range(1, self.n + 1):
-                out = out - Element.generator(self.table, f"dt{j}")
-            return out
-        return Element.generator(self.table, f"dt{i}")
+        return self._vertex("dt", i, 0)
 
     def vertex_value(self, element: Element, i: int) -> Fraction:
         """Evaluate the function part at vertex i (t_j = delta_ij, dt = 0)."""
@@ -185,10 +182,6 @@ def degeneracy_tuple(n: int, i: int) -> tuple[int, ...]:
     return tuple(j if j <= i else j - 1 for j in range(n + 2))
 
 
-def compose_tuples(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(outer[j] for j in inner)
-
-
 def pullback(phi: tuple[int, ...], source: SimplexForms, target: SimplexForms) -> AlgebraMap:
     """Omega(phi): Omega_{source.n} -> Omega_{target.n} for phi: [target.n] -> [source.n]."""
     if len(phi) != target.n + 1:
@@ -218,28 +211,37 @@ def face_pullback(n: int, i: int) -> AlgebraMap:
 # -- Whitney forms -------------------------------------------------------------
 
 
-def whitney(forms: SimplexForms, indices: tuple[int, ...]) -> Element:
-    """The elementary form w_I; antisymmetric in I, zero on repeats."""
-    I = tuple(indices)
-    if any(not 0 <= i <= forms.n for i in I):
+def _elementary(table: GeneratorTable, n: int, t, dt, I: tuple[int, ...]) -> Element:
+    """k! sum_q (-1)^q t(i_q) prod_{r != q} dt(i_r) for I = (i_0, ..., i_k) in
+    [0, n], given the t and dt of a vertex: w_I in either presentation.  Zero
+    when a vertex repeats."""
+    if any(not 0 <= i <= n for i in I):
         raise AlgebraError("vertex index out of range")
+    acc = Element.zero(table)
     if len(set(I)) != len(I):
-        return Element.zero(forms.table)
+        return acc
+    k = len(I) - 1
+    for q in range(k + 1):
+        term = t(I[q])
+        for r in range(k + 1):
+            if r != q:
+                term = term * dt(I[r])
+        acc = acc + term * ((-1) ** q)
+    return acc * math.factorial(k)
+
+
+def whitney(forms: SimplexForms, indices: tuple[int, ...]) -> Element:
+    """The elementary form w_I; antisymmetric in I, zero on repeats.  Kept
+    per sorted I, with the sign of the sorting; a zero is not kept."""
+    I = tuple(indices)
     order = tuple(sorted(I))
-    sign = _permutation_sign(I)
     cached = forms._whitney_cache.get(order)
     if cached is None:
-        k = len(order) - 1
-        acc = Element.zero(forms.table)
-        for q in range(k + 1):
-            term = forms.t(order[q])
-            for r in range(k + 1):
-                if r != q:
-                    term = term * forms.dt(order[r])
-            acc = acc + term * ((-1) ** q)
-        cached = acc * math.factorial(k)
+        cached = _elementary(forms.table, forms.n, forms.t, forms.dt, order)
+        if cached.is_zero():
+            return cached
         forms._whitney_cache[order] = cached
-    return cached if sign > 0 else -cached
+    return cached if _permutation_sign(I) > 0 else -cached
 
 
 def _permutation_sign(perm: tuple[int, ...]) -> int:
@@ -273,17 +275,6 @@ def barycentric_table(n: int) -> GeneratorTable:
     return FormsAlgebra(_coordinates("t", range(n + 1))).table
 
 
-def simplex_relations(n: int) -> tuple[Element, Element]:
-    """The defining relations t0 + ... + tn - 1 and dt0 + ... + dtn."""
-    table = barycentric_table(n)
-    rel = -Element.one(table)
-    drel = Element.zero(table)
-    for i in range(n + 1):
-        rel = rel + Element.generator(table, f"t{i}")
-        drel = drel + Element.generator(table, f"dt{i}")
-    return rel, drel
-
-
 def eliminate(forms: SimplexForms, element: Element) -> Element:
     """Quotient map from the redundant presentation to normal form.
 
@@ -300,33 +291,11 @@ def eliminate(forms: SimplexForms, element: Element) -> Element:
     return AlgebraMap(table, forms.table, images)(element)
 
 
-def barycentric_section(forms: SimplexForms, element: Element) -> Element:
-    """The section of eliminate fixing the coordinates t1..tn, dt1..dtn."""
-    table = barycentric_table(forms.n)
-    images: dict[str, Element] = {}
-    for i in range(1, forms.n + 1):
-        images[f"t{i}"] = Element.generator(table, f"t{i}")
-        images[f"dt{i}"] = Element.generator(table, f"dt{i}")
-    return AlgebraMap(forms.table, table, images)(element)
-
-
 def barycentric_whitney(n: int, indices: tuple[int, ...]) -> Element:
     """w_I in the redundant presentation: k! sum_q (-1)^q t_{i_q} dt...dt."""
     table = barycentric_table(n)
-    I = tuple(indices)
-    if any(not 0 <= i <= n for i in I):
-        raise AlgebraError("vertex index out of range")
-    if len(set(I)) != len(I):
-        return Element.zero(table)
-    k = len(I) - 1
-    acc = Element.zero(table)
-    for q in range(k + 1):
-        term = Element.generator(table, f"t{I[q]}")
-        for r in range(k + 1):
-            if r != q:
-                term = term * Element.generator(table, f"dt{I[r]}")
-        acc = acc + term * ((-1) ** q)
-    return acc * math.factorial(k)
+    return _elementary(table, n, lambda i: Element.generator(table, f"t{i}"),
+                       lambda i: Element.generator(table, f"dt{i}"), tuple(indices))
 
 
 def elementary_subcomplex(n: int) -> dict:
@@ -613,11 +582,6 @@ def _dilation_of_monomial(n: int, i: int, mono: tuple[int, ...]) -> tuple[dict, 
                 out[i - 1] = m
             terms[tuple(out)] = sign * w
     return terms, math.factorial(p + ai + 1)
-
-
-def vertex_projection(forms: SimplexForms, i: int, element: Element) -> Element:
-    """Evaluation at vertex i, as a scalar-valued idempotent into Omega_n."""
-    return Element.scalar(forms.table, forms.vertex_value(element, i))
 
 
 def dupont_homotopy(forms: SimplexForms, element: Element) -> Element:

@@ -40,6 +40,7 @@ from sdga.simplicial import (
     whitney_tuples,
 )
 from sdga import linalg, model, sampling
+import panels
 
 
 def four_generator_table():
@@ -104,7 +105,7 @@ def test_criterion_01_graded_arithmetic():
     parities = {g.name: g.parity for g in table.generators}
     pairs = 500
     for trial in range(pairs):
-        a, b = sampling.random_homogeneous_pair(rng, table, weight_range=(0, 3), cap=3)
+        a, b = panels.random_homogeneous_pair(rng, table, weight_range=(0, 3), cap=3)
         sign = -1 if (a.parity() == ODD and b.parity() == ODD) else 1
         assert a * b == (b * a) * sign
         c = sampling.random_element(rng, table, max_degree=2, terms=2)
@@ -398,27 +399,27 @@ def test_criterion_07_model_toolkit():
     rng = random.Random(107)
     # twenty seeded factorizations, both orders, total dimension <= 12
     for _ in range(20):
-        a = model.random_complex(rng, max_cells=3)
-        b = model.random_complex(rng, max_cells=3)
+        a = panels.random_complex(rng, max_cells=3)
+        b = panels.random_complex(rng, max_cells=3)
         assert a.total_dim() + b.total_dim() <= 12
-        f = model.random_chain_map(rng, a, b)
+        f = panels.random_chain_map(rng, a, b)
         for mode in ("acyclic_cofibration_fibration", "cofibration_acyclic_fibration"):
             j, q = model.factorize(f, mode)
             checks = model.verify_factorization(f, j, q, mode)
             assert checks["ok"], (mode, checks)
     # left factors lift against ten seeded fibrations
     for _ in range(10):
-        a = model.random_complex(rng, max_cells=2)
-        b = model.random_complex(rng, max_cells=2)
-        j, _ = model.factorize(model.random_chain_map(rng, a, b),
+        a = panels.random_complex(rng, max_cells=2)
+        b = panels.random_complex(rng, max_cells=2)
+        j, _ = model.factorize(panels.random_chain_map(rng, a, b),
                                "acyclic_cofibration_fibration")
         middle = j.target
-        y = model.random_complex(rng, max_cells=2)
-        z = model.random_complex(rng, max_cells=2)
+        y = panels.random_complex(rng, max_cells=2)
+        z = panels.random_complex(rng, max_cells=2)
         total, inc_y, _ = model.direct_sum(y, z)
         p = projection_map(y, total, inc_y)
         assert model.is_fibration(p)
-        bottom = model.random_chain_map(rng, middle, y)
+        bottom = panels.random_chain_map(rng, middle, y)
         top = model.compose_chain_maps(inc_y, model.compose_chain_maps(bottom, j))
         h, cert = model.solve_lift(j, p, top, bottom)
         assert h is not None, cert
@@ -428,21 +429,21 @@ def test_criterion_07_model_toolkit():
     agreements = 0
     solvable_count = 0
     for trial in range(50):
-        a = model.random_complex(rng, max_cells=2)
-        b = model.random_complex(rng, max_cells=2)
-        x = model.random_complex(rng, max_cells=2)
-        y = model.random_complex(rng, max_cells=2)
-        p = model.random_chain_map(rng, x, y)
+        a = panels.random_complex(rng, max_cells=2)
+        b = panels.random_complex(rng, max_cells=2)
+        x = panels.random_complex(rng, max_cells=2)
+        y = panels.random_complex(rng, max_cells=2)
+        p = panels.random_chain_map(rng, x, y)
         if trial % 2 == 0:
-            i = model.random_chain_map(rng, a, b)
-            h0 = model.random_chain_map(rng, b, x)
+            i = panels.random_chain_map(rng, a, b)
+            h0 = panels.random_chain_map(rng, b, x)
             top = model.compose_chain_maps(h0, i)
             bottom = model.compose_chain_maps(p, h0)
         else:
             zero = model.zero_complex()
             i = model.zero_chain_map(zero, b)
             top = model.zero_chain_map(zero, x)
-            bottom = model.random_chain_map(rng, b, y)
+            bottom = panels.random_chain_map(rng, b, y)
         h, _ = model.solve_lift(i, p, top, bottom)
         rows, rhs, ncols = lift_equations(*(DenseMap(f) for f in (i, p, top, bottom)))
         oracle = feasible_by_dense_elimination(rows, rhs, ncols)
@@ -463,7 +464,7 @@ def test_criterion_08_kunneth():
     start = time.perf_counter()
     rng = random.Random(108)
     for _ in range(10):
-        v = model.random_complex(rng, max_cells=2, weight_range=(-2, 2))
+        v = panels.random_complex(rng, max_cells=2, weight_range=(-2, 2))
         assert v.total_dim() <= 4
         rep = model.kunneth_report(v, -3, 3, 5)
         assert rep["all_agree"], rep

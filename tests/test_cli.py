@@ -21,6 +21,7 @@ import sdga
 from sdga import cli, simplicial
 from sdga.cli import build_algebra, main
 from sdga.core import parity_name
+import panels
 
 
 KOSZUL_DOC = {
@@ -485,11 +486,10 @@ def test_complex_documents_round_trip(seed):
     dense rows again: a complex and a chain map written out and read back
     are equal to the originals, zero blocks kept, and no stored column
     holds a zero."""
-    from sdga import model
     rng = random.Random(8100 + seed)
-    a = model.random_complex(rng, max_cells=3)
-    b = model.random_complex(rng, max_cells=3)
-    f = model.random_chain_map(rng, a, b)
+    a = panels.random_complex(rng, max_cells=3)
+    b = panels.random_complex(rng, max_cells=3)
+    f = panels.random_chain_map(rng, a, b)
     doc = json.loads(json.dumps({"source": cli._complex_json(a),
                                  "target": cli._complex_json(b),
                                  "blocks": cli._blocks_json(f)}))

@@ -27,6 +27,7 @@ from sdga.core import (
     weight_degree_bound,
 )
 from sdga import sampling
+import panels
 
 
 @pytest.fixture
@@ -94,7 +95,7 @@ def test_even_generators_commute(table):
 @pytest.mark.parametrize("seed", range(20))
 def test_supercommutativity_on_random_homogeneous_pairs(table, seed):
     rng = random.Random(seed)
-    a, b = sampling.random_homogeneous_pair(rng, table)
+    a, b = panels.random_homogeneous_pair(rng, table)
     sign = -1 if (a.parity() and b.parity()) else 1
     assert a * b == (b * a) * sign
 

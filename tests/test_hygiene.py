@@ -1,18 +1,46 @@
-"""Source hygiene: every name a module of sdga imports is used there, and
-every private module-level function or class is used somewhere in sdga.
+"""Source hygiene: every name a module of sdga or of its tests imports is
+used there, every private module-level function or class is used somewhere in
+sdga, and every public one is used in sdga, is a command's handler, or is
+named in LIBRARY_API with its reason.
 
-A deletion that leaves its import or its helper behind fails here.  Names a
-module lists in `__all__` are its exports and count as used.
+A deletion that leaves its import or its helper behind fails here, and so
+does a test fixture or second route added to the library.  Names a module
+lists in `__all__` are its exports and count as used.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sdga"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "sdga"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Public definitions that no code in sdga calls, each kept for a reason.
+LIBRARY_API = {
+    "dg.KahlerModule": "the paper's module of Kahler differentials and its universal derivation",
+    "dg.SquareZeroExtension": "the paper's square-zero extension: sections are derivations",
+    "dg.euler_derivation": "the weight Euler derivation, whose bracket with d is d",
+    "dg.leibniz_defect": "the super-Leibniz identity of a derivation, as a checkable defect",
+    "forms.homotopy_from_cylinder_map": "the paper's chain homotopy from a map into A[t, dt]",
+    "model.direct_sum": "the coproduct of complexes with its two inclusions",
+    "model.identity_chain_map": "the identity morphism of the category of complexes",
+    "model.zero_chain_map": "the zero morphism of the category of complexes",
+    "model.sphere_to_disk": "the generating cofibrations S(n) -> D(n)",
+    "model.zero_to_disk": "the generating acyclic cofibrations 0 -> D(n)",
+    "model.is_acyclic": "acyclicity: the complex is weakly equivalent to zero",
+    "simplicial.face_pullback": "the cosimplicial face maps of Omega_n",
+    "simplicial.whitney_differential_identity": "the identity d w_I = sum_i w_{iI}",
+    "simplicial.elementary_subcomplex": "the span of the Whitney forms as a subcomplex",
+    "simplicial.simplicial_coboundary": "the simplicial cochains the elementary subcomplex matches",
+    "simplicial.dupont_defect": "Dupont's identity d s + s d = id - P, as a checkable defect",
+    "simplicial.poincare_defect": "the Poincare lemma on the simplex, as a checkable defect",
+    "simplicial.dilation": "fills SimplexForms._dilation_cache, which perfbench/tracer.py reads",
+}
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -41,6 +69,11 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_no_unused_imports_in_tests(module):
+    assert unused_imports((TESTS / module).read_text()) == []
+
+
 def test_scan_sees_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os\nfrom .core import a, b as c\n__all__ = ['c']\n"
@@ -49,34 +82,66 @@ def test_scan_sees_an_unused_import():
     assert unused_imports(source.replace("return a", "return os.sep")) == ["a"]
 
 
-def _references(tree: ast.AST, name: str, skip: ast.AST) -> bool:
-    """Whether tree names `name` anywhere outside the subtree `skip`."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if (isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name
-                or isinstance(node, ast.alias) and name in (node.name, node.asname)):
-            return True
-        stack.extend(ast.iter_child_nodes(node))
-    return False
+def _names(tree: ast.AST) -> Counter:
+    """How often each name occurs in tree, as a name, an attribute or an
+    imported name."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found.update({node.name, node.asname} - {None})
+    return found
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """module.name for each module-level function or class that no module
+    references outside the definition itself."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum(map(_names, trees.values()), Counter())
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, DEFINITIONS) and not node.name.startswith("__")
+                  and everywhere[node.name] == _names(node)[node.name])
+
+
+def _private(qualified: str) -> bool:
+    return qualified.partition(".")[2].startswith("_")
 
 
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
-    """module.name for each module-level `_name` function or class that no
-    module references outside the definition itself."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    found = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")
-                    and not any(_references(other, node.name, node)
-                                for other in trees.values())):
-                found.append(f"{module}.{node.name}")
-    return sorted(found)
+    return [name for name in unreferenced_definitions(sources) if _private(name)]
+
+
+def command_handlers(source: str) -> set[str]:
+    """cmd_<words> for each row of the module's COMMANDS table, spaces and
+    dashes turned into "_", as the CLI looks its handlers up."""
+    handlers = set()
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "COMMANDS" for t in node.targets)):
+            for row in node.value.elts:
+                words = row.elts[0].value
+                handlers.add("cmd_" + words.replace(" ", "_").replace("-", "_"))
+    return handlers
+
+
+def unlisted_public_definitions(sources: dict[str, str], api: dict[str, str]) -> list[str]:
+    """module.name for each public module-level function or class that no
+    module references, that is not a handler a cli.COMMANDS row names, and
+    that api does not list."""
+    handlers = {f"cli.{h}" for h in command_handlers(sources.get("cli", ""))}
+    return [name for name in unreferenced_definitions(sources)
+            if not _private(name) and name not in handlers and name not in api]
+
+
+def stale_api_entries(sources: dict[str, str], api: dict[str, str]) -> list[str]:
+    """The api entries that name no module-level function or class."""
+    defined = {f"{module}.{node.name}" for module, source in sources.items()
+               for node in ast.parse(source).body if isinstance(node, DEFINITIONS)}
+    return sorted(set(api) - defined)
 
 
 def test_no_unreferenced_private_definitions():
@@ -96,3 +161,29 @@ def test_scan_sees_an_unreferenced_private_definition():
     assert unreferenced_private_definitions(sources) == ["a._Unused", "a._helper"]
     sources["b"] += "def g():\n    return a._helper(2)\n"
     assert unreferenced_private_definitions(sources) == ["a._Unused"]
+
+
+def test_every_public_definition_is_used_or_listed():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    unlisted = unlisted_public_definitions(sources, LIBRARY_API)
+    assert (unlisted, stale_api_entries(sources, LIBRARY_API)) == ([], [])
+
+
+def test_scan_sees_an_unlisted_public_definition():
+    sources = {
+        "a": ("def unused():\n    pass\n"
+              "def shared():\n    pass\n"
+              "class Listed:\n    pass\n"),
+        "b": "from .a import shared\n",
+        "cli": ("COMMANDS = ((\"sym-kunneth\", \"help\", []), (\"complex lift\", \"\", [_N]))\n"
+                "def cmd_sym_kunneth(args):\n    pass\n"
+                "def cmd_complex_lift(args):\n    pass\n"
+                "def cmd_orphan(args):\n    pass\n"),
+    }
+    api = {"a.Listed": "a reason"}
+    # a reference from another module, a listing and a named handler each do
+    assert unlisted_public_definitions(sources, api) == ["a.unused", "cli.cmd_orphan"]
+    assert stale_api_entries(sources, api) == []
+    api["a.gone"] = "a reason"
+    api["b.shared"] = "defined in a, not in b"
+    assert stale_api_entries(sources, api) == ["a.gone", "b.shared"]

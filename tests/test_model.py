@@ -20,15 +20,11 @@ from sdga.model import (
     disk_complex,
     factorize,
     identity_chain_map,
-    invert_matrix,
     is_acyclic,
     is_cofibration,
     is_fibration,
     is_weak_equivalence,
     kunneth_report,
-    random_chain_map,
-    random_complex,
-    random_invertible,
     solve_lift,
     sphere_complex,
     sphere_to_disk,
@@ -38,6 +34,7 @@ from sdga.model import (
     zero_complex,
     zero_to_disk,
 )
+from panels import invert_matrix, random_chain_map, random_complex, random_invertible
 
 MODES = ("acyclic_cofibration_fibration", "cofibration_acyclic_fibration")
 

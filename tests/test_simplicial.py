@@ -27,10 +27,8 @@ from sdga.simplicial import (
     ZERO_ALGEBRA,
     SimplexForms,
     SubShapeCotensor,
-    barycentric_section,
     barycentric_table,
     barycentric_whitney,
-    compose_tuples,
     cotensor_report,
     degeneracy_tuple,
     dilation,
@@ -47,10 +45,8 @@ from sdga.simplicial import (
     pullback,
     simplex_forms,
     simplex_integral,
-    simplex_relations,
     simplicial_coboundary,
     tensor_forms,
-    vertex_projection,
     whitney,
     whitney_differential_identity,
     whitney_projection,
@@ -69,6 +65,10 @@ def line_dga():
 def rational_dga():
     tab = GeneratorTable([])
     return DGAlgebra(tab, Derivation(tab, {}, 1, 1))
+
+
+def compose_tuples(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(outer[j] for j in inner)
 
 
 def monotone_tuple(rng, m: int, n: int) -> tuple[int, ...]:
@@ -331,6 +331,27 @@ def test_closed_forms_match_their_oracles(seed):
 # -- the redundant presentation ---------------------------------------------------
 
 
+def simplex_relations(n: int) -> tuple[Element, Element]:
+    """The defining relations t0 + ... + tn - 1 and dt0 + ... + dtn."""
+    table = barycentric_table(n)
+    rel = -Element.one(table)
+    drel = Element.zero(table)
+    for i in range(n + 1):
+        rel = rel + Element.generator(table, f"t{i}")
+        drel = drel + Element.generator(table, f"dt{i}")
+    return rel, drel
+
+
+def barycentric_section(forms: SimplexForms, element: Element) -> Element:
+    """The section of eliminate fixing the coordinates t1..tn, dt1..dtn."""
+    table = barycentric_table(forms.n)
+    images: dict[str, Element] = {}
+    for i in range(1, forms.n + 1):
+        images[f"t{i}"] = Element.generator(table, f"t{i}")
+        images[f"dt{i}"] = Element.generator(table, f"dt{i}")
+    return AlgebraMap(forms.table, table, images)(element)
+
+
 def test_relations_die_under_elimination():
     for n in (1, 2):
         forms = simplex_forms(n)
@@ -432,7 +453,8 @@ def test_dilation_homotopy_identity():
                 lhs = dilation_homotopy(forms, i, forms.d(w)) + forms.d(
                     dilation_homotopy(forms, i, w)
                 )
-                assert lhs == w - vertex_projection(forms, i, w)
+                # evaluation at vertex i, as a constant form
+                assert lhs == w - Element.scalar(forms.table, forms.vertex_value(w, i))
 
 
 def test_dupont_contraction():
