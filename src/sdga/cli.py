@@ -13,11 +13,11 @@ be written.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .core import (
@@ -734,9 +734,11 @@ _EXPR = ("--expr", {"required": True})
 _FORM = ("--form", {"required": True})
 
 # One row per command: its words, its help and every option its handler reads;
-# argparse rejects any other.  The handler of a row is the module's
-# cmd_<words>, spaces and dashes turned into "_", looked up when the command
-# runs, so that a rebinding of cli.cmd_* after import takes effect.
+# any other is a usage error.  main reads a well-formed request straight from
+# its row (_read_row) and builds the argparse tree only for help, --version,
+# usage errors and the argvs _read_row declines.  The handler of a row is the
+# module's cmd_<words>, spaces and dashes turned into "_", looked up when the
+# command runs, so that a rebinding of cli.cmd_* after import takes effect.
 COMMANDS = (
     ("check", "validate an algebra document and report its cohomology",
      [_INPUT, _WINDOW, _DEGCAP]),
@@ -779,10 +781,16 @@ GROUPS = {"simplicial": "simplex forms operations",
           "complex": "finite cochain complex operations"}
 
 
-def build_parser(selected: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command in COMMANDS.  Given the words of one row,
-    it still names every command, so usage lines and errors are the same,
-    but only that row gets its options: a request pays for its own."""
+def _handler(words: str) -> str:
+    return "cmd_" + words.replace(" ", "_").replace("-", "_")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command in COMMANDS, with its help texts
+    and usage errors.  argparse is imported here, not at module level: a
+    request that _read_row parses never loads it, nor gettext and locale."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sdga",
         description="Exact calculator for differential graded-commutative algebras.",
@@ -794,10 +802,7 @@ def build_parser(selected: str | None = None) -> argparse.ArgumentParser:
         if group not in subparsers:
             subparsers[group] = subparsers[""].add_parser(
                 group, help=GROUPS[group]).add_subparsers(dest="subcommand", required=True)
-        built = selected in (None, words)
-        p = subparsers[group].add_parser(name, help=summary, add_help=built)
-        if not built:
-            continue
+        p = subparsers[group].add_parser(name, help=summary)
         for flag, kwargs in [option for option in _SHARED if option in options]:
             p.add_argument(flag, **kwargs)
         output = p.add_mutually_exclusive_group()
@@ -808,22 +813,89 @@ def build_parser(selected: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(format="json")
         for flag, kwargs in [option for option in options if option not in _SHARED]:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(func="cmd_" + words.replace(" ", "_").replace("-", "_"))
+        p.set_defaults(func=_handler(words))
     return parser
+
+
+_DIGITS = "0123456789"
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse, on each of Python 3.10 to 3.13, reads this token
+    after an option as the option's value: a token not starting with "-", "-"
+    itself, a negative integer, or "-" then a digit in a token with a space
+    ("-3 * t0").  Argparse may read any other token starting with "-" as an
+    option or as the "--" marker."""
+    if token[:1] != "-" or token == "-":
+        return True
+    return token[1] in _DIGITS and (" " in token or not token[1:].strip(_DIGITS))
+
+
+def _read_row(argv: list[str]) -> dict | None:
+    """The fields argparse would parse argv to, found without argparse: argv
+    names a COMMANDS row, then gives only that row's flags spelled in full
+    (FLAG VALUE or FLAG=VALUE), --json or --text, with every required one
+    present and every value of its type and among its choices.  None for
+    anything else (help, an abbreviation, a stray word, a value argparse might
+    read as an option, a usage error): main leaves those to argparse."""
+    words = argv[:2] if argv and argv[0] in GROUPS else argv[:1]
+    row = next((row for row in COMMANDS if row[0].split() == words), None)
+    if row is None:
+        return None
+    fields = dict(zip(("command", "subcommand"), words))
+    specs = {}
+    for flag, kwargs in row[2]:
+        dest = flag[2:].replace("-", "_")
+        specs[flag] = dest, kwargs
+        fields[dest] = kwargs.get("default", False if kwargs.get("action") else None)
+    output, tokens = None, iter(argv[len(words):])
+    for token in tokens:
+        flag, sep, value = token.partition("=")
+        # --json with --text is left to argparse, which rejects it
+        if flag in ("--json", "--text") and not sep and output in (None, flag):
+            output = flag
+            continue
+        if flag not in specs:
+            return None
+        dest, kwargs = specs[flag]
+        if kwargs.get("action") == "store_true":
+            if sep:
+                return None
+            fields[dest] = True
+        else:
+            if not sep:
+                value = next(tokens, None)
+                if value is None or not _is_value(value):
+                    return None
+            elif value == "--":  # a value from Python 3.13 on, and no value before
+                return None
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kwargs.get("choices", [value]):
+                return None
+            fields[dest] = value
+    # a required option has no default, and no value it is given is None
+    if any(kwargs.get("required") and fields[dest] is None for dest, kwargs in specs.values()):
+        return None
+    fields["format"] = output[2:] if output else "json"
+    fields["func"] = _handler(row[0])
+    return fields
 
 
 def main(argv=None) -> int:
     """One request, in-process; returns its exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the command's words: a group's name and the word after it, or one word
-    words = " ".join(argv[:2] if argv and argv[0] in GROUPS else argv[:1])
-    rows = [row[0] for row in COMMANDS]
-    args = build_parser(words if words in rows else None).parse_args(argv)
+    fields = _read_row(argv)
+    if fields is None:
+        fields = vars(build_parser().parse_args(argv))
+    args = SimpleNamespace(**fields)
     command = args.command
     if getattr(args, "subcommand", None):
         command = f"{command} {args.subcommand}"
     try:
-        if "window" in args:
+        if "window" in fields:
             args.window = _parse_window(args.window)
         for flag in ("degcap", "n", "pairs", "trials"):
             value = getattr(args, flag, None)

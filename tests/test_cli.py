@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import ast
 import errno
 import hashlib
@@ -21,6 +20,7 @@ import sdga
 from sdga import cli, simplicial
 from sdga.cli import build_algebra, main
 from sdga.core import parity_name
+import argv_panel
 import panels
 
 
@@ -74,15 +74,24 @@ def test_cli_import_leaves_inspect_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+# a well-formed request is read from its row: argparse, and the gettext and
+# locale that argparse's messages load, are for help and usage errors only
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize("argv, doc, absent", [
     (("cohomology",), KOSZUL_DOC,
-     {"sdga.simplicial", "sdga.forms", "sdga.model", "sdga.sampling", "random"}),
+     {"sdga.simplicial", "sdga.forms", "sdga.model", "sdga.sampling", "random",
+      *PARSER_MODULES}),
     (("complex", "cohomology"), {"dims": {"0,even": 1}},
-     {"sdga.simplicial", "sdga.forms"}),
+     {"sdga.simplicial", "sdga.forms", *PARSER_MODULES}),
+    (("simplicial", "dupont", "--n", "2", "--form", "-3 * t1 * dt2"), None,
+     {"sdga.model", "sdga.sampling", *PARSER_MODULES}),
 ])
 def test_request_imports_only_its_modules(argv, doc, absent):
     """Start-up cost: a request imports the modules its command uses, not
-    every module some command needs.  -S: what site imports is not counted."""
+    every module some command needs, and not argparse.  -S: what site
+    imports is not counted."""
     code = ("import json, sys, sdga.cli; code = sdga.cli.main(sys.argv[1:]); "
             "sys.stderr.write(json.dumps(sorted(sys.modules))); sys.exit(code)")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdga.__file__))}
@@ -738,55 +747,62 @@ def test_tracer_reports_the_untraced_output_and_the_simplicial_layers():
         assert spans.get(name, [0])[0] > 0, name
 
 
-def _sample(flag, kwargs) -> list[str]:
-    """The option, abbreviated, with a value of its kind."""
-    short = flag[:5]
-    if kwargs.get("action") == "store_true":
-        return [short]
-    if kwargs.get("type") is int:
-        return [short, "3"]
-    return [f"{short}={kwargs.get('choices', ['-1:2'])[-1]}"]
-
-
-def _subparser(parser, words):
-    """The parser of the command path `words` in the tree under `parser`."""
-    for word in words:
-        action = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-        parser = action.choices[word]
-    return parser
-
-
 @pytest.mark.parametrize("words", [row[0] for row in cli.COMMANDS])
-def test_selected_parser_is_the_full_parser(monkeypatch, words):
-    """main builds the options of its own command only: that parser prints the
-    same help on the command's path and parses to the same Namespace as the
-    whole tree, on every Python version."""
-    monkeypatch.setenv("COLUMNS", "80")
-    full, selected = cli.build_parser(), cli.build_parser(words)
-    path = words.split()
-    for depth in range(len(path) + 1):
-        assert (_subparser(selected, path[:depth]).format_help()
-                == _subparser(full, path[:depth]).format_help())
-    options = next(row[2] for row in cli.COMMANDS if row[0] == words)
-    for extra in [[], ["--text"], *(_sample(*option) for option in options)]:
-        argv = [*path, *_required(options), *extra]
-        assert selected.parse_args(argv) == full.parse_args(argv)
+def test_selected_parser_is_the_full_parser(words):
+    """main reads a request for a row with _read_row, not argparse: on 300
+    seeded argvs for the row (its options written in full, as FLAG=VALUE and
+    abbreviated, -h, --json with --text, stray words, values starting with
+    "-"), _read_row declines or returns the full tree's Namespace, and it
+    declines every argv the full tree exits on."""
+    wrong, read = argv_panel.check(words, 0, 300)
+    assert wrong == []
+    assert read >= 30
+
+
+@pytest.mark.parametrize("argv", argv_panel.DECLINED, ids=" ".join)
+def test_row_reader_declines(argv):
+    assert cli._read_row(argv) is None
+
+
+def test_help_with_an_argument_is_no_value():
+    """argparse reads "-h x" after --form as its help option, with an
+    argument, and exits 2: the row reader must not take it as the form."""
+    argv = ["simplicial", "dupont", "--n", "2", "--form", "-h x"]
+    assert cli._read_row(argv) is None
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("workload", ["cohomology", "horn-filling", "complexes", "simplicial"])
+def test_benchmark_requests_take_the_row_reader(monkeypatch, workload):
+    """Every request perfbench makes, at seeds 1, 3 and 23, is read from its
+    row without argparse, to the Namespace argparse parses it to."""
+    monkeypatch.syspath_prepend(str(Path(cli.__file__).parents[2] / "perfbench"))
+    import workloads
+
+    parser = cli.build_parser()
+    for seed in (1, 3, 23):
+        for req in workloads.build(workload, seed):
+            assert cli._read_row(req.argv) == vars(parser.parse_args(req.argv)), req.argv
 
 
 def test_main_selects_the_command_row(capsys, monkeypatch):
-    """A request naming a row builds that row's parser; anything else, the
-    whole tree."""
+    """A well-formed request builds no parser; help, --version, a usage error
+    and any argv the row reader declines build the whole tree."""
     seen, build = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda selected=None: seen.append(selected) or build(selected))
+    monkeypatch.setattr(cli, "build_parser", lambda: seen.append("tree") or build())
     assert main(["simplicial", "faces", "--n", "0"]) == 0
     assert main(["cells", "--text"]) == 0
-    for argv in (["--version"], ["-h"], ["simplicial"], ["nope"], ["complex", "-h"]):
+    assert main(["simplicial", "dupont", "--n", "1", "--form", "-3 * t1 * dt1"]) == 0
+    assert seen == []
+    assert main(["simplicial", "faces", "--n=0", "--tex"]) == 0
+    for argv in (["--version"], ["-h"], ["simplicial"], ["nope"], ["complex", "-h"],
+                 ["check", "--bogus"], ["simplicial", "faces", "--n", "-h x"]):
         with pytest.raises(SystemExit):
             main(argv)
     capsys.readouterr()
-    assert seen == ["simplicial faces", "cells", None, None, None, None, None]
+    assert seen == ["tree"] * 8
 
 
 def test_command_table_matches_handlers():
