@@ -895,6 +895,10 @@ def main(argv=None) -> int:
     if getattr(args, "subcommand", None):
         command = f"{command} {args.subcommand}"
     try:
+        # argparse before Python 3.13 parses FLAG=-- to [] and 3.13 to "--"
+        for dest, value in fields.items():
+            if type(value) is list:
+                raise InputError(f"--{dest.replace('_', '-')} needs a value; got '--'")
         if "window" in fields:
             args.window = _parse_window(args.window)
         for flag in ("degcap", "n", "pairs", "trials"):

@@ -859,35 +859,27 @@ def weight_degree_bound(table: GeneratorTable, weight: int) -> int | None:
         return None
     if any(w > 0 for w in even_weights) and any(w < 0 for w in even_weights):
         return None
-    odd_weights = [table.weights[i] for i in table.odd_positions]
-    best: int | None = None
 
     def feasible_even_degree(residual: int) -> int | None:
+        # the even weights are nonzero and share one sign
         if residual == 0:
             return 0
-        if not even_weights:
+        if not even_weights or (residual > 0) != (even_weights[0] > 0):
             return None
-        if all(w > 0 for w in even_weights):
-            if residual < 0:
-                return None
-            return residual // min(even_weights)
-        if residual > 0:
-            return None
-        return (-residual) // min(-w for w in even_weights)
+        return abs(residual) // min(abs(w) for w in even_weights)
 
-    for mask in range(1 << len(odd_weights)):
-        size = 0
-        wsum = 0
-        for i, w in enumerate(odd_weights):
-            if mask >> i & 1:
-                size += 1
-                wsum += w
+    # a subset-sum table: each sum of distinct odd generators' weights -> the
+    # most odd generators that reach it; one entry per sum, not per subset
+    most = {0: 0}
+    for w in (table.weights[i] for i in table.odd_positions):
+        for wsum, size in list(most.items()):
+            if most.get(wsum + w, -1) <= size:
+                most[wsum + w] = size + 1
+    best: int | None = None
+    for wsum, size in most.items():
         even_deg = feasible_even_degree(weight - wsum)
-        if even_deg is None:
-            continue
-        cand = size + even_deg
-        if best is None or cand > best:
-            best = cand
+        if even_deg is not None and (best is None or size + even_deg > best):
+            best = size + even_deg
     if best is None:
         return -1
     return best

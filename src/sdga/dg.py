@@ -13,8 +13,8 @@ dimension carries an `exact` flag that is True only when the truncated bases
 provably exhaust their weight spaces.
 
 A differential block is a `linalg.Block`, a list of sparse columns, one per
-source monomial.  The kernel is read from their transpose, the columns
-into a weight space are its image as they stand, and a representative is
+source monomial.  `linalg.kernel` gives its kernel, the columns into a
+weight space are its image as they stand, and a representative is
 rendered from its own sparse row, so no block or vector is written out dense.
 """
 
@@ -320,7 +320,7 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
             prev = bases[(w - 1, (p + 1) % 2)]
             nxt = bases[(w + 1, (p + 1) % 2)]
             columns = _differential_matrix(table, d, cur, nxt)
-            kernel = linalg.nullspace(linalg.transpose(columns, len(nxt)), len(cur))
+            kernel = linalg.kernel(columns, len(nxt))
             outgoing[p] = (columns, len(cur) - len(kernel))
             if w == w_min:
                 image = _differential_matrix(table, d, prev, cur)

@@ -4,11 +4,12 @@ Everything works in one form: sparse rows, dicts from column to nonzero
 entry, so a zero is never stored, scanned, multiplied or negated.  An entry
 is an `int` when it is integral and a `Fraction` otherwise; it is never a
 float, a bool or a stored zero, and `entry` puts any exact scalar in that
-form.  `rref` is the one elimination kernel: `rank`, `nullspace` and
-`solve_with_certificate` read its result, and `RowSpan` keeps its basis in
-the same sparse rows and reduces with the same row update.  Each takes
-sparse rows and returns sparse rows; a sparse row does not know its width,
-so the functions that need the column count take it as `ncols`.
+form.  One routine, `_add`, eliminates: it reduces rows against a fully
+reduced basis keyed by pivot column.  `RowSpan` is such a basis, `rref`
+reads one out by pivot, `rank` counts it, and `nullspace` and
+`solve_with_certificate` read `rref`.  Each takes sparse rows and returns
+sparse rows; a sparse row does not know its width, so the functions that
+need the column count take it as `ncols`.
 
 Elimination is fraction-free.  Each row is first scaled to a primitive
 integer row: times the lcm of its denominators, then divided by its content
@@ -23,9 +24,9 @@ Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 9).
 A linear map is a `Block`: a list of sparse columns, one per source basis
 vector, column j the image of basis vector j in target coordinates.  Its
 length is the source dimension; the target dimension is the caller's to
-know.  `apply` and `mat_mul` act with blocks, `transpose(block, nrows)` gives
-a block's rows for elimination, and `rank(block)` is the block's rank as it
-stands, since column rank equals row rank.  Every pivot decision is exact,
+know.  `apply` and `mat_mul` act with blocks, `kernel(block, nrows)` gives
+a block's kernel, and `rank(block)` is the block's rank as it stands, since
+column rank equals row rank.  Every pivot decision is exact,
 so ranks, kernels and solutions carry no floating-point doubt.
 """
 
@@ -36,6 +37,7 @@ from math import gcd, lcm
 
 SparseRow = dict[int, int | Fraction]  # column -> nonzero entry
 Block = list[SparseRow]  # column j -> the image of source basis vector j
+Basis = dict[int, dict[int, int]]  # pivot column -> primitive integer row
 
 
 def entry(x) -> int | Fraction:
@@ -129,41 +131,53 @@ def _divided(row: dict[int, int], col: int) -> SparseRow:
     return {j: x // a if x % a == 0 else Fraction(x, a) for j, x in row.items()}
 
 
+def _reduce(basis: Basis, row: SparseRow) -> dict[int, int]:
+    """`RowSpan.reduce` against basis."""
+    v = _primitive(row)
+    for col in [col for col in v if col in basis]:  # no pivot entry appears
+        _eliminate(v, col, basis[col])
+    return v
+
+
+def _add(basis: Basis, rows: list[SparseRow]) -> int:
+    """Grow basis by rows; returns how many grew the span.  A remainder's
+    leftmost column is its pivot, cleared from the basis rows holding it, so
+    each basis row has nothing left of its pivot and 0 at the others."""
+    grew = 0
+    for row in rows:
+        v = _reduce(basis, row)
+        if v:
+            col = min(v)
+            for other in basis.values():
+                if col in other:
+                    _eliminate(other, col, v)
+            basis[col] = v
+            grew += 1
+    return grew
+
+
 def rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot column list).
 
     The input rows are not modified.  The result has as many rows as the
-    input, the zero rows ({}) last.  Columns are taken in order, and a
-    column's pivot is the first remaining row with an entry there.  A
-    remaining row has no entry left of the column being eliminated, so its
-    leading column says whether it qualifies, and only rows that held the
-    pivot column need their lead read again.
+    input, the zero rows ({}) last.  It is the basis `_add` keeps, read out
+    by pivot and divided by the pivot entries: a row space has one reduced
+    echelon form, so the order in which rows are added changes nothing.
     """
-    rows = [_primitive(row) for row in rows]
-    end = 1 + max((max(row) for row in rows if row), default=-1)
-    lead = [min(row, default=end) for row in rows]  # end marks a zero row
-    pivots: list[int] = []
-    for top in range(len(rows)):
-        col = min(lead[top:])
-        if col == end:
-            break
-        found = lead.index(col, top)
-        rows[top], rows[found] = rows[found], rows[top]
-        lead[top], lead[found] = lead[found], lead[top]
-        pivot = rows[top]
-        for r, row in enumerate(rows):
-            if r != top and col in row:
-                _eliminate(row, col, pivot)
-                if r > top:
-                    lead[r] = min(row, default=end)
-        pivots.append(col)
-    for top, col in enumerate(pivots):
-        rows[top] = _divided(rows[top], col)
-    return rows, pivots
+    basis: Basis = {}
+    _add(basis, rows)
+    pivots = sorted(basis)
+    reduced = [_divided(basis[col], col) for col in pivots]
+    return reduced + [{} for _ in range(len(rows) - len(pivots))], pivots
 
 
 def rank(rows: list[SparseRow]) -> int:
-    return len(rref(rows)[1])
+    return _add({}, rows)
+
+
+def kernel(block: Block, nrows: int) -> list[SparseRow]:
+    """The nullspace of a block's rows, nrows the block's target dimension."""
+    return nullspace(transpose(block, nrows), len(block))
 
 
 def nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
@@ -209,41 +223,30 @@ class RowSpan:
 
     add() returns True when the row enlarged the span, which makes it handy
     both for rank bookkeeping and for picking representatives independent of a
-    previously seeded subspace.  The basis is kept as primitive integer rows,
-    each with no entry at another basis row's pivot; `rows` reads them out
-    divided by their pivot entries.
+    previously seeded subspace.  `_add` keeps the basis; `pivots` and `rows`
+    read it out in the order added, the rows divided by their pivot entries.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._basis: list[dict[int, int]] = []
-        self.pivots: list[int] = []
+        self._basis: Basis = {}
 
     def reduce(self, row: SparseRow) -> dict[int, int]:
         """A nonzero multiple of row minus its component in the span, as a
         new primitive integer row; {} when row lies in the span."""
-        v = _primitive(row)
-        for basis_row, piv in zip(self._basis, self.pivots):
-            if piv in v:
-                _eliminate(v, piv, basis_row)
-        return v
+        return _reduce(self._basis, row)
 
     def add(self, row: SparseRow) -> bool:
-        v = self.reduce(row)
-        if not v:
-            return False
-        piv = min(v)
-        for basis_row in self._basis:
-            if piv in basis_row:
-                _eliminate(basis_row, piv, v)
-        self._basis.append(v)
-        self.pivots.append(piv)
-        return True
+        return _add(self._basis, [row]) == 1
+
+    @property
+    def pivots(self) -> list[int]:
+        return list(self._basis)
 
     @property
     def rows(self) -> list[SparseRow]:
         """The basis rows in the order added, each 1 at its pivot."""
-        return [_divided(dict(row), piv) for row, piv in zip(self._basis, self.pivots)]
+        return [_divided(dict(row), piv) for piv, row in self._basis.items()]
 
     @property
     def dim(self) -> int:

@@ -75,10 +75,6 @@ def _rows(block: linalg.Block, nrows: int) -> list[linalg.SparseRow]:
     return rows
 
 
-def _kernel(block: linalg.Block, nrows: int) -> list[linalg.SparseRow]:
-    return linalg.nullspace(linalg.transpose(block, nrows), len(block))
-
-
 class Complex:
     """A bigraded complex with finitely many nonzero components."""
 
@@ -459,7 +455,7 @@ class _MiddleBuilder:
 
     def kernel(self, key: Key) -> list[linalg.SparseRow]:
         """The cocycles of the current middle complex at key."""
-        return _kernel(self.dcols.get(key, []), self.dim(_next_key(key)))
+        return linalg.kernel(self.dcols.get(key, []), self.dim(_next_key(key)))
 
     def materialize(self) -> tuple[ChainMap, ChainMap]:
         """(j, q): the inclusion of the base and the map to B."""
@@ -509,7 +505,7 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         nb = B.dim(key)
         if nb == 0:
             continue
-        kernel_b = _kernel(B.d_block(key), B.dim(_next_key(key)))
+        kernel_b = linalg.kernel(B.d_block(key), B.dim(_next_key(key)))
         if not kernel_b:
             continue
         hit = linalg.RowSpan(nb)
@@ -542,7 +538,7 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         boundaries = linalg.RowSpan(nm)
         for col in builder.dcols.get(prev, []):
             boundaries.add(col)
-        for pair in linalg.nullspace(linalg.transpose(stacked, B.dim(key)), len(stacked)):
+        for pair in linalg.kernel(stacked, B.dim(key)):
             y = {j: x for j, x in pair.items() if j < prev_b}
             z = linalg.apply(kernel_m, {j - prev_b: x for j, x in pair.items() if j >= prev_b})
             if boundaries.add(z):

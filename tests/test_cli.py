@@ -373,6 +373,24 @@ def test_unlisted_shared_option_exits_2(capsys, monkeypatch, words, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+VALUED = [(words, flag) for words, _, options in cli.COMMANDS
+          for flag, kwargs in options if kwargs.get("action") != "store_true"]
+
+
+@pytest.mark.parametrize("words, flag", VALUED, ids=[f"{words}-{flag}" for words, flag in VALUED])
+def test_flag_equals_double_dash_exits_2(capsys, monkeypatch, words, flag):
+    """FLAG=-- gives no value: argparse parses it to [] before Python 3.13 and
+    to "--" from 3.13 on.  Either way the request exits 2, with no traceback."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(LINE_DOC)))
+    options = next(row[2] for row in cli.COMMANDS if row[0] == words)
+    others = _required([option for option in options if option[0] != flag])
+    try:
+        code = main([*words.split(), *others, f"{flag}=--"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+
+
 def test_cotensor_horn_filling(tmp_path, capsys):
     path = write_doc(tmp_path, "line.json", LINE_DOC)
     code, env = run_json(capsys, "cotensor", "--input", path, "--n", "1",
@@ -1100,6 +1118,18 @@ def test_process_prints_what_main_prints(capsys, monkeypatch, doc, argv, code):
     if argv[0] == "simplicial":
         assert len(child.stdout) > 65536
 
+
+
+def test_cohomology_of_40_odd_generators_exits_in_time():
+    """The degree bound tables the sums of the odd generators' weights: 40
+    odd generators take well under a second, where a walk over their 2^40
+    subsets would not finish."""
+    doc = {"generators": [{"name": f"y{i}", "weight": i % 5 - 2, "parity": "odd"}
+                          for i in range(40)]}
+    child = _cli_child(["cohomology", "--window=0:0", "--degcap", "1"],
+                       json.dumps(doc).encode(), capture_output=True, timeout=10)
+    assert child.returncode == 0
+    assert json.loads(child.stdout)["ok"] is True
 
 def test_console_script_is_run():
     """`sdga` leaves the way `python -m sdga.cli` does."""

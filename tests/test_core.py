@@ -247,6 +247,67 @@ def test_weight_degree_bound_none_with_weight_zero_generator(table):
     assert weight_degree_bound(table, 1) is None
 
 
+def weight_degree_bound_oracle(table, weight):
+    """The walk over all 2^k subsets of the k odd generators that
+    core.weight_degree_bound made before its subset-sum table."""
+    even_weights = [table.weights[i] for i in range(len(table)) if table.parities[i] == EVEN]
+    if any(w == 0 for w in even_weights):
+        return None
+    if any(w > 0 for w in even_weights) and any(w < 0 for w in even_weights):
+        return None
+    odd_weights = [table.weights[i] for i in table.odd_positions]
+    best = None
+
+    def feasible_even_degree(residual):
+        if residual == 0:
+            return 0
+        if not even_weights:
+            return None
+        if all(w > 0 for w in even_weights):
+            if residual < 0:
+                return None
+            return residual // min(even_weights)
+        if residual > 0:
+            return None
+        return (-residual) // min(-w for w in even_weights)
+
+    for mask in range(1 << len(odd_weights)):
+        size = 0
+        wsum = 0
+        for i, w in enumerate(odd_weights):
+            if mask >> i & 1:
+                size += 1
+                wsum += w
+        even_deg = feasible_even_degree(weight - wsum)
+        if even_deg is None:
+            continue
+        cand = size + even_deg
+        if best is None or cand > best:
+            best = cand
+    if best is None:
+        return -1
+    return best
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_weight_degree_bound_matches_subset_oracle(seed):
+    """Odd weights of both signs and 0, with even weights absent, all
+    positive, all negative, of mixed sign or 0."""
+    rng = random.Random(3100 + seed)
+    seen = set()
+    for evens in ([], [1, 2], [2, 3, 5], [-1, -4], [-2, -3], [2, -1], [0, 3]):
+        odd = [rng.randint(-4, 4) for _ in range(rng.randint(0, 10))]
+        gens = [Generator(f"x{i}", w, EVEN) for i, w in enumerate(evens)]
+        gens += [Generator(f"y{i}", w, ODD) for i, w in enumerate(odd)]
+        rng.shuffle(gens)
+        table = GeneratorTable(gens)
+        for weight in range(-12, 13):
+            bound = weight_degree_bound(table, weight)
+            assert bound == weight_degree_bound_oracle(table, weight), (evens, odd, weight)
+            seen.add("none" if bound is None else "empty" if bound < 0 else "finite")
+    assert seen == {"none", "empty", "finite"}
+
+
 def test_algebra_map_checks_bidegrees(table):
     target = GeneratorTable([Generator("u", 0, 0), Generator("th", 1, 1)])
     AlgebraMap(table, target, {

@@ -319,6 +319,92 @@ def test_sparse_kernel_matches_dense_oracle(seed):
     assert inconsistent, "the panel should hold an inconsistent system"
 
 
+# -- rref against the column-order elimination it replaced ---------------------
+
+
+def column_order_rref(rows):
+    """The column-order Gauss-Jordan loop linalg.rref ran before it read out
+    the basis linalg._add keeps: columns taken in order, a column's pivot the
+    first remaining row with an entry there, on the same fraction-free row
+    steps.  Kept as the oracle for rref."""
+    rows = [linalg._primitive(row) for row in rows]
+    end = 1 + max((max(row) for row in rows if row), default=-1)
+    lead = [min(row, default=end) for row in rows]  # end marks a zero row
+    pivots = []
+    for top in range(len(rows)):
+        col = min(lead[top:])
+        if col == end:
+            break
+        found = lead.index(col, top)
+        rows[top], rows[found] = rows[found], rows[top]
+        lead[top], lead[found] = lead[found], lead[top]
+        pivot = rows[top]
+        for r, row in enumerate(rows):
+            if r != top and col in row:
+                linalg._eliminate(row, col, pivot)
+                if r > top:
+                    lead[r] = min(row, default=end)
+        pivots.append(col)
+    for top, col in enumerate(pivots):
+        rows[top] = linalg._divided(rows[top], col)
+    return rows, pivots
+
+
+def typed(rows):
+    """Each row's entries with their types, in column order."""
+    return [sorted((j, x, type(x)) for j, x in row.items()) for row in rows]
+
+
+def rref_panel(seed):
+    """Named sparse systems for one seed: entries 1/2, -3/7 and 10**12+39,
+    duplicate and dependent rows, zero rows and no rows at all."""
+    rng = random.Random(4100 + seed)
+    ncols = rng.randint(1, 10)
+    values = [1, -1, 2, -6, Fraction(1, 2), Fraction(-3, 7), 10**12 + 39, -(10**12 + 39)]
+
+    def row(density):
+        return {j: rng.choice(values) for j in range(ncols) if rng.random() < density}
+
+    def combination(rows):
+        out = {}
+        for r in rows:
+            c = rng.choice([1, -2, Fraction(1, 2), Fraction(-3, 7), 10**12 + 39])
+            for j, x in r.items():
+                out[j] = out.get(j, 0) + c * x
+        return {j: linalg.entry(x) for j, x in out.items() if x}
+
+    base = [row(rng.choice([0.2, 0.5, 1.0])) for _ in range(rng.randint(1, 7))]
+    yield "random", base
+    dependent = base + [dict(rng.choice(base)) for _ in range(rng.randint(1, 3))]
+    dependent += [combination(rng.sample(base, rng.randint(1, len(base))))
+                  for _ in range(rng.randint(1, 4))]
+    dependent += [{} for _ in range(rng.randint(1, 3))]
+    rng.shuffle(dependent)
+    yield "duplicate, dependent and zero rows", dependent
+    yield "no rows", []
+    yield "zero rows only", [{} for _ in range(rng.randint(1, 4))]
+    yield "one wide row", [row(1.0)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rref_matches_column_order_oracle(seed):
+    """rref equals the column-order loop entry by entry and type by type (int
+    or Fraction), on the rows as given and shuffled."""
+    rng = random.Random(seed)
+    for name, rows in rref_panel(seed):
+        given = [dict(row) for row in rows]
+        expected, pivots = column_order_rref(rows)
+        reduced, got = linalg.rref(rows)
+        assert rows == given, name
+        assert (typed(reduced), got) == (typed(expected), pivots), name
+        assert linalg.rank(rows) == len(pivots), name
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        reduced, got = linalg.rref(shuffled)
+        assert (typed(reduced), got) == (typed(expected), pivots), name
+        assert typed(column_order_rref(shuffled)[0]) == typed(expected), name
+
+
 def naive_mat_mul(a, b):
     """Every product a[i][k] * b[k][j], zero or not, summed in k order."""
     cols = len(b[0]) if b else 0
