@@ -466,16 +466,14 @@ def cmd_simplicial_project(args) -> dict:
     from . import simplicial
     forms = simplicial.simplex_forms(args.n)
     element = _simplicial_expr(args, forms)
-    image = simplicial.whitney_projection(forms, element)
+    coefficients = simplicial.whitney_expansion(forms, element)
+    image = simplicial.whitney_projection(forms, element, expansion=coefficients)
     expansion = []
-    for k in range(forms.n + 1):
-        for I in simplicial.whitney_tuples(forms.n, k):
-            coeff = simplicial.simplex_integral(forms, I, element)
-            if coeff:
-                item = {"tuple": _tuple_str(I), "coefficient": str(coeff)}
-                if args.barycentric:
-                    item["barycentric"] = render(simplicial.barycentric_whitney(args.n, I))
-                expansion.append(item)
+    for I, coeff in coefficients:
+        item = {"tuple": _tuple_str(I), "coefficient": str(coeff)}
+        if args.barycentric:
+            item["barycentric"] = render(simplicial.barycentric_whitney(args.n, I))
+        expansion.append(item)
     return {
         "n": args.n,
         "form": render(element),

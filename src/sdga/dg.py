@@ -327,7 +327,7 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
                 rank_in = linalg.rank(image)
             else:
                 image, rank_in = incoming[(p + 1) % 2]
-            reps = linalg.quotient_representatives(kernel, image, len(cur))
+            reps = linalg.quotient_representatives(kernel, image)
             bound_cur = bounds[w]
             bound_prev = bounds[w - 1]
             exact = (

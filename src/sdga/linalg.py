@@ -227,8 +227,7 @@ class RowSpan:
     read it out in the order added, the rows divided by their pivot entries.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self._basis: Basis = {}
 
     def reduce(self, row: SparseRow) -> dict[int, int]:
@@ -253,10 +252,10 @@ class RowSpan:
         return len(self._basis)
 
 
-def quotient_representatives(kernel: list[SparseRow], image: list[SparseRow],
-                             ncols: int) -> list[SparseRow]:
+def quotient_representatives(kernel: list[SparseRow],
+                             image: list[SparseRow]) -> list[SparseRow]:
     """Rows of `kernel` that are independent modulo span(image)."""
-    span = RowSpan(ncols)
+    span = RowSpan()
     for row in image:
         span.add(row)
     return [row for row in kernel if span.add(row)]

@@ -490,7 +490,7 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         nb = B.dim(key)
         if nb == 0:
             continue
-        span = linalg.RowSpan(nb)
+        span = linalg.RowSpan()
         for col in builder.qcols.get(key, []):
             span.add(col)
         for r in range(nb):
@@ -508,7 +508,7 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         kernel_b = linalg.kernel(B.d_block(key), B.dim(_next_key(key)))
         if not kernel_b:
             continue
-        hit = linalg.RowSpan(nb)
+        hit = linalg.RowSpan()
         for col in B.d_block(_prev_key(key)):
             hit.add(col)
         for col in linalg.mat_mul(builder.qcols.get(key, []), builder.kernel(key)):
@@ -535,7 +535,7 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         prev_b = B.dim(prev)
         minus_db = [{r: -x for r, x in col.items()} for col in B.d_block(prev)]
         stacked = minus_db + linalg.mat_mul(builder.qcols[key], kernel_m)
-        boundaries = linalg.RowSpan(nm)
+        boundaries = linalg.RowSpan()
         for col in builder.dcols.get(prev, []):
             boundaries.add(col)
         for pair in linalg.kernel(stacked, B.dim(key)):

@@ -14,9 +14,11 @@ span a finite subcomplex isomorphic to simplicial cochains, and integration
 over the face spanned by I is exactly dual to them.  The dilation towards a
 vertex provides contraction operators h^i; the classical simplicial homotopy
 s = sum +- w_I h^{i_k} ... h^{i_0} assembled from them satisfies
-id - P = d s + s d for the Whitney projection P = sum w_I int_I (Dupont,
-Simplicial de Rham cohomology and characteristic classes of flat bundles,
-Topology 1976), all verified here with exact rational coefficients.
+id - P = d s + s d for the Whitney projection P x = sum_I (int_I x) w_I
+(Dupont, Simplicial de Rham cohomology and characteristic classes of flat
+bundles, Topology 1976), all verified here with exact rational coefficients.
+P takes one integral of x per face, of the part of x of the face's form
+weight, and `simplicial project` reports those integrals as its expansion.
 
 Both ingredients have closed forms on a monomial t^a dt_J with |J| = k, and
 these are what the operators evaluate; s itself is one walk over them:
@@ -38,11 +40,13 @@ these are what the operators evaluate; s itself is one walk over them:
                         (p+m)! (a_i-m)! / (p+a_i+1)!,
 
   which for i = 0 is the Poincare-lemma factor 1/(|a| + k).
-* Dupont homotopy: one prefix walk; h^i over (p+a_i+1)!.  The closed form of
-  h^i is an integer polynomial over D = (p+a_i+1)!, so the dilations sum
-  integer multiples over a common denominator.  s visits each increasing
-  vertex prefix I once, applying h^{i_k} to the whole value of its parent
-  prefix, and adds w_I times the result.
+* Dupont homotopy: one prefix walk on integer terms.  The closed form of h^i
+  is an integer polynomial over D = (p+a_i+1)!, so the dilations sum integer
+  multiples over a common denominator.  s visits each increasing vertex
+  prefix I once, applying h^{i_k} to the whole value of its parent prefix,
+  and adds w_I times the result.  Each prefix's value h^I(x) is carried as
+  integer numerators over one denominator, so no Fraction is built until
+  the sum of the walk.
 
 Tensoring with a coefficient algebra B and imposing the face compatibility
 constraints computes B^K for K a simplex, a boundary or a horn; surjectivity
@@ -109,10 +113,13 @@ class SimplexForms(FormsAlgebra):
     """Polynomial forms on the n-simplex in eliminated coordinates.
 
     Per-monomial results of the simplicial operators are kept in the
-    `_*_cache` dicts; the Dupont homotopy keeps none of its own.  A face
-    integral or a dilation homotopy missing from its cache is evaluated by the
-    closed forms of the module docstring, with no algebra map, substitution or
-    polynomial integration.
+    `_*_cache` dicts.  The Dupont homotopy and the Whitney projection keep
+    none of their own: `_s_cache` and `_p_cache` are never filled and stay
+    for perfbench/tracer.py, which reads every `_*_cache`.  A face integral
+    or a dilation homotopy missing from its cache is evaluated by the closed
+    forms of the module docstring, with no algebra map, substitution or
+    polynomial integration.  The t and dt of the n + 1 vertices are built
+    once, and the iterated integral keeps one face parametrisation per face.
     """
 
     def __init__(self, n: int):
@@ -125,28 +132,29 @@ class SimplexForms(FormsAlgebra):
         self._whitney_cache: dict[tuple[int, ...], Element] = {}
         self._integral_cache: dict[tuple, Fraction] = {}
         self._dilation_cache: dict[int, tuple[Cylinder, AlgebraMap]] = {}
+        self._face_maps: dict[tuple[int, ...], AlgebraMap] = {}
         self._h_cache: dict[tuple[int, tuple[int, ...]], tuple[dict, int]] = {}
-        # never filled: the walk in dupont_homotopy keeps no per-monomial
-        # results, and perfbench/tracer.py reads the attribute
+        # never filled (see above)
         self._s_cache: dict[tuple[int, ...], Element] = {}
         self._p_cache: dict[tuple[int, ...], Element] = {}
+        self._t = self._vertices("t", 1)
+        self._dt = self._vertices("dt", 0)
 
-    def _vertex(self, name: str, i: int, constant: int) -> Element:
-        """name_i; at i = 0, constant minus the sum of name_1 .. name_n."""
+    def _vertices(self, name: str, constant: int) -> list[Element]:
+        """name_0 .. name_n, name_0 being constant minus the sum of the others."""
+        rest = [Element.generator(self.table, f"{name}{j}") for j in range(1, self.n + 1)]
+        return [Element.scalar(self.table, constant) - sum(rest, Element.zero(self.table))] + rest
+
+    def _vertex(self, vertices: list[Element], i: int) -> Element:
         if not 0 <= i <= self.n:
             raise AlgebraError(f"vertex index {i} out of range for n={self.n}")
-        if i:
-            return Element.generator(self.table, f"{name}{i}")
-        out = Element.scalar(self.table, constant)
-        for j in range(1, self.n + 1):
-            out = out - Element.generator(self.table, f"{name}{j}")
-        return out
+        return vertices[i]
 
     def t(self, i: int) -> Element:
-        return self._vertex("t", i, 1)
+        return self._vertex(self._t, i)
 
     def dt(self, i: int) -> Element:
-        return self._vertex("dt", i, 0)
+        return self._vertex(self._dt, i)
 
     def vertex_value(self, element: Element, i: int) -> Fraction:
         """Evaluate the function part at vertex i (t_j = delta_ij, dt = 0)."""
@@ -369,21 +377,20 @@ def simplex_integral(forms: SimplexForms, indices: tuple[int, ...], element: Ele
         raise AlgebraError(f"unknown integration method {method!r}")
     k = len(I) - 1
     total = Fraction(0)
-    if k == 0:
-        for mono, c in element.terms.items():
-            if forms.form_weight_of(mono) == 0:
-                total += c * _dirichlet_integral(forms, I, mono)
-        return total
     kernel = _dirichlet_integral if method == "dirichlet" else _iterated_integral
     for mono, c in element.terms.items():
         if forms.form_weight_of(mono) != k:
             continue
-        key = (I, mono, method)
-        cached = forms._integral_cache.get(key)
-        if cached is None:
-            cached = kernel(forms, I, mono)
-            forms._integral_cache[key] = cached
-        total += c * cached
+        if k == 0:
+            # a point evaluation, by the closed form and without a cache entry
+            value = _dirichlet_integral(forms, I, mono)
+        else:
+            key = (I, mono, method)
+            value = forms._integral_cache.get(key)
+            if value is None:
+                value = forms._integral_cache[key] = kernel(forms, I, mono)
+        if value:
+            total += c * value
     return total
 
 
@@ -406,14 +413,12 @@ def _dirichlet_integral(forms: SimplexForms, I: tuple[int, ...],
     return Fraction(sign * num, math.factorial(len(I) - 1 + sum(mono[:n])))
 
 
-def _iterated_integral(forms: SimplexForms, I: tuple[int, ...],
-                       mono: tuple[int, ...]) -> Fraction:
-    """Pull t^a dt_J back along the face parametrisation and integrate in turn.
-
-    t_{I_0} = 1 - u1 - ... - uk and t_{I_q} = u_q; the coefficient of
-    du1 ... duk is integrated over u_k, then u_{k-1}, ..., with the upper
-    bound 1 - u1 - ... - u_{q-1} for u_q.
-    """
+def _face_parametrisation(forms: SimplexForms, I: tuple[int, ...]) -> AlgebraMap:
+    """Omega_n -> forms in u1..uk, k = len(I) - 1: t_{I_0} = 1 - u1 - ... - uk,
+    t_{I_q} = u_q, a coordinate off I to 0.  Kept per I."""
+    cached = forms._face_maps.get(I)
+    if cached is not None:
+        return cached
     k = len(I) - 1
     U = _integration_forms(k)
     u_elems = [Element.generator(U.table, f"u{q}") for q in range(1, k + 1)]
@@ -433,9 +438,22 @@ def _iterated_integral(forms: SimplexForms, I: tuple[int, ...],
     for j in range(1, forms.n + 1):
         images[f"t{j}"] = param_t.get(j, Element.zero(U.table))
         images[f"dt{j}"] = param_dt.get(j, Element.zero(U.table))
-    sub = AlgebraMap(forms.table, U.table, images, check=False)
+    cached = forms._face_maps[I] = AlgebraMap(forms.table, U.table, images, check=False)
+    return cached
+
+
+def _iterated_integral(forms: SimplexForms, I: tuple[int, ...],
+                       mono: tuple[int, ...]) -> Fraction:
+    """Pull t^a dt_J back along the face parametrisation and integrate in turn.
+
+    t_{I_0} = 1 - u1 - ... - uk and t_{I_q} = u_q; the coefficient of
+    du1 ... duk is integrated over u_k, then u_{k-1}, ..., with the upper
+    bound 1 - u1 - ... - u_{q-1} for u_q.
+    """
+    k = len(I) - 1
+    U = _integration_forms(k)
     # the coefficient of du1 ... duk, a function of u1..uk
-    value = sub(Element.monomial(forms.table, mono))
+    value = _face_parametrisation(forms, I)(Element.monomial(forms.table, mono))
     for q in range(1, k + 1):
         value = partial_derivative(value, f"du{q}")
     value = U.project(value)
@@ -452,29 +470,31 @@ def _iterated_integral(forms: SimplexForms, I: tuple[int, ...],
 # -- Whitney projection and the simplicial homotopy -----------------------------
 
 
-def whitney_projection(forms: SimplexForms, element: Element) -> Element:
-    """P = sum_I w_I * integral_I; idempotent chain map onto the Whitney span."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+def whitney_expansion(forms: SimplexForms, element: Element) -> list[tuple[tuple, Fraction]]:
+    """The nonzero face integrals (I, int_I x), by k = |I| - 1 and then in
+    whitney_tuples order: the coefficients of P x in the Whitney forms.  Each
+    face integrates only the part of x of its form weight."""
+    parts: dict[int, dict] = {}
     for mono, c in element.terms.items():
-        cached = forms._p_cache.get(mono)
-        if cached is None:
-            cached = _projection_of_monomial(forms, mono)
-            forms._p_cache[mono] = cached
-        _add_into(terms, cached.terms, c)
-    return Element(forms.table, terms)
-
-
-def _projection_of_monomial(forms: SimplexForms, mono: tuple[int, ...]) -> Element:
-    k = forms.form_weight_of(mono)
-    if k > forms.n:
-        return Element.zero(forms.table)
-    elem = Element.monomial(forms.table, mono)
-    out = Element.zero(forms.table)
-    for I in whitney_tuples(forms.n, k):
-        value = simplex_integral(forms, I, elem)
-        if value:
-            out = out + whitney(forms, I) * value
+        parts.setdefault(forms.form_weight_of(mono), {})[mono] = c
+    out = []
+    for k in sorted(w for w in parts if w <= forms.n):
+        part = Element(forms.table, parts[k])
+        for I in whitney_tuples(forms.n, k):
+            value = simplex_integral(forms, I, part)
+            if value:
+                out.append((I, value))
     return out
+
+
+def whitney_projection(forms: SimplexForms, element: Element, *,
+                       expansion: list | None = None) -> Element:
+    """P = sum_I (int_I x) w_I; idempotent chain map onto the Whitney span.
+    A caller holding whitney_expansion(forms, element) passes it as expansion."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for I, value in whitney_expansion(forms, element) if expansion is None else expansion:
+        _add_into(terms, whitney(forms, I).terms, value)
+    return Element(forms.table, terms)
 
 
 def dilation(forms: SimplexForms, i: int) -> tuple[Cylinder, AlgebraMap]:
@@ -509,7 +529,8 @@ def dilation(forms: SimplexForms, i: int) -> tuple[Cylinder, AlgebraMap]:
     return cyl, phi
 
 
-def dilation_homotopy(forms: SimplexForms, i: int, element: Element) -> Element:
+def dilation_homotopy(forms: SimplexForms, i: int, element: Element, *,
+                      denominator: int | None = None) -> Element | tuple[Element, int]:
     """h^i = int_0^1 (d/du) dilation_i; h^i d + d h^i = id - (vertex i).
 
     Each monomial t^a dt_{j_1} ... dt_{j_k} is sent to its closed form
@@ -526,8 +547,14 @@ def dilation_homotopy(forms: SimplexForms, i: int, element: Element) -> Element:
     times the numerator of c over D times the denominator of c; the
     contributions are summed as integer multiples over the lcm of those
     denominators, and each output coefficient becomes one Fraction.
+
+    Given a denominator q, element stands for element / q, and the image
+    comes back as the pair (integer numerators, their denominator) with the
+    numerators held in an Element: the Dupont walk stays on integers from
+    one prefix to the next.
     """
     cache = forms._h_cache
+    over = denominator or 1
     parts = []
     for mono, c in element.terms.items():
         key = (i, mono)
@@ -536,21 +563,27 @@ def dilation_homotopy(forms: SimplexForms, i: int, element: Element) -> Element:
             cached = cache[key] = _dilation_of_monomial(forms.n, i, mono)
         image, den = cached
         if image:
-            parts.append((c.numerator, image, c.denominator * den))
-    return _sum_over_lcm(forms.table, parts)
+            parts.append((c.numerator, image, c.denominator * den * over))
+    image = _sum_over_lcm(forms.table, parts)
+    return _divided(*image) if denominator is None else image
 
 
-def _sum_over_lcm(table: GeneratorTable, parts) -> Element:
+def _sum_over_lcm(table: GeneratorTable, parts) -> tuple[Element, int]:
     """sum of num * terms / den over the parts (num, terms, den), terms with
-    integer coefficients: integer multiples over the lcm of the dens, and one
-    Fraction per output term."""
+    integer coefficients: integer multiples over the lcm of the dens, as
+    that numerator Element and the lcm."""
     common = math.lcm(*(den for _, _, den in parts))
     acc: dict[tuple[int, ...], int] = {}
     for num, terms, den in parts:
         scale = num * (common // den)
         for mono, v in terms.items():
             acc[mono] = acc.get(mono, 0) + scale * v
-    return Element(table, {m: Fraction(v, common) for m, v in acc.items() if v})
+    return Element(table, {m: v for m, v in acc.items() if v}), common
+
+
+def _divided(numerators: Element, den: int) -> Element:
+    """numerators / den, with one Fraction per term."""
+    return Element(numerators.table, {m: Fraction(v, den) for m, v in numerators.terms.items()})
 
 
 def _dilation_of_monomial(n: int, i: int, mono: tuple[int, ...]) -> tuple[dict, int]:
@@ -597,23 +630,22 @@ def dupont_homotopy(forms: SimplexForms, element: Element) -> Element:
     n, table = forms.n, forms.table
     depth = min(n, max(map(forms.form_weight_of, element.terms), default=0))
     parts = []
-    stack: list[tuple[tuple[int, ...], Element]] = [((), element)] if depth else []
+    # each prefix with h^I(x) as integer numerators over one denominator
+    stack: list[tuple[tuple[int, ...], Element, int]] = [((), element, 1)] if depth else []
     while stack:
-        prefix, value = stack.pop()
+        prefix, value, den = stack.pop()
         sign = _DUPONT_SIGN(len(prefix))
         for vertex in range(prefix[-1] + 1 if prefix else 0, n + 1):
-            image = dilation_homotopy(forms, vertex, value)
+            image, image_den = dilation_homotopy(forms, vertex, value, denominator=den)
             if not image.terms:
                 continue
             I = prefix + (vertex,)
             # w_I times h^I(x), both as integer numerators
-            den = math.lcm(*(c.denominator for c in image.terms.values()))
-            nums = {m: c.numerator * (den // c.denominator) for m, c in image.terms.items()}
             w = {m: c.numerator for m, c in whitney(forms, I).terms.items()}
-            parts.append((sign, _mul_terms(table, w, nums), den))
+            parts.append((sign, _mul_terms(table, w, image.terms), image_den))
             if len(I) < depth:
-                stack.append((I, image))
-    return _sum_over_lcm(table, parts)
+                stack.append((I, image, image_den))
+    return _divided(*_sum_over_lcm(table, parts))
 
 
 def dupont_defect(forms: SimplexForms, element: Element) -> Element:
@@ -635,13 +667,9 @@ def poincare_witness(forms: SimplexForms, element: Element) -> Element:
     evaluation of the 0-form part at vertex 0.
     """
     out = dupont_homotopy(forms, element)
-    for k in range(1, forms.n + 1):
-        for I in whitney_tuples(forms.n, k):
-            if I[0] != 0:
-                continue
-            value = simplex_integral(forms, I, element)
-            if value:
-                out = out + whitney(forms, I[1:]) * value
+    for I, value in whitney_expansion(forms, element):
+        if len(I) > 1 and I[0] == 0:
+            out = out + whitney(forms, I[1:]) * value
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import errno
+import functools
 import hashlib
 import io
 import json
@@ -765,6 +766,26 @@ def test_tracer_reports_the_untraced_output_and_the_simplicial_layers():
         assert spans.get(name, [0])[0] > 0, name
 
 
+def test_duality_builds_one_face_parametrisation_per_face(capsys, monkeypatch):
+    """The iterated integral pulls each monomial back along an AlgebraMap
+    onto the face; `duality --n 4` builds that map at most once per face of
+    positive dimension, not once per monomial it integrates."""
+    built = []
+
+    class Counted(simplicial.AlgebraMap):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simplicial, "AlgebraMap", Counted)
+    # a fresh instance, so every face is integrated from scratch
+    monkeypatch.setattr(simplicial, "simplex_forms",
+                        functools.lru_cache(maxsize=None)(simplicial.SimplexForms))
+    code, out = run_json(capsys, "simplicial", "duality", "--n", "4")
+    assert code == 0 and out["report"]["all_pass"] is True
+    assert 0 < len(built) <= 2 ** 5 - 1 - 5
+
+
 @pytest.mark.parametrize("words", [row[0] for row in cli.COMMANDS])
 def test_selected_parser_is_the_full_parser(words):
     """main reads a request for a row with _read_row, not argparse: on 300
@@ -877,6 +898,11 @@ GOLDEN_FORMS = [
     "5 * t3^3 * dt1 * dt2 - 1/7 * t0 * dt3 + 4",
 ]
 
+# a fractional form on the 4-simplex with terms in form weights 0, 1, 2 and 3
+GOLDEN_FORM_4 = ("1/2 * t0^3 * t1 * dt2 - 3/7 * t4 * t2^2 * dt1 * dt3"
+                 " + 5/11 * t3 * dt0 * dt2 * dt4 - 2/9 * t4^2 + 7/3 * t1 * dt3"
+                 " - 1/5 * t2 * dt1 * dt4")
+
 # sha256 of the whole stdout of each command, GOLDEN_DOC on stdin: the
 # reports stay byte-identical whatever the arithmetic beneath them does
 GOLDEN_DIGESTS = {
@@ -902,6 +928,14 @@ GOLDEN_DIGESTS = {
         "e3e6fd9bcbc7afa38aba11912b687f0de87154efbdb09edce528f66794f83ab8",
     ("simplicial", "faces", "--n", "3"):
         "4b519efa75fa8380be4e71c06f67cf6d410ad6e7888e830b58a7a0e9830efca5",
+    ("simplicial", "duality", "--n", "4"):
+        "cceabbe69fe93b795e9969de769e4f3d3f0d095e8aa1805afdb773475fd1543d",
+    ("simplicial", "whitney", "--n", "4"):
+        "1937e62be471a6c3b04acf657a3e2a4d044819399a9dcb409dfb6b85c79c1939",
+    ("simplicial", "dupont", "--n", "4", "--form", GOLDEN_FORM_4):
+        "a3b3575c5544fb02706aa032bcd639adaaa059ecf9455509ef5e88abd5462ddf",
+    ("simplicial", "project", "--n", "4", "--form", GOLDEN_FORM_4):
+        "7c92e93d8de3a4b2d79bd4296079e735ff7a099a8a848ec7753220e8cbf7c214",
     ("integrate", "--input", "-", "--expr", "x^2 * y + 3/2 * x * xi - y * eta",
      "--var", "x", "--lower", "y", "--upper", "1 - x"):
         "9b20c2f86ff86f94f97a4e9bb8ea8f09175022b2f181ab277ed1d83647194746",

@@ -49,6 +49,7 @@ from sdga.simplicial import (
     tensor_forms,
     whitney,
     whitney_differential_identity,
+    whitney_expansion,
     whitney_projection,
     whitney_tuples,
 )
@@ -433,6 +434,62 @@ def test_whitney_projection_properties():
         assert whitney_projection(f2, f2.d(w)) == f2.d(pw)
 
 
+def projection_oracle(forms, element):
+    """What whitney_projection used to run: per monomial of form weight k,
+    w_I times its integral over each k-face I, summed with the monomial's
+    coefficient.  Kept as the reference for the one-integral-per-face sum."""
+    out = Element.zero(forms.table)
+    for mono, c in element.terms.items():
+        monomial = Element.monomial(forms.table, mono)
+        for I in whitney_tuples(forms.n, forms.form_weight_of(mono)):
+            value = simplex_integral(forms, I, monomial)
+            if value:
+                out = out + whitney(forms, I) * value * c
+    return out
+
+
+def expansion_oracle(forms, element):
+    """The nonzero face integrals of element, each summed monomial by
+    monomial with face_integral_oracle, by k and then in whitney_tuples order."""
+    out = []
+    for k in range(forms.n + 1):
+        for I in whitney_tuples(forms.n, k):
+            value = sum((c * face_integral_oracle(forms, I, mono)
+                         for mono, c in element.terms.items()
+                         if forms.form_weight_of(mono) == k), Fraction(0))
+            if value:
+                out.append((I, value))
+    return out
+
+
+def projection_panel_element(rng, n):
+    """One or two monomials of each form weight 0..n, exponents up to 3,
+    with coefficients from the mixed-denominator list."""
+    forms = SimplexForms(n)
+    out = Element.zero(forms.table)
+    for k in range(n + 1):
+        for _ in range(rng.randint(1, 2)):
+            dts = set(rng.sample(range(n), k))
+            mono = tuple([rng.randint(0, 3) for _ in range(n)]
+                         + [int(j in dts) for j in range(n)])
+            out = out + Element.monomial(forms.table, mono, rng.choice(PANEL_COEFFICIENTS))
+    return forms, out
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_projection_matches_the_per_monomial_oracle(seed):
+    rng = random.Random(9300 + seed)
+    for n in range(1, 5):
+        forms, x = projection_panel_element(rng, n)
+        expansion = whitney_expansion(forms, x)
+        assert expansion == expansion_oracle(forms, x), (n, x)
+        assert all(type(value) is Fraction for _, value in expansion)
+        got = whitney_projection(forms, x)
+        assert got == projection_oracle(forms, x), (n, x)
+        assert whitney_projection(forms, x, expansion=expansion) == got
+        assert_fraction_terms(got)
+
+
 def test_whitney_projection_naturality():
     rng = random.Random(45)
     f2, f1 = simplex_forms(2), simplex_forms(1)
@@ -517,9 +574,9 @@ def test_dupont_walk_is_bounded_by_form_weight(monkeypatch):
     calls = []
     inner = simplicial.dilation_homotopy
 
-    def counted(forms, i, element):
+    def counted(forms, i, element, **kwargs):
         calls.append(i)
-        return inner(forms, i, element)
+        return inner(forms, i, element, **kwargs)
 
     monkeypatch.setattr(simplicial, "dilation_homotopy", counted)
     forms = SimplexForms(12)
