@@ -309,25 +309,20 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
     }
 
     report = CohomologyReport(w_min, w_max, cap)
-    # d into (w, p) is d out of (w - 1, p + 1): past the first weight its
-    # columns, which span the image, and its rank come from the previous
-    # weight's pass
-    outgoing: dict[int, tuple[linalg.Block, int]] = {}
+    # d into (w, p) is d out of (w - 1, p + 1), keyed by its target parity p:
+    # the first weight's is built here, the others carried over.  Its columns
+    # span the image, which lies in the kernel, so len(reps) is dim H.
+    incoming = {p: _differential_matrix(table, d, bases[(w_min - 1, (p + 1) % 2)],
+                                        bases[(w_min, p)])
+                for p in (EVEN, ODD)}
     for w in range(w_min, w_max + 1):
-        incoming, outgoing = outgoing, {}
+        outgoing: dict[int, linalg.Block] = {}
         for p in (EVEN, ODD):
             cur = bases[(w, p)]
-            prev = bases[(w - 1, (p + 1) % 2)]
             nxt = bases[(w + 1, (p + 1) % 2)]
-            columns = _differential_matrix(table, d, cur, nxt)
+            columns = outgoing[(p + 1) % 2] = _differential_matrix(table, d, cur, nxt)
             kernel = linalg.kernel(columns, len(nxt))
-            outgoing[p] = (columns, len(cur) - len(kernel))
-            if w == w_min:
-                image = _differential_matrix(table, d, prev, cur)
-                rank_in = linalg.rank(image)
-            else:
-                image, rank_in = incoming[(p + 1) % 2]
-            reps = linalg.quotient_representatives(kernel, image)
+            reps = linalg.quotient_representatives(kernel, incoming[p])
             bound_cur = bounds[w]
             bound_prev = bounds[w - 1]
             exact = (
@@ -337,13 +332,14 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
                 and caps[w - 1] >= bound_prev
             )
             report.entries[(w, p)] = {
-                "dim": len(kernel) - rank_in,
+                "dim": len(reps),
                 "exact": exact,
                 "representatives": [
                     render(Element(table, {cur[i]: c for i, c in rep.items()}))
                     for rep in reps
                 ],
             }
+        incoming = outgoing
     return report
 
 

@@ -51,7 +51,9 @@ these are what the operators evaluate; s itself is one walk over them:
 Tensoring with a coefficient algebra B and imposing the face compatibility
 constraints computes B^K for K a simplex, a boundary or a horn; surjectivity
 of the restriction maps onto horns and boundaries is decided by exact rank
-computations on truncated bases.  The face restrictions act on monomials:
+computations on truncated bases, in the kernel's own coordinates: a retry at
+a larger domain cap appends columns to the system.  The face restrictions act
+on monomials:
 
 * Face restriction.  On B tensor Omega_n the restriction to the facet
   opposite vertex i is id_B tensor delta_i^*, and a monomial is b * omega
@@ -382,8 +384,8 @@ def simplex_integral(forms: SimplexForms, indices: tuple[int, ...], element: Ele
         if forms.form_weight_of(mono) != k:
             continue
         if k == 0:
-            # a point evaluation, by the closed form and without a cache entry
-            value = _dirichlet_integral(forms, I, mono)
+            # a point evaluation, by the method's own kernel, without a cache entry
+            value = kernel(forms, I, mono)
         else:
             key = (I, mono, method)
             value = forms._integral_cache.get(key)
@@ -859,9 +861,13 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
     at most cap must be the restriction of a global form; the domain degree
     cap escalates up to cap + FILLING_MAX_EXTRA before reporting failure.
 
-    The domain columns restrict each monomial of B tensor Omega_n once per
-    call, by `TensorForms.face_terms`: facet j >= 1 deletes t_j and dt_j,
-    facet 0 sends t_1 -> 1 - sum(t) and dt_1 -> -sum(dt).
+    The system is laid out once per bidegree, in the coordinates of
+    `SubShapeCotensor._kernel` (facet i and monomial b of its basis fb at
+    i * len(fb) + b), so the kernel vectors are the targets unchanged; a
+    retry appends the columns of the domain monomials new at its cap, and a
+    coordinate for each new facet monomial.  Each domain monomial is
+    restricted once, by `TensorForms.face_terms`: facet j >= 1 deletes t_j
+    and dt_j, facet 0 sends t_1 -> 1 - sum(t) and dt_1 -> -sum(dt).
     """
     out: dict = {
         "shape": shape,
@@ -884,9 +890,6 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
     cot = SubShapeCotensor(coefficients, n, shape, horn_vertex)
     total = tensor_forms(coefficients, n)
     restrict = [total.face_terms(j) for j in cot.facets]
-    # domain monomial -> its image on each facet; a retry at a larger cap
-    # restricts only the monomials that are new there
-    images: dict[tuple[int, ...], list[dict]] = {}
     for w in range(w_min, w_max + 1):
         for p in (EVEN, ODD):
             targets, fb = cot._kernel(w, p, cap)
@@ -897,36 +900,26 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
                 entry["cap_used"] = cap
                 out["entries"].append(entry)
                 continue
-            for extra in range(FILLING_MAX_EXTRA + 1):
-                cap_dom = cap + extra
-                fb_big = cot.facet_basis(w, p, cap_dom)
-                big_idx = {m: i for i, m in enumerate(fb_big)}
-                ncols_big = len(cot.facets) * len(fb_big)
-                columns = []
+            # (facet, monomial) -> coordinate; a new facet monomial takes the next
+            coords = {(fi, m): fi * len(fb) + bi
+                      for fi in range(len(restrict)) for bi, m in enumerate(fb)}
+            # domain monomial -> its column; a retry restricts only the new ones
+            columns: dict[tuple[int, ...], linalg.SparseRow] = {}
+            for cap_dom in range(cap, cap + FILLING_MAX_EXTRA + 1):
+                allowed = set(cot.facet_basis(w, p, cap_dom))
                 for mono in monomial_basis(total.table, w, p, cap_dom):
-                    facet_images = images.get(mono)
-                    if facet_images is None:
-                        facet_images = images[mono] = [r(mono) for r in restrict]
-                    vec = {}
-                    for fi, image in enumerate(facet_images):
-                        for m, c in image.items():
-                            bi = big_idx.get(m)
-                            if bi is None:
-                                raise AlgebraError(
-                                    "face restriction left the truncated basis")
-                            vec[fi * len(fb_big) + bi] = c
-                    columns.append(vec)
-                padded_targets = []
-                for tvec in targets:
-                    big = {}
-                    for k, c in tvec.items():
-                        fi, bi = divmod(k, len(fb))
-                        big[fi * len(fb_big) + big_idx[fb[bi]]] = c
-                    padded_targets.append(big)
+                    if mono in columns:
+                        continue
+                    vec = columns[mono] = {}
+                    for fi, r in enumerate(restrict):
+                        for m, c in r(mono).items():
+                            if m not in allowed:
+                                raise AlgebraError("face restriction left the truncated basis")
+                            vec[coords.setdefault((fi, m), len(coords))] = c
                 # rank(columns) == rank(columns + targets): one elimination,
                 # since the pivots of the leading columns alone are those of
                 # the augmented system that fall among them
-                aug = linalg.transpose(columns + padded_targets, ncols_big)
+                aug = linalg.transpose([*columns.values(), *targets], len(coords))
                 _, pivots = linalg.rref(aug)
                 if all(col < len(columns) for col in pivots):
                     entry["surjective"] = True

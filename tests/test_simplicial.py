@@ -168,6 +168,33 @@ def test_whitney_duality_both_methods():
                 assert simplex_integral(f2, J, w, method="iterated") == expected
 
 
+def test_iterated_vertex_integrals_run_the_iterated_kernel(monkeypatch):
+    """method="iterated" evaluates a vertex by `_iterated_integral` too, once
+    per monomial of form weight 0 and with no cache entry, so the k = 0 row
+    of `simplicial duality` compares two methods; it agrees with the closed
+    form on every monomial t^a with exponents up to 2, n = 1..4."""
+    calls = []
+    iterated = simplicial._iterated_integral
+
+    def counted(forms, I, mono):
+        calls.append(I)
+        return iterated(forms, I, mono)
+
+    monkeypatch.setattr(simplicial, "_iterated_integral", counted)
+    points = 0
+    for n in range(1, 5):
+        forms = SimplexForms(n)
+        for i in range(n + 1):
+            for a in itertools.product(range(3), repeat=n):
+                # the dt term has form weight 1 and is not integrated at a point
+                x = Element.monomial(forms.table, a + (0,) * n) + forms.dt(1)
+                got = simplex_integral(forms, (i,), x, method="iterated")
+                assert got == simplex_integral(forms, (i,), x, method="dirichlet"), (n, i, a)
+                points += 1
+        assert forms._integral_cache == {}
+    assert len(calls) == points
+
+
 def test_whitney_differential_identity_small():
     for n in (1, 2):
         forms = simplex_forms(n)
@@ -872,6 +899,23 @@ def test_filling_matches_the_algebra_map_oracle(seed):
     assert [{k: e[k] for k in ("weight", "parity", "target_dim", "surjective", "cap_used")}
             for e in rep["entries"]] == expected
     assert rep["all_surjective"] == all(e["surjective"] for e in expected)
+
+
+def test_filling_gives_up_past_the_largest_cap(monkeypatch):
+    """Over one even generator c of weight 1, the (2, even) families on the
+    boundary of the 1-simplex are restrictions only from the domain at cap 3;
+    with no cap above 2 to try, the report gives up on them as the oracle
+    does."""
+    monkeypatch.setattr(simplicial, "FILLING_MAX_EXTRA", 0)
+    table = GeneratorTable([Generator("c", 1, EVEN)])
+    cot = SubShapeCotensor(DGAlgebra(table, Derivation(table, {}, 1, ODD)), 1, "boundary")
+    rep = filling_report(cot.coefficients, 1, "boundary", None, 0, 2, 2)
+    entries = [{k: e[k] for k in ("weight", "parity", "target_dim", "surjective", "cap_used")}
+               for e in rep["entries"]]
+    assert entries[4] == {"weight": 2, "parity": "even", "target_dim": 2,
+                          "surjective": False, "cap_used": None}
+    assert rep["all_surjective"] is False
+    assert entries == filling_oracle(cot, 0, 2, 2, max_extra=0)
 
 
 def test_filling_reports_are_surjective():
