@@ -127,7 +127,7 @@ def build_algebra(doc: dict) -> tuple[DGAlgebra | None, dict | None]:
                           f"{found}, expected ({g.weight + 1}, "
                           f"{parity_name((g.parity + 1) % 2)})",
             }
-    d = Derivation(table, images, 1, ODD)
+    d = Derivation(table, images, 1, ODD, check=False)
     dga = DGAlgebra(table, d, check=False)
     bad = dga.square_witnesses()
     if bad:

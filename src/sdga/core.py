@@ -393,9 +393,6 @@ class Element:
             raise AlgebraError("parity of a zero or inhomogeneous element")
         return bid[1]
 
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.table), Fraction(0))
 

@@ -245,9 +245,6 @@ class CohomologyReport:
     def dims(self) -> dict[tuple[int, int], int]:
         return {key: entry["dim"] for key, entry in self.entries.items()}
 
-    def total_dim(self) -> int:
-        return sum(entry["dim"] for entry in self.entries.values())
-
     def to_dict(self) -> dict:
         return {
             "window": [self.w_min, self.w_max],
@@ -322,7 +319,7 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
             nxt = bases[(w + 1, (p + 1) % 2)]
             columns = outgoing[(p + 1) % 2] = _differential_matrix(table, d, cur, nxt)
             kernel = linalg.kernel(columns, len(nxt))
-            reps = linalg.quotient_representatives(kernel, incoming[p])
+            reps = [kernel[i] for i in linalg.quotient_representatives(kernel, incoming[p])]
             bound_cur = bounds[w]
             bound_prev = bounds[w - 1]
             exact = (

@@ -5,11 +5,12 @@ entry, so a zero is never stored, scanned, multiplied or negated.  An entry
 is an `int` when it is integral and a `Fraction` otherwise; it is never a
 float, a bool or a stored zero, and `entry` puts any exact scalar in that
 form.  One routine, `_add`, eliminates: it reduces rows against a fully
-reduced basis keyed by pivot column.  `RowSpan` is such a basis, `rref`
-reads one out by pivot, `rank` counts it, and `nullspace` and
-`solve_with_certificate` read `rref`.  Each takes sparse rows and returns
-sparse rows; a sparse row does not know its width, so the functions that
-need the column count take it as `ncols`.
+reduced basis keyed by pivot column.  `rref` reads one out by pivot,
+`rank` counts it, `nullspace` and `solve_with_certificate` read `rref`, and
+`quotient_representatives` grows one, a `RowSpan`, to pick by position the
+rows independent modulo a span.  Each takes sparse rows; a sparse row does
+not know its width, so the functions that need the column count take it as
+`ncols`.
 
 Elimination is fraction-free.  Each row is first scaled to a primitive
 integer row: times the lcm of its denominators, then divided by its content
@@ -131,21 +132,16 @@ def _divided(row: dict[int, int], col: int) -> SparseRow:
     return {j: x // a if x % a == 0 else Fraction(x, a) for j, x in row.items()}
 
 
-def _reduce(basis: Basis, row: SparseRow) -> dict[int, int]:
-    """`RowSpan.reduce` against basis."""
-    v = _primitive(row)
-    for col in [col for col in v if col in basis]:  # no pivot entry appears
-        _eliminate(v, col, basis[col])
-    return v
-
-
 def _add(basis: Basis, rows: list[SparseRow]) -> int:
-    """Grow basis by rows; returns how many grew the span.  A remainder's
-    leftmost column is its pivot, cleared from the basis rows holding it, so
-    each basis row has nothing left of its pivot and 0 at the others."""
+    """Grow basis by rows; returns how many grew the span.  A row is reduced
+    at the pivots it holds; a nonzero remainder's leftmost column is its
+    pivot, cleared from the basis rows holding it, so each basis row has
+    nothing left of its pivot and 0 at the others."""
     grew = 0
     for row in rows:
-        v = _reduce(basis, row)
+        v = _primitive(row)
+        for col in [col for col in v if col in basis]:  # no pivot entry appears
+            _eliminate(v, col, basis[col])
         if v:
             col = min(v)
             for other in basis.values():
@@ -219,43 +215,22 @@ def solve_with_certificate(rows: list[SparseRow], rhs: list[int | Fraction],
 
 
 class RowSpan:
-    """Incrementally maintained row space with exact reduction.
-
-    add() returns True when the row enlarged the span, which makes it handy
-    both for rank bookkeeping and for picking representatives independent of a
-    previously seeded subspace.  `_add` keeps the basis; `pivots` and `rows`
-    read it out in the order added, the rows divided by their pivot entries.
-    """
+    """A row space grown one row at a time: `add` says whether the row
+    enlarged it.  `quotient_representatives` grows one; perfbench/tracer.py
+    counts the rows it takes by wrapping `add`."""
 
     def __init__(self):
         self._basis: Basis = {}
 
-    def reduce(self, row: SparseRow) -> dict[int, int]:
-        """A nonzero multiple of row minus its component in the span, as a
-        new primitive integer row; {} when row lies in the span."""
-        return _reduce(self._basis, row)
-
     def add(self, row: SparseRow) -> bool:
         return _add(self._basis, [row]) == 1
 
-    @property
-    def pivots(self) -> list[int]:
-        return list(self._basis)
 
-    @property
-    def rows(self) -> list[SparseRow]:
-        """The basis rows in the order added, each 1 at its pivot."""
-        return [_divided(dict(row), piv) for piv, row in self._basis.items()]
-
-    @property
-    def dim(self) -> int:
-        return len(self._basis)
-
-
-def quotient_representatives(kernel: list[SparseRow],
-                             image: list[SparseRow]) -> list[SparseRow]:
-    """Rows of `kernel` that are independent modulo span(image)."""
+def quotient_representatives(rows: list[SparseRow], image: list[SparseRow]) -> list[int]:
+    """The positions, in order, of the rows independent modulo span(image)
+    and the rows chosen before them: their classes are a basis of the
+    rows' span modulo the image's."""
     span = RowSpan()
     for row in image:
         span.add(row)
-    return [row for row in kernel if span.add(row)]
+    return [i for i, row in enumerate(rows) if span.add(row)]

@@ -78,8 +78,7 @@ def _rows(block: linalg.Block, nrows: int) -> list[linalg.SparseRow]:
 class Complex:
     """A bigraded complex with finitely many nonzero components."""
 
-    def __init__(self, dims: dict[Key, int], diff: dict[Key, linalg.Block],
-                 check: bool = True):
+    def __init__(self, dims: dict[Key, int], diff: dict[Key, linalg.Block]):
         self.dims = {key: n for key, n in dims.items() if n > 0}
         self.diff = {}
         for key, block in diff.items():
@@ -87,10 +86,6 @@ class Complex:
                                "differential", key)
             if any(block):
                 self.diff[key] = block
-        if check:
-            self.validate()
-
-    def validate(self):
         for key, block in self.diff.items():
             nxt = _next_key(key)
             if nxt in self.diff and any(linalg.mat_mul(self.diff[nxt], block)):
@@ -104,9 +99,6 @@ class Complex:
         if block is None:
             return [{} for _ in range(self.dim(key))]
         return block
-
-    def support(self) -> list[Key]:
-        return sorted(self.dims)
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -487,35 +479,25 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
 
     # pass 1: attach disks until q is degreewise surjective
     for key in _all_keys(A, B):
-        nb = B.dim(key)
-        if nb == 0:
-            continue
-        span = linalg.RowSpan()
-        for col in builder.qcols.get(key, []):
-            span.add(col)
-        for r in range(nb):
-            if span.add({r: 1}):
-                builder.attach_disk(key, {r: 1})
+        units = _units(B.dim(key))
+        if units:
+            for r in linalg.quotient_representatives(units, builder.qcols.get(key, [])):
+                builder.attach_disk(key, units[r])
 
     if mode == "acyclic_cofibration_fibration":
         return builder.materialize()
 
     # pass 2: attach closed generators until H(q) is surjective
     for key in _all_keys(A, B):
-        nb = B.dim(key)
-        if nb == 0:
+        if B.dim(key) == 0:
             continue
         kernel_b = linalg.kernel(B.d_block(key), B.dim(_next_key(key)))
         if not kernel_b:
             continue
-        hit = linalg.RowSpan()
-        for col in B.d_block(_prev_key(key)):
-            hit.add(col)
-        for col in linalg.mat_mul(builder.qcols.get(key, []), builder.kernel(key)):
-            hit.add(col)
-        for vec in kernel_b:
-            if hit.add(vec):
-                builder.add_generator(key, {}, vec)
+        hit = B.d_block(_prev_key(key)) + linalg.mat_mul(builder.qcols.get(key, []),
+                                                         builder.kernel(key))
+        for i in linalg.quotient_representatives(kernel_b, hit):
+            builder.add_generator(key, {}, kernel_b[i])
 
     # pass 3: kill the kernel of H(q).  One nullspace per key of the stacked
     # system [-d_B | q K], K the cocycles of the middle complex, gives every
@@ -525,8 +507,7 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
     # columns first, a column of K that q sends to a boundary on its own
     # comes out as c = e_i with the y of the particular solution.
     for key in _all_keys(A, B):
-        nm = builder.dim(key)
-        if nm == 0:
+        if builder.dim(key) == 0:
             continue
         kernel_m = builder.kernel(key)
         if not kernel_m:
@@ -535,14 +516,11 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         prev_b = B.dim(prev)
         minus_db = [{r: -x for r, x in col.items()} for col in B.d_block(prev)]
         stacked = minus_db + linalg.mat_mul(builder.qcols[key], kernel_m)
-        boundaries = linalg.RowSpan()
-        for col in builder.dcols.get(prev, []):
-            boundaries.add(col)
-        for pair in linalg.kernel(stacked, B.dim(key)):
-            y = {j: x for j, x in pair.items() if j < prev_b}
-            z = linalg.apply(kernel_m, {j - prev_b: x for j, x in pair.items() if j >= prev_b})
-            if boundaries.add(z):
-                builder.add_generator(prev, z, y)
+        pairs = linalg.kernel(stacked, B.dim(key))
+        zs = linalg.mat_mul(kernel_m, [{j - prev_b: x for j, x in pair.items() if j >= prev_b}
+                                       for pair in pairs])
+        for i in linalg.quotient_representatives(zs, builder.dcols.get(prev, [])):
+            builder.add_generator(prev, zs[i], {j: x for j, x in pairs[i].items() if j < prev_b})
     return builder.materialize()
 
 

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module of sdga or of its tests imports is
-used there, every private module-level function or class is used somewhere in
-sdga, and every public one is used in sdga, is a command's handler, or is
-named in LIBRARY_API with its reason.
+used there, every private module-level function or class, and every private
+method of one, is used somewhere in sdga, and every public one is used in
+sdga, is a command's handler, or is named in LIBRARY_API with its reason.
 
 A deletion that leaves its import or its helper behind fails here, and so
 does a test fixture or second route added to the library.  Names a module
@@ -18,13 +18,26 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "sdga"
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
-# Public definitions that no code in sdga calls, each kept for a reason.
+# Public definitions and methods that no code in sdga names, each kept for a
+# reason.
 LIBRARY_API = {
     "dg.KahlerModule": "the paper's module of Kahler differentials and its universal derivation",
     "dg.SquareZeroExtension": "the paper's square-zero extension: sections are derivations",
+    "dg.KahlerModule.universal": "the universal derivation into Omega^1",
+    "dg.KahlerModule.universal_factorization": "the module map a derivation factors through",
+    "dg.SquareZeroExtension.derivation_to_section": "a derivation as an algebra section",
+    "dg.SquareZeroExtension.section_to_derivation": "an algebra section as a derivation",
+    "dg.SquareZeroExtension.section_defect": "a section's multiplicativity, as a checkable defect",
+    "dg.CohomologyReport.representatives": "the printed representatives at one bidegree",
     "dg.euler_derivation": "the weight Euler derivation, whose bracket with d is d",
+    "forms.FormsAlgebra.form_components": "an element split by form degree",
+    "forms.FormsAlgebra.total_dga": "the forms algebra with the total differential",
+    "forms.FormsAlgebra.restricts_to_base": "L_D restricts to D on the base, as a check",
+    "forms.Cylinder.end_map": "evaluation at an end of the cylinder",
+    "model.Complex.total_dim": "the dimension of the whole complex",
     "dg.leibniz_defect": "the super-Leibniz identity of a derivation, as a checkable defect",
     "forms.homotopy_from_cylinder_map": "the paper's chain homotopy from a map into A[t, dt]",
     "model.direct_sum": "the coproduct of complexes with its two inclusions",
@@ -40,6 +53,8 @@ LIBRARY_API = {
     "simplicial.dupont_defect": "Dupont's identity d s + s d = id - P, as a checkable defect",
     "simplicial.poincare_defect": "the Poincare lemma on the simplex, as a checkable defect",
     "simplicial.dilation": "fills SimplexForms._dilation_cache, which perfbench/tracer.py reads",
+    "simplicial.SimplexForms.vertex_value": "evaluation of a form's function part at a vertex",
+    "simplicial.SubShapeCotensor.dimension": "the cotensor's dimension at one bidegree",
 }
 
 
@@ -96,19 +111,33 @@ def _names(tree: ast.AST) -> Counter:
     return found
 
 
+def _definitions(tree: ast.Module):
+    """(name, node) for each module-level function or class, and
+    (Class.name, node) for each method of such a class."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """module.name for each module-level function or class that no module
-    references outside the definition itself."""
+    """module.name for each module-level function or class, and
+    module.Class.name for each method of one, that no module references
+    outside the definition itself.  The scan goes by name: any attribute of
+    the same name anywhere counts as a reference to a method."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = sum(map(_names, trees.values()), Counter())
-    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
-                  for node in tree.body
-                  if isinstance(node, DEFINITIONS) and not node.name.startswith("__")
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name, node in _definitions(tree)
+                  if not node.name.startswith("__")
                   and everywhere[node.name] == _names(node)[node.name])
 
 
 def _private(qualified: str) -> bool:
-    return qualified.partition(".")[2].startswith("_")
+    return any(part.startswith("_") for part in qualified.split(".")[1:])
 
 
 def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
@@ -138,9 +167,10 @@ def unlisted_public_definitions(sources: dict[str, str], api: dict[str, str]) ->
 
 
 def stale_api_entries(sources: dict[str, str], api: dict[str, str]) -> list[str]:
-    """The api entries that name no module-level function or class."""
-    defined = {f"{module}.{node.name}" for module, source in sources.items()
-               for node in ast.parse(source).body if isinstance(node, DEFINITIONS)}
+    """The api entries that name no module-level function or class and no
+    method of one."""
+    defined = {f"{module}.{name}" for module, source in sources.items()
+               for name, _ in _definitions(ast.parse(source))}
     return sorted(set(api) - defined)
 
 
@@ -187,3 +217,24 @@ def test_scan_sees_an_unlisted_public_definition():
     api["a.gone"] = "a reason"
     api["b.shared"] = "defined in a, not in b"
     assert stale_api_entries(sources, api) == ["a.gone", "b.shared"]
+
+
+def test_scan_sees_an_unlisted_public_method():
+    sources = {
+        "a": ("class Span:\n"
+              "    def add(self, row):\n        return self.reduce(row)\n"
+              "    def reduce(self, row):\n        return row\n"
+              "    def dim(self):\n        return self.dim()\n"
+              "    def _spare(self):\n        pass\n"
+              "    def __len__(self):\n        return 0\n"
+              "class _Hidden:\n    def grow(self):\n        pass\n"),
+        "b": "from .a import Span, _Hidden\nSpan().add({})\n",
+    }
+    # a call from another method or module counts, recursion does not, a
+    # dunder is not scanned, and a method of a private class is private
+    assert unlisted_public_definitions(sources, {}) == ["a.Span.dim"]
+    assert unreferenced_private_definitions(sources) == ["a.Span._spare", "a._Hidden.grow"]
+    api = {"a.Span.dim": "a reason"}
+    assert unlisted_public_definitions(sources, api) == []
+    api["a.Span.gone"] = "a reason"
+    assert stale_api_entries(sources, api) == ["a.Span.gone"]

@@ -113,14 +113,12 @@ def test_row_span_counts_new_directions():
     assert not span.add({0: Fraction(2)})
     assert span.add({1: Fraction(1), 2: Fraction(1)})
     assert not span.add({})
-    assert span.dim == 2
 
 
 def test_quotient_representatives():
     image = [{0: Fraction(1), 1: Fraction(1)}]
     kernel = [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}]
-    reps = linalg.quotient_representatives(kernel, image)
-    assert reps == [{2: Fraction(1)}]
+    assert linalg.quotient_representatives(kernel, image) == [1]
 
 
 def test_mat_mul_through_zero_dimension_degenerates():
@@ -440,33 +438,25 @@ def test_mat_mul_matches_naive_product(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_row_span_matches_dense_oracle(seed):
+    """`add` grows the span exactly when the oracle rank grows, and
+    `quotient_representatives` picks the positions the greedy dense loop
+    picks; rref's oracle panel checks the basis `_add` keeps."""
     rng = random.Random(500 + seed)
-    for name, mat, ncols in oracle_panel(seed):
+    for name, mat, _ in oracle_panel(seed):
         rows = sparse_rows(mat)
         span = linalg.RowSpan()
         for i, row in enumerate(rows):
-            grew = oracle_rank(mat[: i + 1]) > oracle_rank(mat[:i])
-            remainder = span.reduce(row)
-            assert bool(remainder) == grew, name
-            assert_entry_form([remainder], name)
-            assert span.add(row) == grew, name
+            assert span.add(row) == (oracle_rank(mat[: i + 1]) > oracle_rank(mat[:i])), name
         assert rows == sparse_rows(mat), name
-        assert_entry_form(span.rows, name)
-        reduced, pivots = dense_rref_oracle(mat)
-        assert span.dim == len(pivots), name
-        basis = sorted(zip(span.pivots, span.rows))
-        assert [piv for piv, _ in basis] == pivots, name
-        for (piv, row), expected in zip(basis, reduced):
-            assert dense_row(row, ncols) == expected, name
         cut = rng.randint(0, len(mat))
-        image, kernel = mat[:cut], mat[cut:]
+        image, candidates = mat[:cut], mat[cut:]
         chosen = []
-        for vec in kernel:
-            if oracle_rank(image + chosen + [vec]) > oracle_rank(image + chosen):
-                chosen.append(vec)
+        for i, vec in enumerate(candidates):
+            kept = image + [candidates[k] for k in chosen]
+            if oracle_rank(kept + [vec]) > oracle_rank(kept):
+                chosen.append(i)
         reps = linalg.quotient_representatives(rows[cut:], rows[:cut])
-        assert reps == sparse_rows(chosen), name
-        assert all(x for row in reps for x in row.values()), name
+        assert reps == chosen, name
         # the image only matters through its span
         image_c = compact_shuffled(rng, rows[:cut])
         assert linalg.quotient_representatives(rows[cut:], image_c) == reps, name

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -53,7 +54,7 @@ from sdga.simplicial import (
     whitney_projection,
     whitney_tuples,
 )
-from sdga import linalg, sampling, simplicial
+from sdga import cli, linalg, sampling, simplicial
 from test_linalg import dense_row, oracle_nullspace, oracle_rank
 
 
@@ -916,6 +917,33 @@ def test_filling_gives_up_past_the_largest_cap(monkeypatch):
                           "surjective": False, "cap_used": None}
     assert rep["all_surjective"] is False
     assert entries == filling_oracle(cot, 0, 2, 2, max_extra=0)
+
+
+def test_filling_needs_at_most_one_cap_retry(monkeypatch):
+    """A seeded slice of a search over 1-3 generator words of
+    perfbench/gen.py's coefficient algebras, n = 1..4, the boundary and every
+    horn, caps 0-3 and window -2:3: every entry fills by its first cap retry,
+    and some need that retry.  The whole search (219 algebras, 189,216
+    entries) found none that needs a second; when one appears, this fails,
+    and a test can then pin how a retry numbers its new facet coordinates."""
+    monkeypatch.syspath_prepend(str(Path(simplicial.__file__).parents[2] / "perfbench"))
+    import gen
+
+    words = ["K", "e0", "e1", "o1", "o0", "e2", "o2", "e-1", "o-1"]
+    rng = random.Random("filling retries")
+    retried = 0
+    for _ in range(200):
+        shape = " ".join(rng.choice(words) for _ in range(rng.randint(1, 3)))
+        n = rng.randint(1, 4)
+        vertex = rng.choice([None, *range(n + 1)])
+        cap = rng.randint(0, 3)
+        dga, _ = cli.build_algebra(gen.coefficient_algebra(random.Random(3), shape))
+        rep = filling_report(dga, n, "boundary" if vertex is None else "horn", vertex,
+                             -2, 3, cap)
+        used = [e["cap_used"] for e in rep["entries"]]
+        assert all(c is not None and c <= cap + 1 for c in used), (shape, n, vertex, cap)
+        retried += used.count(cap + 1)
+    assert retried > 0
 
 
 def test_filling_reports_are_surjective():
