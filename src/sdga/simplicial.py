@@ -31,8 +31,10 @@ these are what the operators evaluate; s itself is one walk over them:
   where m is the position of the vertex whose dt is missing (m = 0 when
   I_0 = 0, whose t and dt are not coordinates): rewriting dt_{I_0} as minus
   the sum of the others leaves the Dirichlet integral of prod u_q^{a_q}.
-  The iterated method parametrises the face by an algebra map and integrates
-  one variable at a time instead; the two methods stay independent.
+  The iterated method pulls the monomial back onto the standard k-simplex
+  along the vertex map I, by the same image construction as every other
+  face of Omega, and integrates one variable at a time instead; the two
+  methods stay independent.
 * Dilation homotopy.  With p = |a| - a_i + k - 1,
 
       h^i(t^a dt_J) = sum_r (-1)^(r-1) (t_{j_r} - delta_{i j_r}) dt_{J - j_r}
@@ -90,7 +92,7 @@ from .core import (
 )
 from .core import partial as partial_derivative
 from .dg import Derivation, DGAlgebra
-from .forms import Cylinder, FormsAlgebra, integrate, substitute
+from .forms import Cylinder, FormsAlgebra, integrate
 
 # Frozen convention for the simplicial homotopy
 #
@@ -106,9 +108,9 @@ from .forms import Cylinder, FormsAlgebra, integrate, substitute
 _DUPONT_SIGN = lambda k: -1 if k % 2 else 1
 
 
-def _coordinates(prefix: str, indices) -> GeneratorTable:
-    """Even weight-0 coordinates prefix+i, i in indices."""
-    return GeneratorTable([Generator(f"{prefix}{i}", 0, EVEN) for i in indices])
+def _coordinates(indices) -> GeneratorTable:
+    """Even weight-0 coordinates t_i, i in indices."""
+    return GeneratorTable([Generator(f"t{i}", 0, EVEN) for i in indices])
 
 
 class SimplexForms(FormsAlgebra):
@@ -121,14 +123,15 @@ class SimplexForms(FormsAlgebra):
     or a dilation homotopy missing from its cache is evaluated by the closed
     forms of the module docstring, with no algebra map, substitution or
     polynomial integration.  The t and dt of the n + 1 vertices are built
-    once, and the iterated integral keeps one face parametrisation per face.
+    once, and the iterated integral keeps its face map, the pullback onto
+    simplex_forms(k) along a face I, per I in `_face_maps`.
     """
 
     def __init__(self, n: int):
         if n < 0:
             raise AlgebraError("simplex dimension must be non-negative")
         self.n = n
-        super().__init__(_coordinates("t", range(1, n + 1)))
+        super().__init__(_coordinates(range(1, n + 1)))
         self.differential = self.de_rham
         self.dga = DGAlgebra(self.table, self.differential)
         self._whitney_cache: dict[tuple[int, ...], Element] = {}
@@ -159,12 +162,10 @@ class SimplexForms(FormsAlgebra):
         return self._vertex(self._dt, i)
 
     def vertex_value(self, element: Element, i: int) -> Fraction:
-        """Evaluate the function part at vertex i (t_j = delta_ij, dt = 0)."""
-        values: dict[str, Element | int | Fraction] = {}
-        for j in range(1, self.n + 1):
-            values[f"t{j}"] = 1 if j == i else 0
-            values[f"dt{j}"] = 0
-        return substitute(element, values).constant_term()
+        """The function part at vertex i: the constant term of the pullback
+        along the vertex map (i,) into simplex_forms(0), which sends t_j to
+        delta_ij and dt_j to 0.  AlgebraError when i is not a vertex."""
+        return pullback((i,), self, simplex_forms(0))(element).constant_term()
 
     def d(self, element: Element) -> Element:
         return self.differential(element)
@@ -200,6 +201,13 @@ def pullback(phi: tuple[int, ...], source: SimplexForms, target: SimplexForms) -
         raise AlgebraError("operator tuple value out of range")
     if any(phi[j] > phi[j + 1] for j in range(len(phi) - 1)):
         raise AlgebraError("operator tuple is not monotone")
+    return _pullback(phi, source, target)
+
+
+def _pullback(phi: tuple[int, ...], source: SimplexForms, target: SimplexForms) -> AlgebraMap:
+    """The pullback along any map phi of vertices, monotone or not, such as a
+    face in any vertex order: t_k -> sum of target.t(j) over phi(j) = k, and
+    dt_k likewise.  phi is not checked."""
     images: dict[str, Element] = {}
     for k in range(1, source.n + 1):
         tsum = Element.zero(target.table)
@@ -225,6 +233,8 @@ def _elementary(table: GeneratorTable, n: int, t, dt, I: tuple[int, ...]) -> Ele
     """k! sum_q (-1)^q t(i_q) prod_{r != q} dt(i_r) for I = (i_0, ..., i_k) in
     [0, n], given the t and dt of a vertex: w_I in either presentation.  Zero
     when a vertex repeats."""
+    if not I:
+        raise AlgebraError("a face needs at least one vertex")
     if any(not 0 <= i <= n for i in I):
         raise AlgebraError("vertex index out of range")
     acc = Element.zero(table)
@@ -282,7 +292,7 @@ def whitney_differential_identity(forms: SimplexForms, indices: tuple[int, ...])
 @lru_cache(maxsize=None)
 def barycentric_table(n: int) -> GeneratorTable:
     """Generators t0..tn and dt0..dtn of the redundant presentation."""
-    return FormsAlgebra(_coordinates("t", range(n + 1))).table
+    return FormsAlgebra(_coordinates(range(n + 1))).table
 
 
 def eliminate(forms: SimplexForms, element: Element) -> Element:
@@ -353,24 +363,20 @@ def simplicial_coboundary(n: int, k: int) -> linalg.Block:
 # -- integration over faces ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _integration_forms(k: int) -> FormsAlgebra:
-    """Forms on the standard k-simplex in the coordinates u1..uk."""
-    return FormsAlgebra(_coordinates("u", range(1, k + 1)))
-
-
 def simplex_integral(forms: SimplexForms, indices: tuple[int, ...], element: Element,
                      method: str = "dirichlet") -> Fraction:
     """Integral over the oriented face spanned by I of the matching form part.
 
     Components whose form weight differs from len(I) - 1 integrate to zero
     automatically.  method='dirichlet' evaluates the closed form on each
-    monomial (see the module docstring); method='iterated' parametrises the
-    face by an algebra map and performs nested univariate integrals with
-    symbolic bounds.  The two share no code past the argument checks, so each
-    is an oracle for the other; both are exact.
+    monomial (see the module docstring); method='iterated' pulls the monomial
+    back onto simplex_forms(k) along the vertex map I and performs nested
+    univariate integrals with symbolic bounds.  The two share no code past
+    the argument checks, so each is an oracle for the other; both are exact.
     """
     I = tuple(indices)
+    if not I:
+        raise AlgebraError("a face needs at least one vertex")
     if len(set(I)) != len(I):
         raise AlgebraError("face indices must be distinct")
     if any(not 0 <= i <= forms.n for i in I):
@@ -415,57 +421,32 @@ def _dirichlet_integral(forms: SimplexForms, I: tuple[int, ...],
     return Fraction(sign * num, math.factorial(len(I) - 1 + sum(mono[:n])))
 
 
-def _face_parametrisation(forms: SimplexForms, I: tuple[int, ...]) -> AlgebraMap:
-    """Omega_n -> forms in u1..uk, k = len(I) - 1: t_{I_0} = 1 - u1 - ... - uk,
-    t_{I_q} = u_q, a coordinate off I to 0.  Kept per I."""
-    cached = forms._face_maps.get(I)
-    if cached is not None:
-        return cached
-    k = len(I) - 1
-    U = _integration_forms(k)
-    u_elems = [Element.generator(U.table, f"u{q}") for q in range(1, k + 1)]
-    du_elems = [Element.generator(U.table, f"du{q}") for q in range(1, k + 1)]
-    base = Element.one(U.table)
-    dbase = Element.zero(U.table)
-    for u in u_elems:
-        base = base - u
-    for du in du_elems:
-        dbase = dbase - du
-    param_t: dict[int, Element] = {I[0]: base}
-    param_dt: dict[int, Element] = {I[0]: dbase}
-    for q in range(1, k + 1):
-        param_t[I[q]] = u_elems[q - 1]
-        param_dt[I[q]] = du_elems[q - 1]
-    images: dict[str, Element] = {}
-    for j in range(1, forms.n + 1):
-        images[f"t{j}"] = param_t.get(j, Element.zero(U.table))
-        images[f"dt{j}"] = param_dt.get(j, Element.zero(U.table))
-    cached = forms._face_maps[I] = AlgebraMap(forms.table, U.table, images, check=False)
-    return cached
-
-
 def _iterated_integral(forms: SimplexForms, I: tuple[int, ...],
                        mono: tuple[int, ...]) -> Fraction:
-    """Pull t^a dt_J back along the face parametrisation and integrate in turn.
+    """Pull t^a dt_J back onto the standard k-simplex and integrate in turn.
 
-    t_{I_0} = 1 - u1 - ... - uk and t_{I_q} = u_q; the coefficient of
-    du1 ... duk is integrated over u_k, then u_{k-1}, ..., with the upper
-    bound 1 - u1 - ... - u_{q-1} for u_q.
+    The face map, kept per I, is the pullback along q -> I_q: t_{I_0} goes to
+    1 - t1 - ... - tk and t_{I_q} to t_q, so the vertex order of I is the
+    orientation.  The coefficient of dt1 ... dtk is integrated over t_k, then
+    t_{k-1}, ..., with the upper bound 1 - t1 - ... - t_{q-1} for t_q.
     """
     k = len(I) - 1
-    U = _integration_forms(k)
-    # the coefficient of du1 ... duk, a function of u1..uk
-    value = _face_parametrisation(forms, I)(Element.monomial(forms.table, mono))
+    face = simplex_forms(k)
+    pull = forms._face_maps.get(I)
+    if pull is None:
+        pull = forms._face_maps[I] = _pullback(I, forms, face)
+    # the coefficient of dt1 ... dtk, a function of t1..tk
+    value = pull(Element.monomial(forms.table, mono))
     for q in range(1, k + 1):
-        value = partial_derivative(value, f"du{q}")
-    value = U.project(value)
+        value = partial_derivative(value, f"dt{q}")
+    value = face.project(value)
     if value.is_zero():
         return Fraction(0)
     for q in range(k, 0, -1):
-        upper = Element.one(U.base)
+        upper = Element.one(face.base)
         for r in range(1, q):
-            upper = upper - Element.generator(U.base, f"u{r}")
-        value = integrate(value, f"u{q}", 0, upper)
+            upper = upper - Element.generator(face.base, f"t{r}")
+        value = integrate(value, f"t{q}", 0, upper)
     return value.constant_term()
 
 

@@ -2,6 +2,8 @@
 used there, every private module-level function or class, and every private
 method of one, is used somewhere in sdga, and every public one is used in
 sdga, is a command's handler, or is named in LIBRARY_API with its reason.
+A method is used only where sdga reads it as an attribute (x.name), so a
+local variable of the same name does not count.
 
 A deletion that leaves its import or its helper behind fails here, and so
 does a test fixture or second route added to the library.  Names a module
@@ -32,6 +34,8 @@ LIBRARY_API = {
     "dg.SquareZeroExtension.section_to_derivation": "an algebra section as a derivation",
     "dg.SquareZeroExtension.section_defect": "a section's multiplicativity, as a checkable defect",
     "dg.CohomologyReport.representatives": "the printed representatives at one bidegree",
+    "dg.CohomologyReport.exact": "whether one bidegree's dimension is exact, not a bound",
+    "dg.Derivation.scale": "a derivation times a scalar, as the bracket identities need",
     "dg.euler_derivation": "the weight Euler derivation, whose bracket with d is d",
     "forms.FormsAlgebra.form_components": "an element split by form degree",
     "forms.FormsAlgebra.total_dga": "the forms algebra with the total differential",
@@ -55,6 +59,7 @@ LIBRARY_API = {
     "simplicial.dilation": "fills SimplexForms._dilation_cache, which perfbench/tracer.py reads",
     "simplicial.SimplexForms.vertex_value": "evaluation of a form's function part at a vertex",
     "simplicial.SubShapeCotensor.dimension": "the cotensor's dimension at one bidegree",
+    "simplicial.SubShapeCotensor.basis": "the compatible families as lists of facet components",
 }
 
 
@@ -111,6 +116,12 @@ def _names(tree: ast.AST) -> Counter:
     return found
 
 
+def _attributes(tree: ast.AST) -> Counter:
+    """How often each name is read as an attribute in tree."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
 def _definitions(tree: ast.Module):
     """(name, node) for each module-level function or class, and
     (Class.name, node) for each method of such a class."""
@@ -126,14 +137,20 @@ def _definitions(tree: ast.Module):
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """module.name for each module-level function or class, and
     module.Class.name for each method of one, that no module references
-    outside the definition itself.  The scan goes by name: any attribute of
-    the same name anywhere counts as a reference to a method."""
+    outside the definition itself.  The scan goes by name: a module-level
+    definition is referenced by any name, attribute or import of its name,
+    and a method only by an attribute read of its name anywhere."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    everywhere = sum(map(_names, trees.values()), Counter())
+    names = sum(map(_names, trees.values()), Counter())
+    attributes = sum(map(_attributes, trees.values()), Counter())
+
+    def unreferenced(qualified: str, node) -> bool:
+        scan, everywhere = (_attributes, attributes) if "." in qualified else (_names, names)
+        return everywhere[node.name] == scan(node)[node.name]
+
     return sorted(f"{module}.{name}" for module, tree in trees.items()
                   for name, node in _definitions(tree)
-                  if not node.name.startswith("__")
-                  and everywhere[node.name] == _names(node)[node.name])
+                  if not node.name.startswith("__") and unreferenced(name, node))
 
 
 def _private(qualified: str) -> bool:
@@ -225,16 +242,18 @@ def test_scan_sees_an_unlisted_public_method():
               "    def add(self, row):\n        return self.reduce(row)\n"
               "    def reduce(self, row):\n        return row\n"
               "    def dim(self):\n        return self.dim()\n"
+              "    def rank(self):\n        return 0\n"
               "    def _spare(self):\n        pass\n"
               "    def __len__(self):\n        return 0\n"
               "class _Hidden:\n    def grow(self):\n        pass\n"),
-        "b": "from .a import Span, _Hidden\nSpan().add({})\n",
+        "b": "from .a import Span, _Hidden\nrank = Span().add({})\nprint(rank)\n",
     }
-    # a call from another method or module counts, recursion does not, a
-    # dunder is not scanned, and a method of a private class is private
-    assert unlisted_public_definitions(sources, {}) == ["a.Span.dim"]
+    # a call from another method or module counts, recursion does not, nor
+    # does a variable of the same name; a dunder is not scanned,
+    # and a method of a private class is private
+    assert unlisted_public_definitions(sources, {}) == ["a.Span.dim", "a.Span.rank"]
     assert unreferenced_private_definitions(sources) == ["a.Span._spare", "a._Hidden.grow"]
-    api = {"a.Span.dim": "a reason"}
+    api = {"a.Span.dim": "a reason", "a.Span.rank": "a reason"}
     assert unlisted_public_definitions(sources, api) == []
     api["a.Span.gone"] = "a reason"
     assert stale_api_entries(sources, api) == ["a.Span.gone"]

@@ -92,6 +92,14 @@ def test_simplex_coordinates():
         assert forms.vertex_value(forms.t(i), (i + 1) % 3) == 0
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_vertex_value_rejects_a_vertex_out_of_range(n):
+    forms = simplex_forms(n)
+    for i in (n + 1, -1):
+        with pytest.raises(AlgebraError):
+            forms.vertex_value(forms.t(0), i)
+
+
 def test_pullback_validation():
     f2, f1 = simplex_forms(2), simplex_forms(1)
     with pytest.raises(AlgebraError):
@@ -194,6 +202,19 @@ def test_iterated_vertex_integrals_run_the_iterated_kernel(monkeypatch):
                 points += 1
         assert forms._integral_cache == {}
     assert len(calls) == points
+
+
+def test_an_empty_face_is_rejected():
+    """A face has a vertex: w_() and the integral over () are no forms."""
+    forms = simplex_forms(2)
+    x = Element.one(forms.table)
+    calls = [lambda: whitney(forms, ()), lambda: barycentric_whitney(2, ()),
+             lambda: whitney_differential_identity(forms, ())]
+    calls += [lambda m=m: simplex_integral(forms, (), x, method=m)
+              for m in ("dirichlet", "iterated")]
+    for call in calls:
+        with pytest.raises(AlgebraError):
+            call()
 
 
 def test_whitney_differential_identity_small():
@@ -350,8 +371,9 @@ def test_closed_forms_match_their_oracles(seed):
                 if forms.form_weight_of(mono) != len(I) - 1:
                     continue
                 want = face_integral_oracle(forms, I, mono)
-                got = simplex_integral(forms, I, Element.monomial(forms.table, mono))
-                assert got == want, (n, I, mono)
+                x = Element.monomial(forms.table, mono)
+                assert simplex_integral(forms, I, x) == want, (n, I, mono)
+                assert simplex_integral(forms, I, x, method="iterated") == want, (n, I, mono)
                 off_face += want == 0
         if n > 1:
             assert off_face  # the panel reaches the zero branch
