@@ -54,7 +54,10 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise AlgebraError(f"not an exact rational: {value!r}")
 
 
@@ -102,13 +105,9 @@ class GeneratorTable:
     """
 
     def __init__(self, generators, even_mode: bool = False, allow_d_names: bool = False):
-        gens = []
-        for g in generators:
-            if isinstance(g, Generator):
-                gens.append(g)
-            else:
-                name, weight, parity = g
-                gens.append(Generator(name, int(weight), parity_of(parity)))
+        gens = list(generators)
+        if not all(isinstance(g, Generator) for g in gens):
+            raise AlgebraError("a generator table holds Generator entries only")
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate generator names")
@@ -499,6 +498,35 @@ class TableExtension:
 # -- algebra maps -----------------------------------------------------------
 
 
+def _image_table(source: GeneratorTable, target: GeneratorTable, images: dict,
+                 shift: tuple[int, int] | None, default=None) -> tuple[Element, ...]:
+    """The images over `target` of `source`'s generators, in table order, of
+    an algebra map or a derivation given on generators.  An int or Fraction
+    is that scalar, and a name `images` lacks takes `default`, an error when
+    None.  Given a (weight, parity) shift, each nonzero image must be
+    homogeneous of its generator's bidegree moved by that shift."""
+    out = []
+    for g in source.generators:
+        img = images.get(g.name, default)
+        if img is None:
+            raise AlgebraError(f"no image given for generator {g.name!r}")
+        if isinstance(img, (int, Fraction)):
+            img = Element.scalar(target, img)
+        if img.table != target:
+            raise AlgebraError(f"image of {g.name!r} lives over the wrong table")
+        if shift is not None and img.terms:
+            bid = img.bidegree()
+            if bid is None:
+                raise AlgebraError(f"image of {g.name!r} is not homogeneous")
+            expected = (g.weight + shift[0], (g.parity + shift[1]) % 2)
+            if bid != expected:
+                raise AlgebraError(
+                    f"image of {g.name!r} has bidegree {bid}, expected {expected}"
+                )
+        out.append(img)
+    return tuple(out)
+
+
 class AlgebraMap:
     """Algebra homomorphism determined by generator images.
 
@@ -516,26 +544,7 @@ class AlgebraMap:
                  images: dict[str, Element], check: bool = True):
         self.source = source
         self.target = target
-        imgs: list[Element] = []
-        for g in source.generators:
-            if g.name not in images:
-                raise AlgebraError(f"no image given for generator {g.name!r}")
-            img = images[g.name]
-            if isinstance(img, (int, Fraction)):
-                img = Element.scalar(target, img)
-            if img.table != target:
-                raise AlgebraError(f"image of {g.name!r} lives over the wrong table")
-            if check and not img.is_zero():
-                bid = img.bidegree()
-                if bid is None:
-                    raise AlgebraError(f"image of {g.name!r} is not homogeneous")
-                if bid != (g.weight, g.parity):
-                    raise AlgebraError(
-                        f"image of {g.name!r} has bidegree {bid}, expected "
-                        f"({g.weight}, {g.parity})"
-                    )
-            imgs.append(img)
-        self.images: tuple[Element, ...] = tuple(imgs)
+        self.images = _image_table(source, target, images, (0, EVEN) if check else None)
 
     def image_of(self, name: str) -> Element:
         return self.images[self.source.position(name)]

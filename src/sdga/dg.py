@@ -33,6 +33,7 @@ from .core import (
     GeneratorTable,
     TableExtension,
     _add_into,
+    _image_table,
     _mul_terms,
     as_scalar,
     monomial_basis,
@@ -54,23 +55,8 @@ class Derivation:
         self.table = table
         self.weight_shift = weight_shift
         self.parity_shift = parity_shift
-        imgs: list[Element] = []
-        for g in table.generators:
-            img = images.get(g.name, Element.zero(table))
-            if isinstance(img, (int, Fraction)):
-                img = Element.scalar(table, img)
-            if img.table != table:
-                raise AlgebraError(f"image of {g.name!r} lives over the wrong table")
-            if check and not img.is_zero():
-                bid = img.bidegree()
-                expected = (g.weight + weight_shift, (g.parity + parity_shift) % 2)
-                if bid != expected:
-                    raise AlgebraError(
-                        f"derivation image of {g.name!r} has bidegree {bid}, "
-                        f"expected {expected}"
-                    )
-            imgs.append(img)
-        self.images: tuple[Element, ...] = tuple(imgs)
+        self.images = _image_table(table, table, images,
+                                   (weight_shift, parity_shift) if check else None, 0)
 
     def image_of(self, name: str) -> Element:
         return self.images[self.table.position(name)]
@@ -430,6 +416,8 @@ class KahlerModule(TableExtension):
 
     def __init__(self, table: GeneratorTable):
         super().__init__(table, TableExtension.d_generators(table, 0, EVEN))
+        images = {g.name: self.d_symbol(g.name) for g in table.generators}
+        self.universal_derivation = Derivation(self.table, images, 0, EVEN)
 
     differential_degree = TableExtension.extension_degree
 
@@ -441,15 +429,7 @@ class KahlerModule(TableExtension):
 
     def universal(self, element: Element) -> Element:
         """d(a) = sum_g d(g) * da/dg, an even derivation into Omega^1."""
-        if element.table != self.base:
-            raise AlgebraError("element is not over the base table")
-        out = Element.zero(self.table)
-        for g in self.base.generators:
-            part = partial(element, g.name)
-            if part.is_zero():
-                continue
-            out = out + self.d_symbol(g.name) * self.include(part)
-        return out
+        return self.universal_derivation(self.include(element))
 
     def universal_factorization(self, D: Derivation, omega: Element) -> Element:
         """The module map f_D with f_D(universal(a)) = D(a), applied to omega.

@@ -229,10 +229,10 @@ def zero_to_disk(n: int, parity: int) -> ChainMap:
     return ChainMap(zero_complex(), disk_complex(n, parity), {}, check=False)
 
 
-def cell_catalog(n_range=range(-3, 4)) -> dict[str, Complex]:
+def cell_catalog() -> dict[str, Complex]:
     """Named disks and spheres; ungraded cells fold in at weight zero."""
     cells: dict[str, Complex] = {}
-    for n in n_range:
+    for n in range(-3, 4):
         for p, pname in ((EVEN, "even"), (ODD, "odd")):
             cells[f"D{n}_{pname}"] = disk_complex(n, p)
             cells[f"S{n}_{pname}"] = sphere_complex(n, p)
@@ -248,19 +248,11 @@ def cell_catalog(n_range=range(-3, 4)) -> dict[str, Complex]:
 
 def cohomology_dims(c: Complex) -> dict[Key, int]:
     """Exact cohomology dimensions (finite support, complete bases)."""
+    # d into key is d out of _prev_key(key); a zero block has rank 0
+    ranks = {key: linalg.rank(block) for key, block in c.diff.items()}
     out = {}
-    ranks: dict[Key, int] = {}  # d into key is d out of _prev_key(key)
-
-    def rank_out(key: Key) -> int:
-        if key not in ranks:
-            ranks[key] = linalg.rank(c.d_block(key))
-        return ranks[key]
-
-    for key in c.shift_keys():
-        n = c.dim(key)
-        if n == 0:
-            continue
-        h = (n - rank_out(key)) - rank_out(_prev_key(key))
+    for key, n in sorted(c.dims.items()):
+        h = n - ranks.get(key, 0) - ranks.get(_prev_key(key), 0)
         if h:
             out[key] = h
     return out
@@ -542,14 +534,14 @@ def verify_factorization(f: ChainMap, j: ChainMap, q: ChainMap, mode: str) -> di
 # -- symmetric algebras and the Kunneth comparison ----------------------------------
 
 
-def sym_dga(v: Complex, prefix: str = "v") -> tuple[DGAlgebra, dict[tuple[Key, int], str]]:
+def sym_dga(v: Complex) -> tuple[DGAlgebra, dict[tuple[Key, int], str]]:
     """The free graded-commutative algebra on a complex, as a dg algebra."""
     names: dict[tuple[Key, int], str] = {}
     gens = []
     counter = 0
     for key in sorted(v.dims):
         for i in range(v.dim(key)):
-            name = f"{prefix}{counter}"
+            name = f"v{counter}"
             counter += 1
             names[(key, i)] = name
             gens.append(Generator(name, key[0], key[1]))

@@ -27,33 +27,30 @@ def random_scalar(rng: random.Random, span: int = 5) -> Fraction:
     return Fraction(num, den)
 
 
-def random_element(rng: random.Random, table: GeneratorTable,
-                   max_degree: int = 3, terms: int = 4) -> Element:
-    """A random, generally inhomogeneous element of degree <= max_degree."""
-    pool = monomials_of_degree_at_most(table, max_degree)
+def _draw(rng: random.Random, table: GeneratorTable, pool: list,
+          terms: int) -> Element:
+    """The sum of `terms` draws of a monomial from `pool` times a random
+    scalar; zero, with no draw, when the pool is empty."""
     out = Element.zero(table)
-    for _ in range(terms):
+    for _ in range(terms if pool else 0):
         exps = rng.choice(pool)
         coeff = random_scalar(rng)
         if coeff:
             out = out + Element.monomial(table, exps, coeff)
     return out
+
+
+def random_element(rng: random.Random, table: GeneratorTable,
+                   max_degree: int = 3, terms: int = 4) -> Element:
+    """A random, generally inhomogeneous element of degree <= max_degree."""
+    return _draw(rng, table, monomials_of_degree_at_most(table, max_degree), terms)
 
 
 def random_homogeneous(rng: random.Random, table: GeneratorTable,
                        weight: int, parity: int, cap: int = 4,
                        terms: int = 3) -> Element:
     """A random element homogeneous of the given bidegree (possibly zero)."""
-    pool = monomial_basis(table, weight, parity, cap)
-    out = Element.zero(table)
-    if not pool:
-        return out
-    for _ in range(terms):
-        exps = rng.choice(pool)
-        coeff = random_scalar(rng)
-        if coeff:
-            out = out + Element.monomial(table, exps, coeff)
-    return out
+    return _draw(rng, table, monomial_basis(table, weight, parity, cap), terms)
 
 
 def random_derivation(rng: random.Random, table: GeneratorTable,

@@ -457,12 +457,8 @@ def whitney_expansion(forms: SimplexForms, element: Element) -> list[tuple[tuple
     """The nonzero face integrals (I, int_I x), by k = |I| - 1 and then in
     whitney_tuples order: the coefficients of P x in the Whitney forms.  Each
     face integrates only the part of x of its form weight."""
-    parts: dict[int, dict] = {}
-    for mono, c in element.terms.items():
-        parts.setdefault(forms.form_weight_of(mono), {})[mono] = c
     out = []
-    for k in sorted(w for w in parts if w <= forms.n):
-        part = Element(forms.table, parts[k])
+    for k, part in forms.form_components(element).items():
         for I in whitney_tuples(forms.n, k):
             value = simplex_integral(forms, I, part)
             if value:

@@ -17,6 +17,7 @@ from sdga.core import (
     GeneratorTable,
     ParseError,
     TableExtension,
+    as_scalar,
     compose_maps,
     identity_map,
     monomial_basis,
@@ -306,6 +307,19 @@ def test_weight_degree_bound_matches_subset_oracle(seed):
             assert bound == weight_degree_bound_oracle(table, weight), (evens, odd, weight)
             seen.add("none" if bound is None else "empty" if bound < 0 else "finite")
     assert seen == {"none", "empty", "finite"}
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0", "1/", ""])
+def test_an_unreadable_scalar_string_is_an_algebra_error(table, text):
+    with pytest.raises(AlgebraError, match=f"not an exact rational: {text!r}"):
+        as_scalar(text)
+    with pytest.raises(AlgebraError):
+        Element.scalar(table, text)
+
+
+def test_a_generator_table_takes_generators_only():
+    with pytest.raises(AlgebraError, match="Generator entries only"):
+        GeneratorTable([Generator("x", 0, 0), ("y", 1, "odd")])
 
 
 def test_algebra_map_checks_bidegrees(table):

@@ -11,12 +11,14 @@ from sdga.core import (
     EVEN,
     ODD,
     AlgebraError,
+    AlgebraMap,
     Element,
     Generator,
     GeneratorTable,
     monomial_basis,
     parity_name,
     parse,
+    partial,
     render,
     weight_degree_bound,
 )
@@ -53,6 +55,40 @@ def reverse_koszul():
     tab = GeneratorTable([Generator("theta", 0, 1), Generator("t", 1, 0)])
     d = Derivation(tab, {"theta": Element.generator(tab, "t")}, 1, 1)
     return DGAlgebra(tab, d)
+
+
+def _map_on_generators(kind, table, images, check=True):
+    """An algebra map (the identity but for `images`) or a derivation, both
+    of shift (0, even), so that one image is right or wrong for both."""
+    if kind == "map":
+        identity = {g.name: Element.generator(table, g.name) for g in table}
+        return AlgebraMap(table, table, {**identity, **images}, check=check)
+    return Derivation(table, images, 0, EVEN, check=check)
+
+
+@pytest.mark.parametrize("kind", ["map", "derivation"])
+def test_maps_on_generators_read_their_images_alike(table, kind):
+    x, xi = Element.generator(table, "x"), Element.generator(table, "xi")
+    # a missing image: an error for a map, zero for a derivation
+    if kind == "map":
+        with pytest.raises(AlgebraError, match="no image given for generator 'x'"):
+            AlgebraMap(table, table, {})
+    else:
+        assert Derivation(table, {}, 0, EVEN).is_zero()
+    # a scalar image is that scalar over the table
+    for c in (3, Fraction(-1, 2)):
+        f = _map_on_generators(kind, table, {"x": c})
+        assert f.image_of("x") == Element.scalar(table, c)
+    other = GeneratorTable([Generator("x", 0, 0)])
+    for check in (True, False):
+        with pytest.raises(AlgebraError, match="wrong table"):
+            _map_on_generators(kind, table, {"x": Element.generator(other, "x")}, check)
+    # an inhomogeneous image and a wrong bidegree fail the check only
+    for image, message in ((x + xi, "'x' is not homogeneous"),
+                           (xi, r"'x' has bidegree \(1, 1\), expected \(0, 0\)")):
+        with pytest.raises(AlgebraError, match=message):
+            _map_on_generators(kind, table, {"x": image})
+        assert _map_on_generators(kind, table, {"x": image}, check=False).image_of("x") == image
 
 
 def test_derivation_rejects_wrong_bidegree(table):
@@ -359,4 +395,32 @@ def test_universal_factorization_recovers_derivations(table, seed):
     D = sampling.random_derivation(rng, table, rng.randint(0, 1), rng.randint(0, 1))
     kah = KahlerModule(table)
     a = sampling.random_element(rng, table)
+    assert kah.universal_factorization(D, kah.universal(a)) == D(a)
+
+
+def oracle_universal(kah: KahlerModule, element: Element) -> Element:
+    """The universal derivation summed by hand: d(a) = sum_g d(g) * da/dg."""
+    out = Element.zero(kah.table)
+    for g in kah.base.generators:
+        part = partial(element, g.name)
+        if not part.is_zero():
+            out = out + kah.d_symbol(g.name) * kah.include(part)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_universal_derivation_matches_the_sum_over_generators(seed):
+    """On tables with two to four odd generators among five, universal(a) is
+    the hand-summed d(a), and every derivation factors through it."""
+    rng = random.Random(650 + seed)
+    odd = rng.randint(2, 4)
+    parities = [ODD] * odd + [EVEN] * (5 - odd)
+    rng.shuffle(parities)
+    table = GeneratorTable([Generator(name, rng.randint(-1, 2), p)
+                            for name, p in zip("abcde", parities)])
+    kah = KahlerModule(table)
+    D = sampling.random_derivation(rng, table, rng.randint(-1, 1), rng.randint(0, 1))
+    a = sampling.random_element(rng, table, terms=6)
+    assert not oracle_universal(kah, a).is_zero()
+    assert kah.universal(a) == oracle_universal(kah, a)
     assert kah.universal_factorization(D, kah.universal(a)) == D(a)

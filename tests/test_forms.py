@@ -60,6 +60,11 @@ def test_substitute_scalar_and_element(table):
     assert out == parse(table, "y^3 + xi")
 
 
+def test_substitute_rejects_an_unreadable_scalar_string(table):
+    with pytest.raises(AlgebraError, match="not an exact rational: '1/0'"):
+        substitute(parse(table, "x"), {"x": "1/0"})
+
+
 def substitute_by_map(element, values):
     """substitute through an AlgebraMap, the path Element values take; the
     reference for the one-pass evaluation of rational values."""

@@ -37,7 +37,6 @@ LIBRARY_API = {
     "dg.CohomologyReport.exact": "whether one bidegree's dimension is exact, not a bound",
     "dg.Derivation.scale": "a derivation times a scalar, as the bracket identities need",
     "dg.euler_derivation": "the weight Euler derivation, whose bracket with d is d",
-    "forms.FormsAlgebra.form_components": "an element split by form degree",
     "forms.FormsAlgebra.total_dga": "the forms algebra with the total differential",
     "forms.FormsAlgebra.restricts_to_base": "L_D restricts to D on the base, as a check",
     "forms.Cylinder.end_map": "evaluation at an end of the cylinder",
