@@ -22,7 +22,6 @@ from types import SimpleNamespace
 from . import __version__
 from .core import (
     AlgebraError,
-    EVEN,
     Element,
     Generator,
     GeneratorTable,
@@ -30,6 +29,7 @@ from .core import (
     ParseError,
     StructureError,
     parity_name,
+    parity_of,
     parse,
     render,
 )
@@ -50,7 +50,7 @@ def _load_json(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or a long int
         raise InputError(f"cannot read input document: {exc}") from exc
 
 
@@ -59,16 +59,6 @@ def _expect(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise InputError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
     return value
-
-
-def _parse_parity(value) -> int:
-    # type(), not isinstance: true and 1.0 are not the parity 1
-    if type(value) in (int, str):
-        if value in (0, "0", "even"):
-            return EVEN
-        if value in (1, "1", "odd"):
-            return ODD
-    raise InputError(f"parity must be 'even' or 'odd', got {value!r}")
 
 
 def build_table(doc: dict) -> GeneratorTable:
@@ -83,7 +73,7 @@ def build_table(doc: dict) -> GeneratorTable:
         weight = item.get("weight", 0)
         if not isinstance(name, str) or type(weight) is not int:
             raise InputError(f"bad generator entry {item!r}")
-        gens.append(Generator(name, weight, _parse_parity(item.get("parity", "even"))))
+        gens.append(Generator(name, weight, parity_of(item.get("parity", "even"))))
     even_mode = doc.get("even_mode", False)
     if type(even_mode) is not bool:
         raise InputError(f"'even_mode' must be true or false, got {even_mode!r}")
@@ -145,8 +135,8 @@ def _parse_entry(value) -> int | Fraction:
     # type(), not isinstance: true is not the entry 1
     if type(value) in (int, str):
         try:
-            return entry(value)
-        except (ValueError, ZeroDivisionError):
+            return entry(value)  # a string through core.as_scalar
+        except AlgebraError:
             pass
     raise InputError(f"bad rational entry {value!r}")
 
@@ -159,7 +149,7 @@ def _parse_key(text: str) -> tuple[int, int]:
         weight = int(parts[0])
     except ValueError as exc:
         raise InputError(f"bad weight in key {text!r}") from exc
-    return weight, _parse_parity(parts[1])
+    return weight, parity_of(parts[1])
 
 
 def _key_str(key: tuple[int, int]) -> str:

@@ -22,6 +22,9 @@ EVEN = 0
 ODD = 1
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# an unsigned rational as text: digits, optionally /digits
+_NUMBER = r"[0-9]+(?:/[0-9]+)?"
+_RATIONAL_RE = re.compile(r"[-+]?" + _NUMBER)
 
 
 class AlgebraError(ValueError):
@@ -33,29 +36,40 @@ class StructureError(AlgebraError):
     or maps whose sources and targets do not fit together."""
 
 
-def parity_of(text: str | int) -> int:
-    if text in (EVEN, ODD):
-        return int(text)
-    if text == "even":
-        return EVEN
-    if text == "odd":
-        return ODD
-    raise AlgebraError(f"parity must be 'even' or 'odd', got {text!r}")
+def parity_of(value: str | int) -> int:
+    """A parity given as 0, 1, "0", "1", "even" or "odd"."""
+    # type(), not isinstance: true and 1.0 are not the parity 1
+    if type(value) in (int, str):
+        if value in (EVEN, "0", "even"):
+            return EVEN
+        if value in (ODD, "1", "odd"):
+            return ODD
+    raise AlgebraError(f"parity must be 'even' or 'odd', got {value!r}")
 
 
 def parity_name(parity: int) -> str:
     return "odd" if parity & 1 else "even"
 
 
+def _rational(text: str) -> Fraction:
+    """text as an optional sign, digits and optionally /digits, the one
+    reader of a string as a Fraction: a decimal point or an exponent, which
+    Fraction() would expand exactly, is a ValueError, as is a literal longer
+    than int() reads, and a zero denominator a ZeroDivisionError."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(text)
+
+
 def as_scalar(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
+    """Coerce ints, Fractions and 'p' or 'p/q' strings to an exact rational."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _rational(value)
         except (ValueError, ZeroDivisionError):
             pass
     raise AlgebraError(f"not an exact rational: {value!r}")
@@ -380,12 +394,6 @@ class Element:
             return None
         return next(iter(comps))
 
-    def weight(self) -> int:
-        bid = self.bidegree()
-        if bid is None:
-            raise AlgebraError("weight of a zero or inhomogeneous element")
-        return bid[0]
-
     def parity(self) -> int:
         bid = self.bidegree()
         if bid is None:
@@ -502,9 +510,13 @@ def _image_table(source: GeneratorTable, target: GeneratorTable, images: dict,
                  shift: tuple[int, int] | None, default=None) -> tuple[Element, ...]:
     """The images over `target` of `source`'s generators, in table order, of
     an algebra map or a derivation given on generators.  An int or Fraction
-    is that scalar, and a name `images` lacks takes `default`, an error when
-    None.  Given a (weight, parity) shift, each nonzero image must be
-    homogeneous of its generator's bidegree moved by that shift."""
+    is that scalar, a generator `images` lacks takes `default`, an error
+    when None, and a name that is no generator is an error.  Given a
+    (weight, parity) shift, each nonzero image must be homogeneous of its
+    generator's bidegree moved by that shift."""
+    for name in images:
+        if name not in source.index:
+            raise AlgebraError(f"image given for unknown generator {name!r}")
     out = []
     for g in source.generators:
         img = images.get(g.name, default)
@@ -602,7 +614,7 @@ def compose_maps(outer: AlgebraMap, inner: AlgebraMap) -> AlgebraMap:
 # -- parsing and printing ---------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<number>" + _NUMBER + r")|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
 )
 
 
@@ -654,6 +666,16 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}, got {value!r}")
 
+    @staticmethod
+    def number(value: str) -> Fraction:
+        """A number token, which the tokenizer matched as `_NUMBER`."""
+        try:
+            return _rational(value)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {value!r}") from None
+        except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+            raise ParseError(f"a number of {len(value)} characters is too long") from None
+
     def parse_expr(self) -> Element:
         negate = False
         kind, value = self.peek()
@@ -690,16 +712,13 @@ class _Parser:
             kind, value = self.take()
             if kind != "number" or "/" in value:
                 raise ParseError("exponent must be a non-negative integer")
-            return atom ** int(value)
+            return atom ** self.number(value).numerator
         return atom
 
     def parse_atom(self) -> Element:
         kind, value = self.take()
         if kind == "number":
-            try:
-                return Element.scalar(self.table, Fraction(value))
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {value!r}") from None
+            return Element.scalar(self.table, self.number(value))
         if kind == "ident":
             if value not in self.table.index:
                 raise ParseError(f"unknown generator {value!r}")

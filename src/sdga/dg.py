@@ -377,25 +377,20 @@ class SquareZeroExtension(TableExtension):
             images[g.name] = lifted + eps * self.include(D.image_of(g.name))
         return AlgebraMap(self.base, self.table, images)
 
-    def section_to_derivation(self, section: AlgebraMap,
-                              weight_shift: int | None = None,
-                              parity_shift: int | None = None) -> Derivation:
-        """Extract D(g) = eps-coefficient of section(g)."""
+    def section_to_derivation(self, section: AlgebraMap) -> Derivation:
+        """Extract D(g) = eps-coefficient of section(g), of bidegree
+        (-eps_weight, eps_parity)."""
         if section.source != self.base or section.target != self.table:
             raise AlgebraError("map is not a section candidate for this extension")
         for g in self.base.generators:
             gen = Element.generator(self.base, g.name)
             if self.project(section(gen)) != gen:
                 raise AlgebraError(f"map is not a section: projection moves {g.name!r}")
-        if weight_shift is None:
-            weight_shift = -self.eps_weight
-        if parity_shift is None:
-            parity_shift = self.eps_parity
         images = {
             g.name: self.eps_coefficient(section.image_of(g.name))
             for g in self.base.generators
         }
-        return Derivation(self.base, images, weight_shift, parity_shift)
+        return Derivation(self.base, images, -self.eps_weight, self.eps_parity)
 
     def section_defect(self, section: AlgebraMap, a: Element, b: Element) -> Element:
         """sigma(ab) - sigma(a)sigma(b) in the truncated arithmetic."""

@@ -36,17 +36,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .core import as_scalar
+
 SparseRow = dict[int, int | Fraction]  # column -> nonzero entry
 Block = list[SparseRow]  # column j -> the image of source basis vector j
 Basis = dict[int, dict[int, int]]  # pivot column -> primitive integer row
 
 
 def entry(x) -> int | Fraction:
-    """The exact scalar x as an entry: an int when integral, else a Fraction."""
+    """The exact scalar x as an entry: an int when integral, else a Fraction.
+    A string is read by `core.as_scalar`."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        x = as_scalar(x) if isinstance(x, str) else Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -76,12 +79,12 @@ def mat_mul(a: Block, b: Block) -> Block:
 
 
 def transpose(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
-    """The ncols columns of a sparse matrix as sparse rows; zero ones left out."""
+    """The ncols columns of a sparse matrix as sparse rows, zero ones included."""
     out: list[SparseRow] = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, x in row.items():
             out[j][i] = x
-    return [row for row in out if row]
+    return out
 
 
 def _divide_content(row: dict[int, int]) -> dict[int, int]:
@@ -138,7 +141,7 @@ def _add(basis: Basis, rows: list[SparseRow]) -> int:
     pivot, cleared from the basis rows holding it, so each basis row has
     nothing left of its pivot and 0 at the others."""
     grew = 0
-    for row in rows:
+    for row in filter(None, rows):  # a zero row adds nothing
         v = _primitive(row)
         for col in [col for col in v if col in basis]:  # no pivot entry appears
             _eliminate(v, col, basis[col])

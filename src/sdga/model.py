@@ -66,15 +66,6 @@ def _canonical(block: linalg.Block, nrows: int, ncols: int, what: str,
     return [{r: linalg.entry(x) for r, x in col.items() if x} for col in block]
 
 
-def _rows(block: linalg.Block, nrows: int) -> list[linalg.SparseRow]:
-    """All nrows rows of a block, the zero ones included."""
-    rows: list[linalg.SparseRow] = [{} for _ in range(nrows)]
-    for j, col in enumerate(block):
-        for r, x in col.items():
-            rows[r][j] = x
-    return rows
-
-
 class Complex:
     """A bigraded complex with finitely many nonzero components."""
 
@@ -117,14 +108,6 @@ class Complex:
             f"({w},{parity_name(p)}):{n}" for (w, p), n in sorted(self.dims.items())
         )
         return f"Complex[{inner or '0'}]"
-
-    def shift_keys(self) -> list[Key]:
-        """All keys where this complex or its differential neighbours live."""
-        keys = set(self.dims)
-        for key in list(keys):
-            keys.add(_next_key(key))
-            keys.add(_prev_key(key))
-        return sorted(keys)
 
 
 def zero_complex() -> Complex:
@@ -330,7 +313,7 @@ def _chain_equations(source: Complex, target: Complex,
     for key in source.dims:
         nxt = _next_key(key)
         n, n_next = source.dim(key), source.dim(nxt)
-        for r, dt_row in enumerate(_rows(target.d_block(key), target.dim(nxt))):
+        for r, dt_row in enumerate(linalg.transpose(target.d_block(key), target.dim(nxt))):
             for c, ds_col in enumerate(source.d_block(key)):
                 row = {offsets[key] + k * n + c: x for k, x in dt_row.items()}
                 row.update((offsets[nxt] + r * n_next + k, -x) for k, x in ds_col.items())
@@ -382,13 +365,13 @@ def solve_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap):
             if any(top.block(key)):
                 return None, {"consistent": False, "reason": "top map misses X support"}
             continue
-        for r, t_row in enumerate(_rows(top.block(key), X.dim(key))):
+        for r, t_row in enumerate(linalg.transpose(top.block(key), X.dim(key))):
             for c, i_col in enumerate(i.block(key)):
                 rows.append({var(key, r, k): x for k, x in i_col.items()})
                 rhs.append(t_row.get(c, 0))
     # p h = bottom
     for key in B.dims:
-        for r, p_row in enumerate(_rows(p.block(key), Y.dim(key))):
+        for r, p_row in enumerate(linalg.transpose(p.block(key), Y.dim(key))):
             for c, b_col in enumerate(bottom.block(key)):
                 rows.append({var(key, k, c): x for k, x in p_row.items()})
                 rhs.append(b_col.get(r, 0))
@@ -449,9 +432,11 @@ class _MiddleBuilder:
 
 
 def _all_keys(*complexes: Complex) -> list[Key]:
+    """All keys where the complexes or their differential neighbours live."""
     keys = set()
     for c in complexes:
-        keys.update(c.shift_keys())
+        for key in c.dims:
+            keys.update((_prev_key(key), key, _next_key(key)))
     return sorted(keys)
 
 
@@ -534,18 +519,20 @@ def verify_factorization(f: ChainMap, j: ChainMap, q: ChainMap, mode: str) -> di
 # -- symmetric algebras and the Kunneth comparison ----------------------------------
 
 
+def _free_table(dims: dict[Key, int],
+                prefix: str) -> tuple[GeneratorTable, dict[tuple[Key, int], str]]:
+    """The free table on a graded space with dims[key] basis vectors at each
+    key: one generator per basis vector (key, i), named prefix0, prefix1, ...
+    in key order, and the name of each (key, i)."""
+    basis = [(key, i) for key in sorted(dims) for i in range(dims[key])]
+    names = {vec: f"{prefix}{n}" for n, vec in enumerate(basis)}
+    gens = [Generator(names[vec], *vec[0]) for vec in basis]
+    return GeneratorTable(gens, allow_d_names=True), names
+
+
 def sym_dga(v: Complex) -> tuple[DGAlgebra, dict[tuple[Key, int], str]]:
     """The free graded-commutative algebra on a complex, as a dg algebra."""
-    names: dict[tuple[Key, int], str] = {}
-    gens = []
-    counter = 0
-    for key in sorted(v.dims):
-        for i in range(v.dim(key)):
-            name = f"v{counter}"
-            counter += 1
-            names[(key, i)] = name
-            gens.append(Generator(name, key[0], key[1]))
-    table = GeneratorTable(gens, allow_d_names=True)
+    table, names = _free_table(v.dims, "v")
     images: dict[str, Element] = {}
     for key in sorted(v.dims):
         nxt = _next_key(key)
@@ -568,13 +555,7 @@ def kunneth_report(v: Complex, w_min: int, w_max: int, cap: int) -> dict:
     dga, _ = sym_dga(v)
     lhs = dga.cohomology(w_min, w_max, cap)
     hdims = cohomology_dims(v)
-    gens = []
-    counter = 0
-    for key in sorted(hdims):
-        for _ in range(hdims[key]):
-            gens.append(Generator(f"h{counter}", key[0], key[1]))
-            counter += 1
-    htable = GeneratorTable(gens, allow_d_names=True)
+    htable, _ = _free_table(hdims, "h")
     entries = []
     agree = True
     for w in range(w_min, w_max + 1):

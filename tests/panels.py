@@ -58,7 +58,7 @@ def random_invertible(rng: random.Random, n: int) -> linalg.Block:
         rows[a] = linalg.apply([rows[a], rows[b]], {0: 1, 1: lam})
     order = list(range(n))
     rng.shuffle(order)
-    # an invertible matrix has no zero column for transpose to leave out
+    # the matrix with these rows, as the block of its columns
     return linalg.transpose([rows[i] for i in order], n)
 
 

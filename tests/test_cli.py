@@ -164,6 +164,19 @@ MALFORMED = {
                     "parity must be 'even' or 'odd', got True"),
     "dim-true": (("complex", "cohomology"), {"dims": {"0,even": True}},
                  "bad dimension True at '0,even'"),
+    # an entry is read as [sign]digits[/digits], never as a decimal or with
+    # an exponent, which would be expanded exactly
+    "entry-decimal": (("complex", "cohomology"), {**_DISK, "differential": {"0,even": [["1.5"]]}},
+                      "bad rational entry '1.5'"),
+    "entry-exponent": (("complex", "cohomology"), {**_DISK, "differential": {"0,even": [["1e3"]]}},
+                       "bad rational entry '1e3'"),
+    "entry-huge-exponent": (("complex", "cohomology"),
+                            {**_DISK, "differential": {"0,even": [["1e1000000"]]}},
+                            "bad rational entry '1e1000000'"),
+    "entry-long": (("complex", "cohomology"),
+                   {**_DISK, "differential": {"0,even": [["9" * 5000]]}}, "bad rational entry"),
+    "expr-long-literal": (("check",), {**LINE_DOC, "differential": {"x": "9" * 5000 + " * xi"}},
+                          "characters is too long"),
     "map-block-shape": (("complex", "classify"),
                         {"source": _COMPLEX, "target": _COMPLEX, "blocks": {"0,even": [[1, 2]]}},
                         "chain map block at (0, 0) has the wrong shape"),
@@ -206,6 +219,42 @@ def test_malformed_document(tmp_path, capsys, case):
     assert code == 2
     assert env["ok"] is False
     assert error in env["error"]
+
+
+def test_a_json_integer_too_long_to_read_is_malformed_input(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"dims": {"0,even": ' + "9" * 5000 + "}}")
+    code, env = run_json(capsys, "complex", "cohomology", "--input", str(path))
+    assert code == 2
+    assert env["error"].startswith("cannot read input document: Exceeds the limit")
+
+
+# sha256 of the envelopes of rejected and accepted parities, the bytes the CLI
+# printed while it read parities by its own rule rather than core.parity_of's
+PARITY_ENVELOPES = [
+    (("check",), {"generators": [{"name": "x", "parity": True}]},
+     (2, "d8870047118615aaba790e94ad64f097a79ea0ec06c039afde3583bd0895218a")),
+    (("check",), {"generators": [{"name": "x", "parity": 1.0}]},
+     (2, "c7c1ca071f35d5444538dcff8033f70d81d023d1cb19bc78f5d21db9447fb9ce")),
+    (("check",), {"generators": [{"name": "x", "parity": "2"}]},
+     (2, "8f81124c58575d8353cc25a95a5ea0b714c6e826742eff2c0ee50b935d0c50f4")),
+    (("check",), {"generators": [{"name": "x", "parity": None}]},
+     (2, "612ec0a6f8266e650e17b1e1168d77bc889af90d1ba04af55ecfc6f5f2bebc00")),
+    (("check",), {"generators": [{"name": "x", "weight": 1, "parity": "1"}]},
+     (0, "1e48167af785cf5f445ce836dbee33d3968003a90ebbfff7dc89fb941ac4a7e9")),
+    (("complex", "cohomology"), {"dims": {"0,2": 1}},
+     (2, "e25b74050005024fc2d36de537019b77c97359fb5b6f20e5f61404d2ec7592c0")),
+    (("complex", "cohomology"),
+     {"dims": {"0,1": 1, "1,0": 2}, "differential": {"0,odd": [[1], [2]]}},
+     (0, "fa3fd24536b6826c1442ac6557139eb46af638a7553ddd0d839e78a8698c034d")),
+]
+
+
+@pytest.mark.parametrize("argv, doc, expected", PARITY_ENVELOPES)
+def test_parity_envelopes(monkeypatch, capsys, argv, doc, expected):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out = run(capsys, *argv, "--input", "-")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected
 
 
 def test_missing_input_file(capsys):

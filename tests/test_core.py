@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from sdga.core import (
     identity_map,
     monomial_basis,
     monomials_of_degree_at_most,
+    parity_of,
     parse,
     partial,
     render,
@@ -309,12 +311,41 @@ def test_weight_degree_bound_matches_subset_oracle(seed):
     assert seen == {"none", "empty", "finite"}
 
 
-@pytest.mark.parametrize("text", ["abc", "1/0", "1/", ""])
+@pytest.mark.parametrize("text", ["abc", "1/0", "1/", "", "1.5", "1e3", "-2.5e-1",
+                                  "1e1000000", " 1", "1_000", "1/-2", "9" * 5000])
 def test_an_unreadable_scalar_string_is_an_algebra_error(table, text):
-    with pytest.raises(AlgebraError, match=f"not an exact rational: {text!r}"):
+    """A string is read only as an optional sign, digits and optionally
+    /digits: no decimal point or exponent, which Fraction() would expand
+    exactly, and no literal longer than int() reads."""
+    with pytest.raises(AlgebraError, match=re.escape(f"not an exact rational: {text!r}")):
         as_scalar(text)
     with pytest.raises(AlgebraError):
         Element.scalar(table, text)
+
+
+def test_scalar_strings_in_the_rational_grammar():
+    assert [as_scalar(text) for text in ("7", "-3/7", "+2", "4/2", "007", "-0")] == [
+        7, Fraction(-3, 7), 2, 2, 7, 0]
+
+
+@pytest.mark.parametrize("value, parity", [(0, EVEN), (1, ODD), ("0", EVEN), ("1", ODD),
+                                           ("even", EVEN), ("odd", ODD)])
+def test_parity_of_reads_six_spellings(value, parity):
+    assert parity_of(value) == parity
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.0, Fraction(1), 2, "2", "Even", None])
+def test_parity_of_rejects_other_values(value):
+    """The type is compared exactly: True and 1.0 are not the parity 1."""
+    with pytest.raises(AlgebraError,
+                       match=re.escape(f"parity must be 'even' or 'odd', got {value!r}")):
+        parity_of(value)
+
+
+@pytest.mark.parametrize("text", ["9" * 5000 + " * x", "x^" + "9" * 5000, "1/" + "9" * 5000])
+def test_an_over_long_number_in_an_expression_is_a_parse_error(table, text):
+    with pytest.raises(ParseError, match="characters is too long"):
+        parse(table, text)
 
 
 def test_a_generator_table_takes_generators_only():

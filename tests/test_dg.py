@@ -91,6 +91,19 @@ def test_maps_on_generators_read_their_images_alike(table, kind):
         assert _map_on_generators(kind, table, {"x": image}, check=False).image_of("x") == image
 
 
+@pytest.mark.parametrize("kind", ["map", "derivation"])
+def test_maps_on_generators_reject_unknown_names(table, kind):
+    """An image for a name the source table lacks is an error, with or
+    without the bidegree check, not an image silently dropped."""
+    x = Element.generator(table, "x")
+    for images in ({"xx": x}, {"x": x, "zeta": 5}):
+        unknown = next(name for name in images if name not in table.index)
+        for check in (True, False):
+            with pytest.raises(AlgebraError,
+                               match=f"image given for unknown generator '{unknown}'"):
+                _map_on_generators(kind, table, images, check)
+
+
 def test_derivation_rejects_wrong_bidegree(table):
     with pytest.raises(AlgebraError):
         Derivation(table, {"x": Element.generator(table, "x")}, 1, 1)

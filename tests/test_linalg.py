@@ -284,6 +284,10 @@ def test_sparse_kernel_matches_dense_oracle(seed):
         assert rows == sparse_rows(mat), name
         assert (dense_rows(reduced, ncols), pivots) == dense_rref_oracle(mat), name
         assert_entry_form(reduced, name)
+        # transpose keeps zero rows: ncols of them, the zero columns included
+        columns = linalg.transpose(rows, ncols)
+        assert columns == block_of(mat, ncols), name
+        assert linalg.transpose(columns, len(rows)) == rows, name
         compact = compact_shuffled(rng, rows)
         reduced_c, pivots_c = linalg.rref(compact)
         assert pivots_c == pivots, name
