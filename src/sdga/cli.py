@@ -132,13 +132,10 @@ def build_algebra(doc: dict) -> tuple[DGAlgebra | None, dict | None]:
 
 def _parse_entry(value) -> int | Fraction:
     """A matrix entry of a document, in `linalg`'s entry form."""
-    # type(), not isinstance: true is not the entry 1
-    if type(value) in (int, str):
-        try:
-            return entry(value)  # a string through core.as_scalar
-        except AlgebraError:
-            pass
-    raise InputError(f"bad rational entry {value!r}")
+    try:
+        return entry(value)  # true and 0.5 are no entries
+    except AlgebraError:
+        raise InputError(f"bad rational entry {value!r}") from None
 
 
 def _parse_key(text: str) -> tuple[int, int]:

@@ -11,9 +11,9 @@ equality is dictionary equality and printing is deterministic.
 from __future__ import annotations
 
 import re
-from bisect import insort
+from bisect import bisect_right, insort
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, compress
 from operator import add
 
 Scalar = Fraction
@@ -63,11 +63,12 @@ def _rational(text: str) -> Fraction:
 
 def as_scalar(value) -> Fraction:
     """Coerce ints, Fractions and 'p' or 'p/q' strings to an exact rational."""
-    if isinstance(value, Fraction):
+    # type(), not isinstance: True is no scalar, as it is no parity
+    if type(value) is Fraction:
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
+    if type(value) is str:
         try:
             return _rational(value)
         except (ValueError, ZeroDivisionError):
@@ -359,7 +360,7 @@ class Element:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction):
             other = Element.scalar(self.table, other)
         if not isinstance(other, Element):
             return NotImplemented
@@ -418,31 +419,27 @@ def partial(element: Element, name: str) -> Element:
     is why d/dxi2 (xi1*xi2) = -xi1.
     """
     table = element.table
-    pos = table.position(name)
-    odd = table.parities[pos] == ODD
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for mono, c in element.terms.items():
+    return Element(table, _strike(table, element.terms, table.position(name)))
+
+
+def _strike(table: GeneratorTable, terms: dict, pos: int) -> dict:
+    """The left partial derivative of a term dict in the generator at `pos`:
+    one factor struck from each monomial that has one, with coefficient its
+    exponent (even) or the Koszul sign of the odd factors before it (odd).
+    Distinct monomials stay distinct once struck, so nothing cancels."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    odd = table.parities[pos]
+    for mono, c in terms.items():
         e = mono[pos]
-        if e == 0:
-            continue
-        new = list(mono)
-        new[pos] = e - 1
-        key = tuple(new)
-        if odd:
-            swaps = sum(mono[i] for i in table.odd_positions if i < pos)
-            value = -c if swaps & 1 else c
-        else:
-            value = c * e
-        acc = terms.get(key, None)
-        if acc is None:
-            terms[key] = value
-        else:
-            acc = acc + value
-            if acc == 0:
-                del terms[key]
+        if e:
+            head = mono[:pos]
+            key = head + (e - 1,) + mono[pos + 1:]
+            if odd:
+                # parities are 1 exactly at the odd positions
+                out[key] = -c if sum(compress(head, table.parities)) & 1 else c
             else:
-                terms[key] = acc
-    return Element(table, terms)
+                out[key] = c * e
+    return out
 
 
 # -- table extensions ---------------------------------------------------------
@@ -803,7 +800,9 @@ def _suffix_weight_bounds(table: GeneratorTable, cap: int) -> list[tuple[list[in
     monomial in those generators of degree <= d.  Each factor adds one
     generator weight, an odd generator's at most once and an even
     generator's any number of times, so once the odd weights beyond the
-    extreme even weight are used up that even weight repeats.
+    extreme even weight are used up that even weight repeats.  Neither
+    depends on cap, so the table for one cap is a prefix of the table for
+    a larger one.
     """
     bounds = [([0] * (cap + 1), [0] * (cap + 1))]
     top = bottom = 0
@@ -813,35 +812,83 @@ def _suffix_weight_bounds(table: GeneratorTable, cap: int) -> list[tuple[list[in
             insort(odds, w)
         else:
             top, bottom = max(top, w), min(bottom, w)
-        up = chain((x for x in reversed(odds) if x > top), repeat(top))
-        down = chain((x for x in odds if x < bottom), repeat(bottom))
-        bounds.append((list(accumulate(islice(down, cap), initial=0)),
-                       list(accumulate(islice(up, cap), initial=0))))
+        up = [x for x in reversed(odds) if x > top][:cap]
+        down = [x for x in odds if x < bottom][:cap]
+        bounds.append((list(accumulate(down + [bottom] * (cap - len(down)), initial=0)),
+                       list(accumulate(up + [top] * (cap - len(up)), initial=0))))
     bounds.reverse()
     return bounds
 
 
-def monomial_basis(table: GeneratorTable, weight: int, parity: int, cap: int) -> list[tuple[int, ...]]:
-    """Canonical monomials of the given bidegree with total degree <= cap.
+def monomial_bases(table: GeneratorTable, caps: dict[int, int]
+                   ) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """The monomial bases of a window of weights, in one walk.
 
-    The list is in ascending lexicographic order of exponent tuples; matrix
-    rows and columns are indexed in this order.  One depth-first pass over
-    the generators in table order counts each exponent up from 0, which yields
-    that order directly, and generates only monomials of the bidegree: a
-    branch is cut when the residual weight lies outside the least and greatest
-    weight the remaining generators reach within the remaining degree, or when
-    no odd generator is left and the parity is wrong.
+    caps gives each weight w of a window w_lo..w_hi a degree cap that does
+    not decrease as w grows.  (w, p) maps to the canonical monomials of
+    weight w and parity p with total degree <= caps[w], for each weight of
+    the window and each parity, weight by weight.
     """
-    if cap < 0:
-        return []
+    w_lo, w_hi = min(caps, default=0), max(caps, default=-1)
+    top = caps.get(w_hi, -1)
+    # own[r]: how far below top the cap of weight w_hi - r lies
+    own = [top - caps.get(w, top + 1) for w in range(w_hi, w_lo - 1, -1)]
+    if len(caps) != len(own) or own != sorted(own):
+        raise AlgebraError("degree caps must cover a window of weights and not "
+                           "decrease as the weight grows")
+    out = _walk(table, w_hi, top, own, None)
+    return {(w, p): out[p][w_hi - w] for w in range(w_lo, w_hi + 1) for p in (EVEN, ODD)}
+
+
+def monomial_basis(table: GeneratorTable, weight: int, parity: int, cap: int) -> list[tuple[int, ...]]:
+    """Canonical monomials of the given bidegree with total degree <= cap, in
+    ascending lexicographic order: the one-bidegree walk of `monomial_bases`,
+    which also cuts a branch once no odd generator is left and the parity
+    is wrong."""
+    return _walk(table, weight, cap, [0], parity)[parity][0]
+
+
+def _walk(table: GeneratorTable, w_hi: int, top: int, own: list[int],
+          parity: int | None) -> list[list[list[tuple[int, ...]]]]:
+    """out[p][r] lists the monomials of weight w_hi - r and parity p (only
+    `parity` when given) whose degree is at most top - own[r]; own is
+    nondecreasing and own[0] is 0.
+
+    Each list is in ascending lexicographic order of exponent tuples; matrix
+    rows and columns are indexed in this order.  One depth-first pass over
+    the generators in table order counts each exponent up from 0, which
+    yields that order in every list at once, and generates only monomials
+    of the window.  A branch is cut when no weight of the window lies
+    between the least and greatest weight the remaining generators reach
+    within the remaining degree, again within the degree that the cap of
+    the largest weight still reachable leaves, and, given a parity, when no
+    odd generator is left and the parity is wrong.  The weight bounds are
+    computed once, for the largest cap; a lower cap reads a prefix of them.
+    """
+    out = [[[] for _ in own], [[] for _ in own]]
     n = len(table)
+    if top < 0 or not n:
+        if 0 <= w_hi < len(own) and own[w_hi] <= top and parity != ODD:
+            out[EVEN][w_hi].append(())
+        return out
+    span = len(own) - 1
     weights, parities = table.weights, table.parities
-    bounds = _suffix_weight_bounds(table, cap)
-    odd_left = [ODD in parities[i:] for i in range(n + 1)]
-    results: list[tuple[int, ...]] = []
+    bounds = _suffix_weight_bounds(table, top)
+    if span:
+        # the greatest weights raised by span, so that a residual r reaches
+        # the window when lo[b] <= r <= hi[b]
+        bounds = [(lo, [h + span for h in hi]) for lo, hi in bounds]
+    tight = own[-1] > 0
+    if tight:
+        # with b degrees to spare, a finished monomial may lie at most
+        # hi[b] below w_hi, where the caps still admit its degree
+        bounds[n] = (bounds[n][0], [bisect_right(own, b) - 1 for b in range(top + 1)])
+    odd_left = [parity is None or ODD in parities[i:] for i in range(n + 1)]
     exps = [0] * n
 
-    def rec(i: int, budget: int, residual: int, par: int):
+    # r is the weight still to add to reach w_hi; a finished monomial of the
+    # window has 0 <= r <= span
+    def rec(i: int, budget: int, r: int, par: int):
         w = weights[i]
         odd = parities[i] == ODD
         lo, hi = bounds[i + 1]
@@ -849,23 +896,25 @@ def monomial_basis(table: GeneratorTable, weight: int, parity: int, cap: int) ->
         last = i + 1 == n
         for e in range(min(1, budget) + 1 if odd else budget + 1):
             b = budget - e
-            r = residual - e * w
-            if lo[b] <= r <= hi[b]:
+            q = r - e * w
+            if lo[b] <= q <= hi[b]:
                 p = par ^ e if odd else par
                 if free or p == parity:
                     exps[i] = e
                     if last:
-                        results.append(tuple(exps))
-                    else:
-                        rec(i + 1, b, r, p)
+                        out[p][q].append(tuple(exps))
+                        continue
+                    if tight:
+                        # the degree the largest weight still reachable allows
+                        c = b - own[max(q - hi[b] + span, 0)]
+                        if c < 0 or not lo[c] <= q <= hi[c]:
+                            continue
+                    rec(i + 1, b, q, p)
 
     lo, hi = bounds[0]
-    if lo[cap] <= weight <= hi[cap] and (odd_left[0] or parity == EVEN):
-        if n:
-            rec(0, cap, weight, EVEN)
-        else:
-            results.append(())
-    return results
+    if lo[top] <= w_hi <= hi[top] and (odd_left[0] or parity != ODD):
+        rec(0, top, w_hi, EVEN)
+    return out
 
 
 def weight_degree_bound(table: GeneratorTable, weight: int) -> int | None:

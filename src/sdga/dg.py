@@ -3,7 +3,8 @@
 A derivation of bidegree (s, e) sends each generator to a homogeneous element
 shifted by that bidegree and extends by the super Leibniz rule
 D(ab) = D(a) b + (-1)^{e|a|} a D(b).  Applying D via left partial derivatives,
-D(a) = sum_g D(g) * da/dg, reproduces exactly that rule.
+D(a) = sum_g D(g) * da/dg, reproduces exactly that rule; `Derivation._apply`
+does so on term dicts, striking a factor off each exponent tuple.
 
 Cohomology of a differential (bidegree (1, odd), squaring to zero) is computed
 per (weight, parity) on monomial bases truncated by total degree.  The degree
@@ -35,14 +36,17 @@ from .core import (
     _add_into,
     _image_table,
     _mul_terms,
+    _strike,
     as_scalar,
-    monomial_basis,
+    monomial_bases,
     parity_name,
     parity_of,
     partial,
     render,
     weight_degree_bound,
 )
+
+_ONE = Fraction(1)
 
 
 class Derivation:
@@ -57,6 +61,8 @@ class Derivation:
         self.parity_shift = parity_shift
         self.images = _image_table(table, table, images,
                                    (weight_shift, parity_shift) if check else None, 0)
+        # (table position, image terms) of each generator with a nonzero image
+        self._leibniz = tuple((i, img.terms) for i, img in enumerate(self.images) if img.terms)
 
     def image_of(self, name: str) -> Element:
         return self.images[self.table.position(name)]
@@ -64,14 +70,19 @@ class Derivation:
     def __call__(self, element: Element) -> Element:
         if element.table != self.table:
             raise AlgebraError("element is not over the derivation's table")
+        return Element(self.table, self._apply(element.terms))
+
+    def _apply(self, terms: dict) -> dict:
+        """D on a term dict: the sum over the generators g with a nonzero
+        image of D(g) times the left partial derivative in g, struck off the
+        exponent tuples, with no Element built."""
         table = self.table
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for i, g in enumerate(table.generators):
-            img = self.images[i]
-            if img.is_zero():
-                continue
-            _add_into(terms, _mul_terms(table, img.terms, partial(element, g.name).terms))
-        return Element(table, terms)
+        out: dict[tuple[int, ...], Fraction] = {}
+        for pos, img in self._leibniz:
+            struck = _strike(table, terms, pos)
+            if struck:
+                _add_into(out, _mul_terms(table, img, struck))
+        return out
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images)
@@ -252,12 +263,13 @@ def _differential_matrix(table: GeneratorTable, d: Derivation,
                          src: list[tuple[int, ...]], dst: list[tuple[int, ...]]
                          ) -> linalg.Block:
     """d on monomial bases as sparse columns: column j is d(src[j]) in dst
-    coordinates.  Raises if an image leaves the basis."""
+    coordinates, built on exponent tuples over d's table.  Raises if an
+    image leaves the basis."""
     index = {mono: i for i, mono in enumerate(dst)}
     columns: linalg.Block = []
     for mono in src:
         column = {}
-        for m, c in d(Element.monomial(table, mono)).terms.items():
+        for m, c in d._apply({mono: _ONE}).items():
             i = index.get(m)
             if i is None:
                 raise AlgebraError(
@@ -277,15 +289,8 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
     for img in d.images:
         if not img.is_zero():
             growth = max(growth, img.degree() - 1)
-    caps: dict[int, int] = {}
-    caps[w_min - 1] = cap
-    for w in range(w_min, w_max + 2):
-        caps[w] = caps[w - 1] + growth
-
-    bases: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for w in range(w_min - 1, w_max + 2):
-        for p in (EVEN, ODD):
-            bases[(w, p)] = monomial_basis(table, w, p, caps[w])
+    caps = {w: cap + growth * (w - w_min + 1) for w in range(w_min - 1, w_max + 2)}
+    bases = monomial_bases(table, caps)
 
     bounds: dict[int, int | None] = {
         w: weight_degree_bound(table, w) for w in range(w_min - 1, w_max + 1)

@@ -45,11 +45,12 @@ Basis = dict[int, dict[int, int]]  # pivot column -> primitive integer row
 
 def entry(x) -> int | Fraction:
     """The exact scalar x as an entry: an int when integral, else a Fraction.
-    A string is read by `core.as_scalar`."""
+    A string is read by `core.as_scalar`, which raises AlgebraError on any
+    other type, a float or a bool among them."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = as_scalar(x) if isinstance(x, str) else Fraction(x)
+        x = as_scalar(x)
     return x.numerator if x.denominator == 1 else x
 
 

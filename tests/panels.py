@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from sdga import linalg
-from sdga.core import AlgebraError, Element, GeneratorTable
+from sdga.core import EVEN, ODD, AlgebraError, Element, Generator, GeneratorTable
 from sdga.model import (
     ChainMap,
     Complex,
@@ -43,6 +43,25 @@ def random_homogeneous_pair(rng: random.Random, table: GeneratorTable,
             return a, b
     raise ValueError(f"no pair of nonzero homogeneous elements in 50 draws "
                      f"over weights {weight_range}")
+
+
+def window_tables(rng: random.Random):
+    """Named generator tables for the window walk and the differential
+    blocks built on it: odd only, even only, mixed signs, Koszul-style pairs
+    of an even generator of weight 0 and an odd one of weight 1 (every
+    weight space infinite), and the empty table."""
+    def table(specs):
+        return GeneratorTable([Generator(f"g{i}", w, p) for i, (w, p) in enumerate(specs)])
+
+    def draw(n, weights, parities=(EVEN, ODD)):
+        return [(rng.choice(weights), rng.choice(parities)) for _ in range(n)]
+
+    yield "odd only", table(draw(rng.randint(1, 5), range(-2, 4), (ODD,)))
+    yield "even only", table(draw(rng.randint(1, 3), [-2, -1, 1, 2, 3], (EVEN,)))
+    yield "mixed signs", table(draw(rng.randint(2, 4), range(-3, 4)))
+    koszul = [(0, EVEN), (1, ODD)] * rng.randint(1, 2) + draw(rng.randint(0, 1), range(1, 3))
+    yield "weight-0 even", table(koszul)
+    yield "empty", table([])
 
 
 def random_invertible(rng: random.Random, n: int) -> linalg.Block:

@@ -8,6 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from bisect import insort
+from itertools import accumulate, chain, islice, repeat
+
+from sdga import core
 from sdga.core import (
     EVEN,
     ODD,
@@ -21,6 +25,7 @@ from sdga.core import (
     as_scalar,
     compose_maps,
     identity_map,
+    monomial_bases,
     monomial_basis,
     monomials_of_degree_at_most,
     parity_of,
@@ -232,6 +237,101 @@ def test_monomial_basis_matches_filter_oracle(seed):
     assert 0 in sizes and max(sizes) > 1, "the panel should hold empty and larger bases"
 
 
+# -- the window walk against the per-bidegree walk it replaced ----------------
+
+
+def oracle_weight_bounds(table, cap):
+    """What core._suffix_weight_bounds ran before it built plain lists:
+    entry i is (lo, hi), the least and greatest weight of a monomial of
+    degree <= d in the generators from position i on, d = 0..cap."""
+    bounds = [([0] * (cap + 1), [0] * (cap + 1))]
+    top = bottom = 0
+    odds = []
+    for w, p in zip(reversed(table.weights), reversed(table.parities)):
+        if p == ODD:
+            insort(odds, w)
+        else:
+            top, bottom = max(top, w), min(bottom, w)
+        up = chain((x for x in reversed(odds) if x > top), repeat(top))
+        down = chain((x for x in odds if x < bottom), repeat(bottom))
+        bounds.append((list(accumulate(islice(down, cap), initial=0)),
+                       list(accumulate(islice(up, cap), initial=0))))
+    bounds.reverse()
+    return bounds
+
+
+def walk_basis_oracle(table, weight, parity, cap):
+    """What monomial_basis ran before the window walk: one depth-first walk
+    per bidegree, cut when the residual weight leaves the suffix bounds or
+    no odd generator is left and the parity is wrong."""
+    if cap < 0:
+        return []
+    n = len(table)
+    weights, parities = table.weights, table.parities
+    bounds = oracle_weight_bounds(table, cap)
+    odd_left = [ODD in parities[i:] for i in range(n + 1)]
+    results = []
+    exps = [0] * n
+
+    def rec(i, budget, residual, par):
+        w = weights[i]
+        odd = parities[i] == ODD
+        lo, hi = bounds[i + 1]
+        free = odd_left[i + 1]
+        last = i + 1 == n
+        for e in range(min(1, budget) + 1 if odd else budget + 1):
+            b = budget - e
+            r = residual - e * w
+            if lo[b] <= r <= hi[b]:
+                p = par ^ e if odd else par
+                if free or p == parity:
+                    exps[i] = e
+                    if last:
+                        results.append(tuple(exps))
+                    else:
+                        rec(i + 1, b, r, p)
+
+    lo, hi = bounds[0]
+    if lo[cap] <= weight <= hi[cap] and (odd_left[0] or parity == EVEN):
+        if n:
+            rec(0, cap, weight, EVEN)
+        else:
+            results.append(())
+    return results
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_window_walk_matches_per_bidegree_walk(seed):
+    """Every bucket of one monomial_bases walk, and every monomial_basis
+    call, equals the per-bidegree walk's list, in order, on odd, even,
+    mixed-sign, weight-0 and empty tables, over windows that cross negative
+    weights, with caps -1..6 grown by 0, 1 or 2 per weight."""
+    rng = random.Random(8700 + seed)
+    sizes = []
+    for name, table, in panels.window_tables(rng):
+        assert core._suffix_weight_bounds(table, 9) == oracle_weight_bounds(table, 9), name
+        for cap in range(-1, 7):
+            for growth in (0, 1, 2):
+                w_min = rng.randint(-4, 1)
+                w_max = w_min + rng.randint(0, 4)
+                caps = {w: cap + growth * (w - w_min + 1) for w in range(w_min - 1, w_max + 2)}
+                bases = monomial_bases(table, caps)
+                assert list(bases) == [(w, p) for w in sorted(caps) for p in (EVEN, ODD)]
+                for (w, p), basis in bases.items():
+                    expected = walk_basis_oracle(table, w, p, caps[w])
+                    assert basis == expected, (name, table, caps, w, p)
+                    assert monomial_basis(table, w, p, caps[w]) == expected
+                    sizes.append(len(expected))
+    assert 0 in sizes and max(sizes) > 10, "the panel should hold empty and larger bases"
+
+
+@pytest.mark.parametrize("caps", [{0: 2, 2: 2}, {0: 3, 1: 2}, {-1: 1, 0: 4, 1: 3}])
+def test_window_walk_takes_a_window_of_nondecreasing_caps(table, caps):
+    with pytest.raises(AlgebraError, match="degree caps must cover a window"):
+        monomial_bases(table, caps)
+    assert monomial_bases(table, {}) == {}
+
+
 def test_monomial_basis_below_degree_zero_is_empty(table):
     assert monomial_basis(table, 0, EVEN, -1) == []
     assert monomial_basis(GeneratorTable([]), 0, EVEN, -1) == []
@@ -321,6 +421,20 @@ def test_an_unreadable_scalar_string_is_an_algebra_error(table, text):
         as_scalar(text)
     with pytest.raises(AlgebraError):
         Element.scalar(table, text)
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, 0.1, 1.0, None, [1]])
+def test_a_bool_or_a_float_is_no_scalar(table, value):
+    """The type is compared exactly, as for parities: True is not 1, and 0.1
+    is not read as its binary expansion."""
+    with pytest.raises(AlgebraError, match=re.escape(f"not an exact rational: {value!r}")):
+        as_scalar(value)
+    x = Element.generator(table, "x")
+    for build in (lambda: Element.scalar(table, value), lambda: x * value,
+                  lambda: x + value):
+        with pytest.raises((AlgebraError, TypeError)):
+            build()
+    assert x != value
 
 
 def test_scalar_strings_in_the_rational_grammar():

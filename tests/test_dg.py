@@ -15,6 +15,9 @@ from sdga.core import (
     Element,
     Generator,
     GeneratorTable,
+    _add_into,
+    _mul_terms,
+    monomial_bases,
     monomial_basis,
     parity_name,
     parse,
@@ -27,6 +30,7 @@ from sdga.dg import (
     Derivation,
     KahlerModule,
     SquareZeroExtension,
+    _differential_matrix,
     compute_cohomology,
     euler_derivation,
     leibniz_defect,
@@ -350,6 +354,99 @@ def test_dense_oracle_panel_covers_its_cases():
 
 
 # -- square-zero extensions ---------------------------------------------------------
+
+
+# -- d on exponent tuples against the Element path it replaced ----------------
+
+
+def oracle_partial(element, name):
+    """What core.partial ran before it struck factors through core._strike:
+    each monomial rebuilt as a list, and the struck terms summed."""
+    table = element.table
+    pos = table.position(name)
+    odd = table.parities[pos] == ODD
+    terms = {}
+    for mono, c in element.terms.items():
+        e = mono[pos]
+        if e == 0:
+            continue
+        new = list(mono)
+        new[pos] = e - 1
+        if odd:
+            swaps = sum(mono[i] for i in table.odd_positions if i < pos)
+            value = -c if swaps & 1 else c
+        else:
+            value = c * e
+        _add_into(terms, {tuple(new): value})
+    return Element(table, terms)
+
+
+def leibniz_oracle(D, element):
+    """What Derivation.__call__ ran before it worked on term dicts: for each
+    generator with a nonzero image, D(g) times the partial derivative, as
+    Elements, summed."""
+    table = D.table
+    terms = {}
+    for i, g in enumerate(table.generators):
+        img = D.images[i]
+        if img.is_zero():
+            continue
+        _add_into(terms, _mul_terms(table, img.terms, oracle_partial(element, g.name).terms))
+    return Element(table, terms)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_differential_matrix_matches_the_element_path(seed):
+    """Each column of _differential_matrix, built on exponent tuples, holds
+    the entries of d(Element.monomial(table, mono)) as the Leibniz sum over
+    Elements gives them: the same rows in the same order, every entry a
+    Fraction.  The bases are one window walk with compute_cohomology's caps,
+    on odd, even, mixed-sign, weight-0 and empty tables."""
+    rng = random.Random(9100 + seed)
+    nonzeros = 0
+    for name, table in panels.window_tables(rng):
+        d = sampling.random_derivation(rng, table, 1, ODD, cap=3)
+        growth = max([0] + [img.degree() - 1 for img in d.images if not img.is_zero()])
+        cap = rng.randint(-1, 4)
+        w_min = rng.randint(-3, 1)
+        w_max = w_min + rng.randint(0, 3)
+        caps = {w: cap + growth * (w - w_min + 1) for w in range(w_min - 1, w_max + 2)}
+        bases = monomial_bases(table, caps)
+        for w in range(w_min - 1, w_max + 1):
+            for p in (EVEN, ODD):
+                src, dst = bases[(w, p)], bases[(w + 1, 1 - p)]
+                index = {mono: i for i, mono in enumerate(dst)}
+                columns = _differential_matrix(table, d, src, dst)
+                assert len(columns) == len(src)
+                for mono, column in zip(src, columns):
+                    expected = leibniz_oracle(d, Element.monomial(table, mono)).terms
+                    assert list(column.items()) == [(index[m], c) for m, c in expected.items()], \
+                        (name, table, mono)
+                    assert all(type(c) is Fraction for c in column.values()), (name, column)
+                    nonzeros += len(column)
+    assert nonzeros > 0
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_derivation_matches_the_partial_composition(seed):
+    """D(x) on random inhomogeneous elements, where struck terms meet and
+    cancel, equals the old sum of D(g) times partial derivatives term for
+    term and in the same order; partial equals its old code too."""
+    rng = random.Random(9300 + seed)
+    nonzero = 0
+    for name, table in panels.window_tables(rng):
+        D = sampling.random_derivation(rng, table, rng.randint(-1, 2), rng.randint(0, 1),
+                                       terms=3)
+        for _ in range(4):
+            x = sampling.random_element(rng, table, max_degree=4, terms=6)
+            value = D(x)
+            assert list(value.terms.items()) == list(leibniz_oracle(D, x).terms.items()), \
+                (name, D, x)
+            nonzero += not value.is_zero()
+            for g in table.generators:
+                assert list(partial(x, g.name).terms.items()) == \
+                    list(oracle_partial(x, g.name).terms.items())
+    assert nonzero > 0
 
 
 def test_square_zero_extension_truncates(table):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from sdga import linalg
+from sdga.core import AlgebraError
 from sdga.model import ChainMap, Complex
 
 
@@ -469,11 +470,15 @@ def test_row_span_matches_dense_oracle(seed):
 def test_entry_form_of_exact_scalars():
     """entry() gives an int where a scalar is integral.  str, == and hash
     agree between n and Fraction(n), so an int where a Fraction used to be
-    moves no report, block comparison or dict lookup."""
-    assert [linalg.entry(x) for x in (3, Fraction(6, 2), True, "4/2", 0.5, "-3/7")] == [
-        3, 3, 1, 2, Fraction(1, 2), Fraction(-3, 7)]
-    assert [type(linalg.entry(x)) for x in (Fraction(6, 2), True, 0.5, "-3/7")] == [
-        int, int, Fraction, Fraction]
+    moves no report, block comparison or dict lookup.  A bool or a float is
+    no exact scalar, and the exact type is what counts."""
+    assert [linalg.entry(x) for x in (3, Fraction(6, 2), "4/2", Fraction(1, 2), "-3/7")] == [
+        3, 3, 2, Fraction(1, 2), Fraction(-3, 7)]
+    assert [type(linalg.entry(x)) for x in (Fraction(6, 2), "4/2", "-3/7")] == [
+        int, int, Fraction]
+    for bad in (True, False, 0.5, 0.1, 1.0, None, "0.5", "1e3"):
+        with pytest.raises(AlgebraError, match="not an exact rational"):
+            linalg.entry(bad)
     for n in (0, 1, -1, 7, -12, 10**30, -(10**30)):
         assert str(n) == str(Fraction(n))
         assert n == Fraction(n)

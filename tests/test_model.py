@@ -101,9 +101,15 @@ def test_integral_entries_are_stored_as_int():
     assert a == b
     assert [type(x) for col in a.diff[(0, 0)] for x in col.values()] == [int, Fraction, int]
     f = ChainMap(a, b, {(0, 0): [{0: Fraction(1)}, {1: Fraction(1)}],
-                        (1, 1): [{0: Fraction(1)}, {1: True}]})
+                        (1, 1): [{0: Fraction(1)}, {1: 1}]})
     assert f == identity_chain_map(b)
     assert_entry_form(f)
+    # a bool or a float is no entry: True is not 1, and 0.1 no binary expansion
+    for bad in (True, 0.1):
+        with pytest.raises(AlgebraError, match="not an exact rational"):
+            ChainMap(a, b, {(0, 0): [{0: bad}, {1: 1}]})
+        with pytest.raises(AlgebraError, match="not an exact rational"):
+            Complex({(0, 0): 1, (1, 1): 1}, {(0, 0): [{0: bad}]})
 
 
 def test_cells_and_catalog():
