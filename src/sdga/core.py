@@ -62,7 +62,8 @@ def _rational(text: str) -> Fraction:
 
 
 def as_scalar(value) -> Fraction:
-    """Coerce ints, Fractions and 'p' or 'p/q' strings to an exact rational."""
+    """Coerce ints, Fractions and 'p' or 'p/q' strings to an exact rational;
+    anything else, a bool or a float among them, is an AlgebraError."""
     # type(), not isinstance: True is no scalar, as it is no parity
     if type(value) is Fraction:
         return value
@@ -845,6 +846,8 @@ def monomial_basis(table: GeneratorTable, weight: int, parity: int, cap: int) ->
     ascending lexicographic order: the one-bidegree walk of `monomial_bases`,
     which also cuts a branch once no odd generator is left and the parity
     is wrong."""
+    if parity not in (EVEN, ODD):
+        raise AlgebraError(f"parity must be 0 or 1, got {parity!r}")
     return _walk(table, weight, cap, [0], parity)[parity][0]
 
 

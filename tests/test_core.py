@@ -338,6 +338,12 @@ def test_monomial_basis_below_degree_zero_is_empty(table):
     assert monomial_basis(GeneratorTable([]), 0, EVEN, 0) == [()]
 
 
+@pytest.mark.parametrize("parity", [-1, 2, "odd", None])
+def test_monomial_basis_takes_parity_0_or_1(table, parity):
+    with pytest.raises(AlgebraError, match="parity must be 0 or 1"):
+        monomial_basis(table, 1, parity, 3)
+
+
 def test_weight_degree_bound_finite_for_positive_weights():
     tab = GeneratorTable([Generator("u", 2, 0), Generator("v", 3, 1)])
     bound = weight_degree_bound(tab, 6)
