@@ -28,13 +28,13 @@ from .core import (
     ODD,
     ParseError,
     StructureError,
+    as_scalar,
     parity_name,
     parity_of,
     parse,
     render,
 )
 from .dg import DGAlgebra, Derivation
-from .linalg import entry
 
 
 class InputError(Exception):
@@ -131,9 +131,9 @@ def build_algebra(doc: dict) -> tuple[DGAlgebra | None, dict | None]:
 
 
 def _parse_entry(value) -> int | Fraction:
-    """A matrix entry of a document, in `linalg`'s entry form."""
+    """A matrix entry of a document, as `as_scalar` gives it."""
     try:
-        return entry(value)  # true and 0.5 are no entries
+        return as_scalar(value)  # true and 0.5 are no entries
     except AlgebraError:
         raise InputError(f"bad rational entry {value!r}") from None
 
@@ -502,7 +502,7 @@ def cmd_simplicial_duality(args) -> dict:
         for I in tuples:
             w = simplicial.whitney(forms, I)
             for J in tuples:
-                expected = Fraction(1 if I == J else 0)
+                expected = int(I == J)
                 got_d = simplicial.simplex_integral(forms, J, w, method="dirichlet")
                 got_i = simplicial.simplex_integral(forms, J, w, method="iterated")
                 if got_d != expected or got_i != expected:

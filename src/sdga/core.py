@@ -6,6 +6,10 @@ squares vanish identically over Q.  Every element is a finite Q-linear
 combination of canonical monomials: generators in declaration order, odd
 exponents at most 1.  All arithmetic routes through the canonical form, so
 equality is dictionary equality and printing is deterministic.
+
+Every coefficient, like every matrix entry of `linalg` and `model`, is an
+int when integral and a Fraction otherwise: `as_scalar` puts a scalar in
+that form, arithmetic keeps it, and `_quotient` divides within it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from bisect import bisect_right, insort
 from fractions import Fraction
 from itertools import accumulate, compress
 from operator import add
-
-Scalar = Fraction
 
 EVEN = 0
 ODD = 1
@@ -61,20 +63,38 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def as_scalar(value) -> Fraction:
-    """Coerce ints, Fractions and 'p' or 'p/q' strings to an exact rational;
-    anything else, a bool or a float among them, is an AlgebraError."""
+def as_scalar(value) -> int | Fraction:
+    """An int, a Fraction or a 'p' or 'p/q' string in the one scalar form: an
+    int when integral, else a Fraction.  Anything else, a bool or a float
+    among them, is an AlgebraError."""
     # type(), not isinstance: True is no scalar, as it is no parity
-    if type(value) is Fraction:
-        return value
     if type(value) is int:
-        return Fraction(value)
+        return value
     if type(value) is str:
         try:
-            return _rational(value)
+            value = _rational(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise AlgebraError(f"not an exact rational: {value!r}")
+    if type(value) is not Fraction:
+        raise AlgebraError(f"not an exact rational: {value!r}")
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(a: int | Fraction, b: int) -> int | Fraction:
+    """a / b in that form, for a in it and a nonzero int b: the one rule for
+    a true division of coefficients, since an int / int is a float."""
+    if type(a) is int and not a % b:
+        return a // b
+    return Fraction(a, b)
+
+
+def _as_scalars(values: dict) -> dict:
+    """Each value of a dict put in the form `as_scalar` gives, in place: the
+    products and sums of scalars in that form go back into it here."""
+    for key, x in values.items():
+        if type(x) is not int:
+            values[key] = as_scalar(x)
+    return values
 
 
 class Generator:
@@ -210,7 +230,7 @@ def _mul_monomials(table: GeneratorTable, e1: tuple[int, ...], e2: tuple[int, ..
 
 # -- the term-dict kernel -------------------------------------------------------
 #
-# A term dict maps canonical exponent tuples to nonzero rationals.  Element
+# A term dict maps canonical exponent tuples to nonzero scalars.  Element
 # arithmetic, algebra maps, derivations and the linear extensions in
 # `simplicial` all run on these two routines, with no Element built per
 # intermediate product.
@@ -218,7 +238,7 @@ def _mul_monomials(table: GeneratorTable, e1: tuple[int, ...], e2: tuple[int, ..
 
 def _mul_terms(table: GeneratorTable, t1: dict, t2: dict) -> dict:
     """The product of two term dicts over `table`; cancelled terms are dropped."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
             hit = _mul_monomials(table, m1, m2)
@@ -235,7 +255,7 @@ def _mul_terms(table: GeneratorTable, t1: dict, t2: dict) -> dict:
                     del terms[exps]
                 else:
                     terms[exps] = acc
-    return terms
+    return _as_scalars(terms)
 
 
 def _add_into(terms: dict, other: dict, scale=1) -> dict:
@@ -250,14 +270,12 @@ def _add_into(terms: dict, other: dict, scale=1) -> dict:
     items = other.items() if scale == 1 else ((m, c * scale) for m, c in other.items())
     for mono, c in items:
         acc = terms.get(mono, None)
-        if acc is None:
-            terms[mono] = c
-        else:
-            acc = acc + c
-            if acc == 0:
+        if acc is not None:
+            c = acc + c
+            if c == 0:
                 del terms[mono]
-            else:
-                terms[mono] = acc
+                continue
+        terms[mono] = c if type(c) is int else as_scalar(c)
     return terms
 
 
@@ -266,7 +284,7 @@ class Element:
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: GeneratorTable, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, table: GeneratorTable, terms: dict[tuple[int, ...], int | Fraction]):
         self.table = table
         self.terms = terms
 
@@ -291,7 +309,7 @@ class Element:
     def generator(table: GeneratorTable, name: str) -> "Element":
         exps = [0] * len(table)
         exps[table.position(name)] = 1
-        return Element(table, {tuple(exps): Fraction(1)})
+        return Element(table, {tuple(exps): 1})
 
     @staticmethod
     def monomial(table: GeneratorTable, exps: tuple[int, ...], coeff=1) -> "Element":
@@ -338,10 +356,7 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_scalar(other)
-            if c == 0:
-                return Element.zero(self.table)
-            return Element(self.table, {m: v * c for m, v in self.terms.items()})
+            return Element(self.table, _add_into({}, self.terms, as_scalar(other)))
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_table(other)
@@ -402,8 +417,8 @@ class Element:
             raise AlgebraError("parity of a zero or inhomogeneous element")
         return bid[1]
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.table), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * len(self.table), 0)
 
     def __str__(self) -> str:
         return render(self)
@@ -428,7 +443,7 @@ def _strike(table: GeneratorTable, terms: dict, pos: int) -> dict:
     one factor struck from each monomial that has one, with coefficient its
     exponent (even) or the Koszul sign of the odd factors before it (odd).
     Distinct monomials stay distinct once struck, so nothing cancels."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int | Fraction] = {}
     odd = table.parities[pos]
     for mono, c in terms.items():
         e = mono[pos]
@@ -440,7 +455,7 @@ def _strike(table: GeneratorTable, terms: dict, pos: int) -> dict:
                 out[key] = -c if sum(compress(head, table.parities)) & 1 else c
             else:
                 out[key] = c * e
-    return out
+    return out if odd else _as_scalars(out)
 
 
 # -- table extensions ---------------------------------------------------------
@@ -566,7 +581,7 @@ class AlgebraMap:
         images = self.images
         # powers[i] lists the term dicts of img_i^1 .. img_i^k met so far
         powers: dict[int, list[dict]] = {}
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for mono, c in element.terms.items():
             acc = None
             for i, e in enumerate(mono):
@@ -577,15 +592,12 @@ class AlgebraMap:
                     pw = powers[i] = [images[i].terms]
                 while len(pw) < e:
                     pw.append(_mul_terms(target, pw[-1], images[i].terms))
-                if acc is None:
-                    acc = {m: v * c for m, v in pw[e - 1].items()}
-                else:
-                    acc = _mul_terms(target, acc, pw[e - 1])
+                acc = pw[e - 1] if acc is None else _mul_terms(target, acc, pw[e - 1])
                 if not acc:
                     break
             if acc is None:
-                acc = {(0,) * len(target): c}
-            _add_into(out, acc)
+                acc = {(0,) * len(target): 1}
+            _add_into(out, acc, c)
         return Element(target, out)
 
     def __eq__(self, other) -> bool:

@@ -46,8 +46,6 @@ from .core import (
     weight_degree_bound,
 )
 
-_ONE = Fraction(1)
-
 
 class Derivation:
     """A super derivation of a free graded-commutative algebra into itself."""
@@ -77,7 +75,7 @@ class Derivation:
         image of D(g) times the left partial derivative in g, struck off the
         exponent tuples, with no Element built."""
         table = self.table
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for pos, img in self._leibniz:
             struck = _strike(table, terms, pos)
             if struck:
@@ -269,7 +267,7 @@ def _differential_matrix(table: GeneratorTable, d: Derivation,
     columns: linalg.Block = []
     for mono in src:
         column = {}
-        for m, c in d._apply({mono: _ONE}).items():
+        for m, c in d._apply({mono: 1}).items():
             i = index.get(m)
             if i is None:
                 raise AlgebraError(

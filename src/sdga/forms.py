@@ -31,6 +31,7 @@ from .core import (
     GeneratorTable,
     TableExtension,
     _add_into,
+    _quotient,
     as_scalar,
 )
 from .core import partial as partial_derivative
@@ -46,7 +47,7 @@ def substitute(element: Element, values: dict[str, Element | int | Fraction]) ->
     a zero value kills every term the generator divides.
     """
     table = element.table
-    scalars: dict[int, Fraction] = {}
+    scalars: dict[int, int | Fraction] = {}
     for name, val in values.items():
         pos = table.index.get(name)
         if pos is None:
@@ -54,7 +55,7 @@ def substitute(element: Element, values: dict[str, Element | int | Fraction]) ->
         if not isinstance(val, (int, Fraction, str)):
             return _substitute_by_map(element, values)
         scalars[pos] = as_scalar(val)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     for mono, c in element.terms.items():
         new = list(mono)
         for pos, v in scalars.items():
@@ -74,7 +75,7 @@ def _substitute_by_map(element: Element, values: dict) -> Element:
         if g.name in values:
             val = values[g.name]
             if isinstance(val, (int, Fraction, str)):
-                val = Element.scalar(table, as_scalar(val))
+                val = Element.scalar(table, val)
             images[g.name] = val
         else:
             images[g.name] = Element.generator(table, g.name)
@@ -91,7 +92,7 @@ def antiderivative(element: Element, name: str) -> Element:
     for mono, c in element.terms.items():
         new = list(mono)
         new[pos] += 1
-        terms[tuple(new)] = c / new[pos]
+        terms[tuple(new)] = _quotient(c, new[pos])
     return Element(table, terms)
 
 
@@ -237,7 +238,6 @@ class Cylinder(TableExtension):
         return self.evaluate(element, 1)
 
     def end_map(self, value) -> AlgebraMap:
-        value = as_scalar(value)
         images = {}
         for g in self.base.generators:
             images[g.name] = Element.generator(self.base, g.name)

@@ -2,15 +2,15 @@
 
 Everything works in one form: sparse rows, dicts from column to nonzero
 entry, so a zero is never stored, scanned, multiplied or negated.  An entry
-is an `int` when it is integral and a `Fraction` otherwise; it is never a
-float, a bool or a stored zero, and `entry` puts any exact scalar in that
-form.  One routine, `_add`, eliminates: it reduces rows against a fully
-reduced basis keyed by pivot column.  `rref` reads one out by pivot,
-`rank` counts it, `nullspace` and `solve_with_certificate` read `rref`, and
-`quotient_representatives` grows one, a `RowSpan`, to pick by position the
-rows independent modulo a span.  Each takes sparse rows; a sparse row does
-not know its width, so the functions that need the column count take it as
-`ncols`.
+is in the one scalar form of sdga, the form `core.as_scalar` gives: an
+`int` when it is integral and a `Fraction` otherwise, never a float, a bool
+or a stored zero.  One routine, `_add`, eliminates: it reduces rows against
+a fully reduced basis keyed by pivot column.  `rref` reads one out by
+pivot, `rank` counts it, `nullspace` and `solve_with_certificate` read
+`rref`, and `quotient_representatives` grows one, a `RowSpan`, to pick by
+position the rows independent modulo a span.  Each takes sparse rows; a
+sparse row does not know its width, so the functions that need the column
+count take it as `ncols`.
 
 Elimination is fraction-free.  Each row is first scaled to a primitive
 integer row: times the lcm of its denominators, then divided by its content
@@ -36,22 +36,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import as_scalar
+from .core import _as_scalars, _quotient
 
 SparseRow = dict[int, int | Fraction]  # column -> nonzero entry
 Block = list[SparseRow]  # column j -> the image of source basis vector j
 Basis = dict[int, dict[int, int]]  # pivot column -> primitive integer row
-
-
-def entry(x) -> int | Fraction:
-    """The exact scalar x as an entry: an int when integral, else a Fraction.
-    A string is read by `core.as_scalar`, which raises AlgebraError on any
-    other type, a float or a bool among them."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        x = as_scalar(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 def apply(block: Block, vec: SparseRow) -> SparseRow:
@@ -68,10 +57,7 @@ def apply(block: Block, vec: SparseRow) -> SparseRow:
                     out[r] = z
                 else:
                     del out[r]
-    for r, z in out.items():
-        if type(z) is not int and z.denominator == 1:
-            out[r] = z.numerator
-    return out
+    return _as_scalars(out)
 
 
 def mat_mul(a: Block, b: Block) -> Block:
@@ -129,11 +115,11 @@ def _eliminate(row: dict[int, int], col: int, pivot: dict[int, int]) -> None:
 
 
 def _divided(row: dict[int, int], col: int) -> SparseRow:
-    """row / row[col], each entry an int where the division is exact."""
+    """row / row[col], each entry an exact quotient."""
     a = row[col]
     if a == 1:
         return row
-    return {j: x // a if x % a == 0 else Fraction(x, a) for j, x in row.items()}
+    return {j: _quotient(x, a) for j, x in row.items()}
 
 
 def _add(basis: Basis, rows: list[SparseRow]) -> int:

@@ -36,6 +36,7 @@ from .core import (
     Generator,
     GeneratorTable,
     StructureError,
+    as_scalar,
     monomial_basis,
     parity_name,
 )
@@ -59,11 +60,11 @@ def _units(n: int, offset: int = 0) -> linalg.Block:
 
 def _canonical(block: linalg.Block, nrows: int, ncols: int, what: str,
                key: Key) -> linalg.Block:
-    """A copy of the block in `linalg`'s entry form, with no stored zero,
-    once its shape is checked: ncols columns with rows below nrows."""
+    """A copy of the block in the form `as_scalar` gives, with no stored
+    zero, once its shape is checked: ncols columns with rows below nrows."""
     if len(block) != ncols or any(not 0 <= r < nrows for col in block for r in col):
         raise StructureError(f"{what} block at {key} has the wrong shape")
-    return [{r: linalg.entry(x) for r, x in col.items() if x} for col in block]
+    return [{r: as_scalar(x) for r, x in col.items() if x} for col in block]
 
 
 class Complex:

@@ -2,8 +2,8 @@
 
 Every generator here is driven by a caller-supplied random.Random instance,
 so panels are reproducible from a single seed.  Coefficients are small
-integers (cast to Fraction by the element constructors) to keep the exact
-arithmetic fast.
+rationals, of denominator 1 to 3, which the element constructors keep as
+`core.as_scalar` gives them: an int when integral, else a Fraction.
 """
 
 from __future__ import annotations

@@ -87,6 +87,8 @@ from .core import (
     TableExtension,
     _add_into,
     _mul_terms,
+    _quotient,
+    as_scalar,
     monomial_basis,
     parity_name,
 )
@@ -135,7 +137,7 @@ class SimplexForms(FormsAlgebra):
         self.differential = self.de_rham
         self.dga = DGAlgebra(self.table, self.differential)
         self._whitney_cache: dict[tuple[int, ...], Element] = {}
-        self._integral_cache: dict[tuple, Fraction] = {}
+        self._integral_cache: dict[tuple, int | Fraction] = {}
         self._dilation_cache: dict[int, tuple[Cylinder, AlgebraMap]] = {}
         self._face_maps: dict[tuple[int, ...], AlgebraMap] = {}
         self._h_cache: dict[tuple[int, tuple[int, ...]], tuple[dict, int]] = {}
@@ -161,7 +163,7 @@ class SimplexForms(FormsAlgebra):
     def dt(self, i: int) -> Element:
         return self._vertex(self._dt, i)
 
-    def vertex_value(self, element: Element, i: int) -> Fraction:
+    def vertex_value(self, element: Element, i: int) -> int | Fraction:
         """The function part at vertex i: the constant term of the pullback
         along the vertex map (i,) into simplex_forms(0), which sends t_j to
         delta_ij and dt_j to 0.  AlgebraError when i is not a vertex."""
@@ -338,7 +340,7 @@ def elementary_subcomplex(n: int) -> dict:
             for r, J in enumerate(above):
                 x = simplex_integral(forms, J, image)
                 if x:
-                    col[r] = linalg.entry(x)
+                    col[r] = x
             # the expansion is exact: subtracting it leaves zero
             check = image
             for r, x in col.items():
@@ -364,7 +366,7 @@ def simplicial_coboundary(n: int, k: int) -> linalg.Block:
 
 
 def simplex_integral(forms: SimplexForms, indices: tuple[int, ...], element: Element,
-                     method: str = "dirichlet") -> Fraction:
+                     method: str = "dirichlet") -> int | Fraction:
     """Integral over the oriented face spanned by I of the matching form part.
 
     Components whose form weight differs from len(I) - 1 integrate to zero
@@ -384,7 +386,7 @@ def simplex_integral(forms: SimplexForms, indices: tuple[int, ...], element: Ele
     if method not in ("dirichlet", "iterated"):
         raise AlgebraError(f"unknown integration method {method!r}")
     k = len(I) - 1
-    total = Fraction(0)
+    total = 0
     kernel = _dirichlet_integral if method == "dirichlet" else _iterated_integral
     for mono, c in element.terms.items():
         if forms.form_weight_of(mono) != k:
@@ -399,18 +401,18 @@ def simplex_integral(forms: SimplexForms, indices: tuple[int, ...], element: Ele
                 value = forms._integral_cache[key] = kernel(forms, I, mono)
         if value:
             total += c * value
-    return total
+    return as_scalar(total)
 
 
 def _dirichlet_integral(forms: SimplexForms, I: tuple[int, ...],
-                        mono: tuple[int, ...]) -> Fraction:
+                        mono: tuple[int, ...]) -> int | Fraction:
     """The closed form of the integral of t^a dt_J over the face I, |J| = k."""
     n = forms.n
     order = sorted(I)
     on_face = set(order)
     for j in range(1, n + 1):
         if (mono[j - 1] or mono[n + j - 1]) and j not in on_face:
-            return Fraction(0)
+            return 0
     # m: the position in sorted I of the vertex whose dt is missing
     m = next(q for q, v in enumerate(order) if v == 0 or not mono[n + v - 1])
     num = 1
@@ -418,11 +420,11 @@ def _dirichlet_integral(forms: SimplexForms, I: tuple[int, ...],
         if v:
             num *= math.factorial(mono[v - 1])
     sign = _permutation_sign(I) * (-1 if m % 2 else 1)
-    return Fraction(sign * num, math.factorial(len(I) - 1 + sum(mono[:n])))
+    return _quotient(sign * num, math.factorial(len(I) - 1 + sum(mono[:n])))
 
 
 def _iterated_integral(forms: SimplexForms, I: tuple[int, ...],
-                       mono: tuple[int, ...]) -> Fraction:
+                       mono: tuple[int, ...]) -> int | Fraction:
     """Pull t^a dt_J back onto the standard k-simplex and integrate in turn.
 
     The face map, kept per I, is the pullback along q -> I_q: t_{I_0} goes to
@@ -441,7 +443,7 @@ def _iterated_integral(forms: SimplexForms, I: tuple[int, ...],
         value = partial_derivative(value, f"dt{q}")
     value = face.project(value)
     if value.is_zero():
-        return Fraction(0)
+        return 0
     for q in range(k, 0, -1):
         upper = Element.one(face.base)
         for r in range(1, q):
@@ -453,7 +455,8 @@ def _iterated_integral(forms: SimplexForms, I: tuple[int, ...],
 # -- Whitney projection and the simplicial homotopy -----------------------------
 
 
-def whitney_expansion(forms: SimplexForms, element: Element) -> list[tuple[tuple, Fraction]]:
+def whitney_expansion(forms: SimplexForms, element: Element
+                      ) -> list[tuple[tuple, int | Fraction]]:
     """The nonzero face integrals (I, int_I x), by k = |I| - 1 and then in
     whitney_tuples order: the coefficients of P x in the Whitney forms.  Each
     face integrates only the part of x of its form weight."""
@@ -470,7 +473,7 @@ def whitney_projection(forms: SimplexForms, element: Element, *,
                        expansion: list | None = None) -> Element:
     """P = sum_I (int_I x) w_I; idempotent chain map onto the Whitney span.
     A caller holding whitney_expansion(forms, element) passes it as expansion."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     for I, value in whitney_expansion(forms, element) if expansion is None else expansion:
         _add_into(terms, whitney(forms, I).terms, value)
     return Element(forms.table, terms)
@@ -525,7 +528,7 @@ def dilation_homotopy(forms: SimplexForms, i: int, element: Element, *,
     (i, monomial) as that pair.  A term c t^a dt_J contributes the polynomial
     times the numerator of c over D times the denominator of c; the
     contributions are summed as integer multiples over the lcm of those
-    denominators, and each output coefficient becomes one Fraction.
+    denominators, and each output coefficient is divided by it once.
 
     Given a denominator q, element stands for element / q, and the image
     comes back as the pair (integer numerators, their denominator) with the
@@ -561,8 +564,8 @@ def _sum_over_lcm(table: GeneratorTable, parts) -> tuple[Element, int]:
 
 
 def _divided(numerators: Element, den: int) -> Element:
-    """numerators / den, with one Fraction per term."""
-    return Element(numerators.table, {m: Fraction(v, den) for m, v in numerators.terms.items()})
+    """numerators / den, with one exact quotient per term."""
+    return Element(numerators.table, {m: _quotient(v, den) for m, v in numerators.terms.items()})
 
 
 def _dilation_of_monomial(n: int, i: int, mono: tuple[int, ...]) -> tuple[dict, int]:
@@ -619,8 +622,7 @@ def dupont_homotopy(forms: SimplexForms, element: Element) -> Element:
             if not image.terms:
                 continue
             I = prefix + (vertex,)
-            # w_I times h^I(x), both as integer numerators
-            w = {m: c.numerator for m, c in whitney(forms, I).terms.items()}
+            w = whitney(forms, I).terms  # integer coefficients, as h^I(x)'s numerators
             parts.append((sign, _mul_terms(table, w, image.terms), image_den))
             if len(I) < depth:
                 stack.append((I, image, image_den))
@@ -717,8 +719,7 @@ class TensorForms(TableExtension):
         def substitute_first(mono: tuple[int, ...]) -> dict[tuple[int, ...], int]:
             form = mono[nb:]
             if form not in images:
-                image = face(Element.monomial(self.forms.table, form))
-                images[form] = {m: c.numerator for m, c in image.terms.items()}
+                images[form] = face(Element.monomial(self.forms.table, form)).terms
             return {mono[:nb] + m: c for m, c in images[form].items()}
 
         return substitute_first

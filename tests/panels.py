@@ -9,6 +9,7 @@ panel is reproducible from its seed.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from sdga import linalg
 from sdga.core import EVEN, ODD, AlgebraError, Element, Generator, GeneratorTable
@@ -24,6 +25,15 @@ from sdga.model import (
     zero_complex,
 )
 from sdga.sampling import random_homogeneous
+
+
+def assert_entry_form(values, where=None):
+    """Each value in sdga's one scalar form, the form `core.as_scalar` gives:
+    an int when integral, else a Fraction, and nonzero.  A float, a bool, a
+    zero or a Fraction with denominator 1 fails."""
+    for x in values:
+        assert type(x) is int or type(x) is Fraction and x.denominator != 1, (where, x)
+        assert x, (where, x)
 
 
 def random_homogeneous_pair(rng: random.Random, table: GeneratorTable,

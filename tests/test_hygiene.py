@@ -7,7 +7,9 @@ local variable of the same name does not count.
 
 A deletion that leaves its import or its helper behind fails here, and so
 does a test fixture or second route added to the library.  Names a module
-lists in `__all__` are its exports and count as used.
+lists in `__all__` are its exports and count as used.  A name a module of
+sdga assigns at module level, `__all__` and `__version__` aside, must be
+read somewhere in sdga: an alias or a constant nothing reads fails here.
 """
 
 from __future__ import annotations
@@ -256,3 +258,49 @@ def test_scan_sees_an_unlisted_public_method():
     assert unlisted_public_definitions(sources, api) == []
     api["a.Span.gone"] = "a reason"
     assert stale_api_entries(sources, api) == ["a.Span.gone"]
+
+
+def unread_assignments(sources: dict[str, str]) -> list[str]:
+    """module.name for each name a module assigns at module level that no
+    module reads, as a name, an attribute or an imported name;
+    `__all__` and `__version__` are exempt."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assigned = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                assigned += [(module, t.id) for t in names if isinstance(t, ast.Name)]
+    return sorted(f"{module}.{name}" for module, name in assigned
+                  if name not in read and name not in ("__all__", "__version__"))
+
+
+def test_no_unread_module_assignments():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_assignments(sources) == []
+
+
+def test_scan_sees_an_unread_assignment():
+    sources = {
+        "a": ("__version__ = '1'\n__all__ = ['f']\n"
+              "Alias = int\nLIMIT: int = 3\nX, Y = 1, 2\nSHARED = 4\nTYPED = dict\n"
+              "def f(n: TYPED) -> int:\n    return n + Y\n"),
+        "b": "from .a import SHARED\nprint(SHARED)\n",
+    }
+    # a read in any module counts, and so does an annotation
+    assert unread_assignments(sources) == ["a.Alias", "a.LIMIT", "a.X"]
+    sources["b"] += "print(a.LIMIT)\n"
+    assert unread_assignments(sources) == ["a.Alias", "a.X"]

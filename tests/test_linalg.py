@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from sdga import linalg
-from sdga.core import AlgebraError
+from sdga.core import AlgebraError, as_scalar
 from sdga.model import ChainMap, Complex
+
+from panels import assert_entry_form
 
 
 def random_matrix(rng, rows, cols, span=4):
@@ -48,14 +50,8 @@ def dense_mat_vec(mat, vec):
     return [sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in mat]
 
 
-def assert_entry_form(rows, name=""):
-    """linalg's entry contract: an int when integral, otherwise a Fraction;
-    never a float, a bool or a stored zero."""
-    for row in rows:
-        for x in row.values():
-            assert type(x) in (int, Fraction), (name, x)
-            assert x, (name, x)
-            assert type(x) is int or x.denominator != 1, (name, x)
+def entries(rows):
+    return [x for row in rows for x in row.values()]
 
 
 def test_rref_identity():
@@ -77,7 +73,7 @@ def test_nullspace_annihilates(seed):
     mat = random_matrix(rng, rows, cols)
     basis = linalg.nullspace(sparse_rows(mat), cols)
     assert len(basis) == cols - linalg.rank(sparse_rows(mat))
-    assert_entry_form(basis)
+    assert_entry_form(entries(basis))
     for vec in basis:
         assert all(x == 0 for x in dense_mat_vec(mat, dense_row(vec, cols)))
 
@@ -284,7 +280,7 @@ def test_sparse_kernel_matches_dense_oracle(seed):
         reduced, pivots = linalg.rref(rows)
         assert rows == sparse_rows(mat), name
         assert (dense_rows(reduced, ncols), pivots) == dense_rref_oracle(mat), name
-        assert_entry_form(reduced, name)
+        assert_entry_form(entries(reduced), name)
         # transpose keeps zero rows: ncols of them, the zero columns included
         columns = linalg.transpose(rows, ncols)
         assert columns == block_of(mat, ncols), name
@@ -297,11 +293,11 @@ def test_sparse_kernel_matches_dense_oracle(seed):
         kernel = linalg.nullspace(rows, ncols)
         assert dense_rows(kernel, ncols) == oracle_nullspace(mat, ncols), name
         assert linalg.nullspace(compact, ncols) == kernel, name
-        assert_entry_form(kernel, name)
+        assert_entry_form(entries(kernel), name)
         x = [_entry(rng, 0.7) for _ in range(ncols)]
         rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in mat]
         sol, cert = linalg.solve_with_certificate(rows, rhs, ncols)
-        assert_entry_form([sol], name)
+        assert_entry_form(entries([sol]), name)
         if mat:
             assert dense_row(sol, ncols) == oracle_solve(mat, rhs, ncols), name
             assert dense_mat_vec(mat, dense_row(sol, ncols)) == rhs, name
@@ -312,7 +308,7 @@ def test_sparse_kernel_matches_dense_oracle(seed):
         if mat:
             expected = oracle_solve(mat, noise, ncols)
             assert (sol if sol is None else dense_row(sol, ncols)) == expected, name
-            assert_entry_form([sol or {}], name)
+            assert_entry_form(entries([sol or {}]), name)
         aug_rank = oracle_rank([row + [b] for row, b in zip(mat, noise)])
         if aug_rank > oracle_rank(mat):
             inconsistent += 1
@@ -374,7 +370,7 @@ def rref_panel(seed):
             c = rng.choice([1, -2, Fraction(1, 2), Fraction(-3, 7), 10**12 + 39])
             for j, x in r.items():
                 out[j] = out.get(j, 0) + c * x
-        return {j: linalg.entry(x) for j, x in out.items() if x}
+        return {j: as_scalar(x) for j, x in out.items() if x}
 
     base = [row(rng.choice([0.2, 0.5, 1.0])) for _ in range(rng.randint(1, 7))]
     yield "random", base
@@ -438,7 +434,8 @@ def test_mat_mul_matches_naive_product(seed):
         assert block_product(mat, right, k) == product_oracle(mat, right, k), name
         left = _fill(rng, rng.randint(1, 5), len(mat), rng.choice([0.2, 0.7]))
         assert block_product(left, mat, ncols) == product_oracle(left, mat, ncols), name
-        assert_entry_form(linalg.mat_mul(block_of(left, len(mat)), block_of(mat, ncols)), name)
+        product = linalg.mat_mul(block_of(left, len(mat)), block_of(mat, ncols))
+        assert_entry_form(entries(product), name)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -468,17 +465,17 @@ def test_row_span_matches_dense_oracle(seed):
 
 
 def test_entry_form_of_exact_scalars():
-    """entry() gives an int where a scalar is integral.  str, == and hash
+    """as_scalar() gives an int where a scalar is integral.  str, == and hash
     agree between n and Fraction(n), so an int where a Fraction used to be
     moves no report, block comparison or dict lookup.  A bool or a float is
     no exact scalar, and the exact type is what counts."""
-    assert [linalg.entry(x) for x in (3, Fraction(6, 2), "4/2", Fraction(1, 2), "-3/7")] == [
+    assert [as_scalar(x) for x in (3, Fraction(6, 2), "4/2", Fraction(1, 2), "-3/7")] == [
         3, 3, 2, Fraction(1, 2), Fraction(-3, 7)]
-    assert [type(linalg.entry(x)) for x in (Fraction(6, 2), "4/2", "-3/7")] == [
+    assert [type(as_scalar(x)) for x in (Fraction(6, 2), "4/2", "-3/7")] == [
         int, int, Fraction]
     for bad in (True, False, 0.5, 0.1, 1.0, None, "0.5", "1e3"):
         with pytest.raises(AlgebraError, match="not an exact rational"):
-            linalg.entry(bad)
+            as_scalar(bad)
     for n in (0, 1, -1, 7, -12, 10**30, -(10**30)):
         assert str(n) == str(Fraction(n))
         assert n == Fraction(n)

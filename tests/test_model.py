@@ -34,7 +34,13 @@ from sdga.model import (
     zero_complex,
     zero_to_disk,
 )
-from panels import invert_matrix, random_chain_map, random_complex, random_invertible
+from panels import (
+    assert_entry_form,
+    invert_matrix,
+    random_chain_map,
+    random_complex,
+    random_invertible,
+)
 
 MODES = ("acyclic_cofibration_fibration", "cofibration_acyclic_fibration")
 
@@ -51,16 +57,12 @@ def projection_onto(summand: Complex, total: Complex, include: ChainMap) -> Chai
     return ChainMap(total, summand, blocks)
 
 
-def assert_entry_form(*maps):
-    """Every block of the chain maps and of their sources and targets in
-    linalg's entry form: an int when integral, otherwise a Fraction, never a
-    float, a bool or a stored zero."""
-    for f in maps:
-        for block in [*f.blocks.values(), *f.source.diff.values(), *f.target.diff.values()]:
-            for col in block:
-                for x in col.values():
-                    assert type(x) in (int, Fraction) and x, x
-                    assert type(x) is int or x.denominator != 1, x
+def map_entries(*maps):
+    """Every entry of the chain maps' blocks and of their sources' and
+    targets' differentials."""
+    return [x for f in maps
+            for block in [*f.blocks.values(), *f.source.diff.values(), *f.target.diff.values()]
+            for col in block for x in col.values()]
 
 
 # -- complexes ---------------------------------------------------------------------
@@ -103,7 +105,7 @@ def test_integral_entries_are_stored_as_int():
     f = ChainMap(a, b, {(0, 0): [{0: Fraction(1)}, {1: Fraction(1)}],
                         (1, 1): [{0: Fraction(1)}, {1: 1}]})
     assert f == identity_chain_map(b)
-    assert_entry_form(f)
+    assert_entry_form(map_entries(f))
     # a bool or a float is no entry: True is not 1, and 0.1 no binary expansion
     for bad in (True, 0.1):
         with pytest.raises(AlgebraError, match="not an exact rational"):
@@ -235,7 +237,7 @@ def test_factorize_crowded_panel(seed):
             j, q = factorize(g, mode)
             report = verify_factorization(g, j, q, mode)
             assert report["ok"], (mode, report)
-            assert_entry_form(g, j, q, compose_chain_maps(q, j))
+            assert_entry_form(map_entries(g, j, q, compose_chain_maps(q, j)), mode)
 
 
 def test_two_out_of_three():

@@ -55,6 +55,7 @@ from sdga.simplicial import (
     whitney_tuples,
 )
 from sdga import cli, linalg, sampling, simplicial
+from panels import assert_entry_form
 from test_linalg import dense_row, oracle_nullspace, oracle_rank
 
 
@@ -332,12 +333,6 @@ PANEL_COEFFICIENTS = [Fraction(1, 2), Fraction(-3, 7), Fraction(5, 10**6 + 3),
                       Fraction(10**12 + 39)]
 
 
-def assert_fraction_terms(element):
-    """core's contract: every stored coefficient is a nonzero Fraction."""
-    for c in element.terms.values():
-        assert type(c) is Fraction and c != 0, c
-
-
 @pytest.mark.parametrize("seed", range(25))
 def test_closed_forms_match_their_oracles(seed):
     rng = random.Random(7500 + seed)
@@ -364,7 +359,7 @@ def test_closed_forms_match_their_oracles(seed):
                 for mono, c in total.terms.items():
                     want = want + dilation_homotopy_oracle(forms, i, mono) * c
                 assert got == want, (n, i, chosen)
-                assert_fraction_terms(got)
+                assert_entry_form(got.terms.values(), n)
         off_face = 0
         for I, cases in faces:
             for mono in monos + cases:
@@ -457,9 +452,8 @@ def test_elementary_subcomplex_is_simplicial_cochains():
         for k in range(n + 1):
             blocks = (report["differential"][k], simplicial_coboundary(n, k))
             assert blocks[0] == blocks[1]
-            # both in linalg.entry form: an integral entry is an int
-            assert all(type(x) is int or x.denominator != 1
-                       for block in blocks for col in block for x in col.values())
+            # both in the form as_scalar gives: an integral entry is an int
+            assert_entry_form([x for block in blocks for col in block for x in col.values()], k)
         # consecutive blocks compose to zero
         for k in range(n - 1):
             a = report["differential"][k]
@@ -533,11 +527,11 @@ def test_projection_matches_the_per_monomial_oracle(seed):
         forms, x = projection_panel_element(rng, n)
         expansion = whitney_expansion(forms, x)
         assert expansion == expansion_oracle(forms, x), (n, x)
-        assert all(type(value) is Fraction for _, value in expansion)
+        assert_entry_form([value for _, value in expansion], n)
         got = whitney_projection(forms, x)
         assert got == projection_oracle(forms, x), (n, x)
         assert whitney_projection(forms, x, expansion=expansion) == got
-        assert_fraction_terms(got)
+        assert_entry_form(got.terms.values(), n)
 
 
 def test_whitney_projection_naturality():
@@ -612,7 +606,7 @@ def test_dupont_walk_matches_the_per_tuple_oracle(seed):
         x = dupont_panel_element(rng, forms)
         got = dupont_homotopy(forms, x)
         assert got == dupont_oracle(forms, x), (n, x)
-        assert_fraction_terms(got)
+        assert_entry_form(got.terms.values(), n)
         assert dupont_defect(forms, x).is_zero()
         assert poincare_defect(forms, x).is_zero()
 

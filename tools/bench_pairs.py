@@ -8,6 +8,9 @@ the other, and the side that runs first alternates from pair to pair.  The
 result goes to BENCH_<workload>.json in the current directory: every run's
 end-to-end metrics, and per metric the median and quartiles of each side and
 the number of pairs the change won (by the direction BENCHMARK.json gives).
+A run that exits nonzero, or reports a wrong output (`correct` not true) or
+a failed request, stops the comparison: the script names the pair and the
+side, exits 1 and writes no file.
 """
 
 from __future__ import annotations
@@ -53,7 +56,19 @@ def main() -> int:
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         pair = {"first": order[0]}
         for side in order:
-            pair[side] = run(getattr(args, side), args)
+            try:
+                result = run(getattr(args, side), args)
+            except subprocess.CalledProcessError as exc:
+                problem = f"perfbench/run.py exited {exc.returncode}"
+            else:
+                problem = None
+                if result["correct"] is not True or result["failed"]:
+                    problem = f"correct: {result['correct']}, failed: {result['failed']}"
+            if problem:
+                print(f"pair {k + 1}, {side} ({getattr(args, side)}): {problem}; "
+                      "no BENCH file written", file=sys.stderr)
+                return 1
+            pair[side] = result
         pairs.append(pair)
         print(k + 1, {s: round(pair[s]["metrics"]["cpu_ms_per_op"], 2) for s in order},
               file=sys.stderr)
