@@ -11,10 +11,12 @@ taken in that order.  With these conventions L_D restricts to D on the base
 and the whole Cartan package closes up: contractions anticommute, L respects
 brackets, and the form-weight Euler operator counts dg factors.
 
-A cylinder A[t, dt] adjoins an even weight-0 variable and its differential.
-Evaluation at the endpoints and the integration contraction
-h = int_0^t d/d(dt) witness the two end inclusions as homotopic, all with
-exact rational coefficients.
+One construction of A tensor Omega, `CoordinateForms`, adjoins even weight-0
+coordinates and their differentials to a dg algebra A; the cylinder A[t, dt]
+is it on one coordinate, and simplicial.TensorForms, B tensor Omega_n, on the
+n simplex coordinates.  On the cylinder, evaluation at the endpoints and the
+integration contraction h = int_0^t d/d(dt) witness the two end inclusions
+as homotopic, all with exact rational coefficients.
 """
 
 from __future__ import annotations
@@ -199,27 +201,39 @@ class FormsAlgebra(TableExtension):
         return True
 
 
-# -- cylinders ----------------------------------------------------------------
+# -- A tensor Omega: cylinders and simplex coordinates -------------------------
 
 
-class Cylinder(TableExtension):
-    """A[t, dt] for a dg algebra A, with end evaluations and a contraction."""
+class CoordinateForms(TableExtension):
+    """A dg algebra A with even weight-0 coordinates c and their odd
+    differentials dc adjoined, all c before all dc: d is d_A on A and
+    c -> dc, and `total` is the dg algebra it makes."""
 
-    def __init__(self, dga: DGAlgebra, var: str = "t"):
+    def __init__(self, dga: DGAlgebra, coordinates: list[str]):
         base = dga.table
-        if var in base.index or ("d" + var) in base.index:
-            raise AlgebraError(f"cylinder variable {var!r} collides with a generator")
+        new = ([Generator(c, 0, EVEN) for c in coordinates]
+               + [Generator("d" + c, 1, ODD) for c in coordinates])
+        for g in new:
+            if g.name in base.index:
+                raise AlgebraError(f"variable {g.name!r} collides with a generator")
         self.dga = dga
-        self.var = var
-        self.dvar = "d" + var
-        super().__init__(base, [Generator(var, 0, EVEN), Generator(self.dvar, 1, ODD)])
+        super().__init__(base, new)
         images = {
             g.name: self.include(dga.differential.image_of(g.name))
             for g in base.generators
         }
-        images[var] = Element.generator(self.table, self.dvar)
+        images.update((c, Element.generator(self.table, "d" + c)) for c in coordinates)
         self.differential = Derivation(self.table, images, 1, ODD)
         self.total = DGAlgebra(self.table, self.differential)
+
+
+class Cylinder(CoordinateForms):
+    """A[t, dt] for a dg algebra A, with end evaluations and a contraction."""
+
+    def __init__(self, dga: DGAlgebra, var: str = "t"):
+        super().__init__(dga, [var])
+        self.var = var
+        self.dvar = "d" + var
 
     def t(self) -> Element:
         return Element.generator(self.table, self.var)

@@ -362,10 +362,6 @@ def solve_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap):
     rhs: list[int | Fraction] = []
     # h i = top
     for key in A.dims:
-        if key not in offsets:
-            if any(top.block(key)):
-                return None, {"consistent": False, "reason": "top map misses X support"}
-            continue
         for r, t_row in enumerate(linalg.transpose(top.block(key), X.dim(key))):
             for c, i_col in enumerate(i.block(key)):
                 rows.append({var(key, r, k): x for k, x in i_col.items()})

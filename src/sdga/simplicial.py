@@ -50,12 +50,13 @@ these are what the operators evaluate; s itself is one walk over them:
   integer numerators over one denominator, so no Fraction is built until
   the sum of the walk.
 
-Tensoring with a coefficient algebra B and imposing the face compatibility
-constraints computes B^K for K a simplex, a boundary or a horn; surjectivity
-of the restriction maps onto horns and boundaries is decided by exact rank
-computations on truncated bases, in the kernel's own coordinates: a retry at
-a larger domain cap appends columns to the system.  The face restrictions act
-on monomials:
+B tensor Omega_n is forms.CoordinateForms on t1..tn, the one construction of
+A tensor Omega, which the cylinder A[t, dt] shares.  Tensoring with a
+coefficient algebra B and imposing the face compatibility constraints computes
+B^K for K a simplex, a boundary or a horn; surjectivity of the restriction
+maps onto horns and boundaries is decided by exact rank computations on
+truncated bases, in the kernel's own coordinates: a retry at a larger domain
+cap appends columns to the system.  The face restrictions act on monomials:
 
 * Face restriction.  On B tensor Omega_n the restriction to the facet
   opposite vertex i is id_B tensor delta_i^*, and a monomial is b * omega
@@ -84,7 +85,6 @@ from .core import (
     Element,
     Generator,
     GeneratorTable,
-    TableExtension,
     _add_into,
     _mul_terms,
     _quotient,
@@ -93,8 +93,8 @@ from .core import (
     parity_name,
 )
 from .core import partial as partial_derivative
-from .dg import Derivation, DGAlgebra
-from .forms import Cylinder, FormsAlgebra, integrate
+from .dg import DGAlgebra
+from .forms import CoordinateForms, Cylinder, FormsAlgebra, integrate
 
 # Frozen convention for the simplicial homotopy
 #
@@ -669,37 +669,20 @@ def poincare_defect(forms: SimplexForms, element: Element) -> Element:
 # -- tensoring with coefficients -------------------------------------------------
 
 
-class TensorForms(TableExtension):
-    """B tensor Omega_n for a coefficient dg algebra B."""
+class TensorForms(CoordinateForms):
+    """B tensor Omega_n for a coefficient dg algebra B: the coordinates
+    t1..tn of simplex_forms(n) adjoined to B, whose whole algebra is `total`."""
 
     def __init__(self, coefficients: DGAlgebra, n: int):
         self.coefficients = coefficients
         self.n = n
         self.forms = simplex_forms(n)
-        base = coefficients.table
-        for g in base.generators:
-            if g.name in self.forms.table.index:
-                raise AlgebraError(
-                    f"coefficient generator {g.name!r} collides with a simplex variable"
-                )
-        super().__init__(base, self.forms.table.generators)
-        images: dict[str, Element] = {}
-        for g in base.generators:
-            images[g.name] = self.include(coefficients.differential.image_of(g.name))
-        for i in range(1, n + 1):
-            images[f"t{i}"] = Element.generator(self.table, f"dt{i}")
-        self.differential = Derivation(self.table, images, 1, ODD)
-        self.dga = DGAlgebra(self.table, self.differential)
-        self.include_forms = AlgebraMap(self.forms.table, self.table, {
-            name: Element.generator(self.table, name) for name in self.forms.table.names
-        })
-
-    include_base = TableExtension.include
+        super().__init__(coefficients, [f"t{i}" for i in range(1, n + 1)])
 
     def face_terms(self, i: int):
         """delta_i^* on one monomial (see the module docstring): a function
         from an exponent tuple to its image's integer terms over
-        tensor_forms(B, n - 1).  For i = 0 the function keeps the image of
+        TensorForms(B, n - 1).  For i = 0 the function keeps the image of
         each form part it has seen, for as long as its caller keeps it."""
         n, nb = self.n, self.nbase
         if not 0 <= i <= n:
@@ -723,17 +706,6 @@ class TensorForms(TableExtension):
             return {mono[:nb] + m: c for m, c in images[form].items()}
 
         return substitute_first
-
-
-# Keyed by the coefficient algebra's identity, so an unbounded cache would
-# keep every algebra a long-lived process ever saw; one CLI request uses at
-# most three entries (n, n - 1 and n - 2 for one algebra).
-TENSOR_FORMS_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=TENSOR_FORMS_CACHE_SIZE)
-def tensor_forms(coefficients: DGAlgebra, n: int) -> TensorForms:
-    return TensorForms(coefficients, n)
 
 
 # The zero algebra (1 = 0) is terminal; its cotensor with any simplicial set
@@ -773,8 +745,8 @@ class SubShapeCotensor:
         self.shape = shape
         self.horn_vertex = horn_vertex
         self.facets = _facet_list(n, shape, horn_vertex)
-        self.facet_forms = tensor_forms(coefficients, n - 1)
-        self.overlap_forms = tensor_forms(coefficients, n - 2) if n >= 2 else None
+        self.facet_forms = TensorForms(coefficients, n - 1)
+        self.overlap_forms = TensorForms(coefficients, n - 2) if n >= 2 else None
 
     def facet_basis(self, weight: int, parity: int, cap: int) -> list[tuple[int, ...]]:
         return monomial_basis(self.facet_forms.table, weight, parity, cap)
@@ -866,7 +838,7 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
                 )
         return out
     cot = SubShapeCotensor(coefficients, n, shape, horn_vertex)
-    total = tensor_forms(coefficients, n)
+    total = TensorForms(coefficients, n)
     restrict = [total.face_terms(j) for j in cot.facets]
     for w in range(w_min, w_max + 1):
         for p in (EVEN, ODD):
@@ -933,7 +905,7 @@ def cotensor_report(coefficients, n: int, shape: str, horn_vertex: int | None,
         if coefficients != ZERO_ALGEBRA:
             out["filling"] = filling
         return out
-    table = None if coefficients == ZERO_ALGEBRA else tensor_forms(coefficients, n).table
+    table = None if coefficients == ZERO_ALGEBRA else TensorForms(coefficients, n).table
     for w in range(w_min, w_max + 1):
         for p in (EVEN, ODD):
             dim = 0 if table is None else len(monomial_basis(table, w, p, cap))

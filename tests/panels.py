@@ -3,7 +3,8 @@
 sdga itself never calls these: they build the random pairs of homogeneous
 elements and the random complexes and chain maps of the property panels.
 Every generator is driven by a caller-supplied random.Random instance, so a
-panel is reproducible from its seed.
+panel is reproducible from its seed.  Beside them sit the fixed algebra and
+the dense-matrix helpers that more than one test module reads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 from sdga import linalg
 from sdga.core import EVEN, ODD, AlgebraError, Element, Generator, GeneratorTable
+from sdga.dg import DGAlgebra, Derivation
 from sdga.model import (
     ChainMap,
     Complex,
@@ -25,6 +27,25 @@ from sdga.model import (
     zero_complex,
 )
 from sdga.sampling import random_homogeneous
+
+
+def line_dga() -> DGAlgebra:
+    """Q[x, xi] with dx = xi, the free acyclic algebra on one even cell."""
+    tab = GeneratorTable([Generator("x", 0, 0), Generator("xi", 1, 1)])
+    d = Derivation(tab, {"x": Element.generator(tab, "xi")}, 1, 1)
+    return DGAlgebra(tab, d)
+
+
+# dense rows are the tests' own form: linalg takes sparse rows and blocks
+
+
+def sparse_rows(mat):
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def dense_block(block, nrows):
+    """A block of sparse columns written out as dense rows."""
+    return [[col.get(r, Fraction(0)) for col in block] for r in range(nrows)]
 
 
 def assert_entry_form(values, where=None):

@@ -41,6 +41,7 @@ from sdga.simplicial import (
 )
 from sdga import linalg, model, sampling
 import panels
+from panels import dense_block, line_dga, sparse_rows
 
 
 def four_generator_table():
@@ -180,10 +181,6 @@ def test_criterion_03_whitney_suite():
            time.perf_counter() - start, 60)
 
 
-def sparse_rows(mat):
-    return [{j: x for j, x in enumerate(row) if x} for row in mat]
-
-
 def test_criterion_04_poincare_lemma():
     start = time.perf_counter()
     forms = simplex_forms(2)
@@ -226,11 +223,7 @@ def test_criterion_04_poincare_lemma():
 
 def test_criterion_05_path_object():
     start = time.perf_counter()
-    line = GeneratorTable([Generator("x", 0, 0), Generator("xi", 1, 1)])
-    line_dga = DGAlgebra(
-        line, Derivation(line, {"x": Element.generator(line, "xi")}, 1, 1)
-    )
-    for dga in (rationals(), line_dga):
+    for dga in (rationals(), line_dga()):
         path = PathObject(dga, var="t")
         cyl = path.cylinder
         one = Element.one(cyl.table)
@@ -287,11 +280,6 @@ def feasible_by_dense_elimination(rows, rhs, ncols):
         if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
             return False
     return True
-
-
-def dense_block(block, nrows):
-    """A block of sparse columns written out as dense rows."""
-    return [[col.get(r, Fraction(0)) for col in block] for r in range(nrows)]
 
 
 class DenseComplex:
@@ -494,11 +482,7 @@ def test_criterion_09_cartan_relations():
 
 def test_criterion_10_kan_surjectivity():
     start = time.perf_counter()
-    line = GeneratorTable([Generator("x", 0, 0), Generator("xi", 1, 1)])
-    line_dga = DGAlgebra(
-        line, Derivation(line, {"x": Element.generator(line, "xi")}, 1, 1)
-    )
-    for coefficients in (rationals(), line_dga):
+    for coefficients in (rationals(), line_dga()):
         for n in (1, 2):
             for vertex in range(n + 1):
                 rep = filling_report(coefficients, n, "horn", vertex, 0, 4, 4)

@@ -544,6 +544,25 @@ def test_complex_lift_unsolvable(tmp_path, capsys):
     assert report["certificate"]["rank"] < report["certificate"]["rank_augmented"]
 
 
+def test_complex_lift_top_map_that_b_cannot_carry(tmp_path, capsys):
+    """i: S0 -> 0, p: S0 -> 0, top = id, bottom = 0: unsolvable, with both
+    ranks in the certificate."""
+    sphere, zero = {"dims": {"0,even": 1}}, {"dims": {}}
+    doc = {
+        "i": {"source": sphere, "target": zero, "blocks": {}},
+        "p": {"source": sphere, "target": zero, "blocks": {}},
+        "top": {"source": sphere, "target": sphere, "blocks": {"0,even": [[1]]}},
+        "bottom": {"source": zero, "target": zero, "blocks": {}},
+    }
+    path = write_doc(tmp_path, "lift.json", doc)
+    code, env = run_json(capsys, "complex", "lift", "--input", path)
+    assert code == 0
+    assert env["report"] == {
+        "solvable": False,
+        "certificate": {"consistent": False, "rank": 0, "rank_augmented": 1},
+    }
+
+
 def test_matrix_json_prints_int_and_fraction_entries_alike():
     """Blocks hold an int where an entry is integral; written out they read
     as the Fraction entries did."""

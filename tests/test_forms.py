@@ -31,6 +31,7 @@ from sdga.forms import (
 )
 from sdga import sampling
 import panels
+from panels import line_dga
 
 
 @pytest.fixture
@@ -40,13 +41,6 @@ def table():
         Generator("y", 0, 0),
         Generator("xi", 1, 1),
     ])
-
-
-def line_dga():
-    """Q[x, xi] with dx = xi, the free acyclic algebra on one even cell."""
-    tab = GeneratorTable([Generator("x", 0, 0), Generator("xi", 1, 1)])
-    d = Derivation(tab, {"x": Element.generator(tab, "xi")}, 1, 1)
-    return DGAlgebra(tab, d)
 
 
 # -- substitution and integration helpers -------------------------------------

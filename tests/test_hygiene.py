@@ -10,6 +10,8 @@ does a test fixture or second route added to the library.  Names a module
 lists in `__all__` are its exports and count as used.  A name a module of
 sdga assigns at module level, `__all__` and `__version__` aside, must be
 read somewhere in sdga: an alias or a constant nothing reads fails here.
+So must every attribute a method assigns as self.x, unless UNREAD_ATTRIBUTES
+lists it with its reason.
 """
 
 from __future__ import annotations
@@ -304,3 +306,76 @@ def test_scan_sees_an_unread_assignment():
     assert unread_assignments(sources) == ["a.Alias", "a.LIMIT", "a.X"]
     sources["b"] += "print(a.LIMIT)\n"
     assert unread_assignments(sources) == ["a.Alias", "a.X"]
+
+
+# Attributes that sdga assigns as self.x and never reads as .x, each kept
+# for a reason.
+UNREAD_ATTRIBUTES = {
+    "simplicial.SimplexForms._s_cache": "perfbench/tracer.py reads every _*_cache",
+    "simplicial.SimplexForms._p_cache": "perfbench/tracer.py reads every _*_cache",
+    "simplicial.TensorForms.coefficients": "library API: the coefficient algebra B",
+    "simplicial.SubShapeCotensor.coefficients": "library API: the coefficient algebra B",
+}
+
+
+def self_assignments(tree: ast.Module):
+    """(Class.x, node) for each self.x that a method of a module-level class
+    assigns."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                            and t.value.id == "self"):
+                        yield f"{cls.name}.{t.attr}", t
+
+
+def unread_attributes(sources: dict[str, str], listed: dict[str, str]) -> list[str]:
+    """module.Class.x for each attribute a method assigns as self.x that no
+    module reads as .x and that listed does not name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = sum(map(_attributes, trees.values()), Counter())
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name, node in self_assignments(tree)
+                  if not read[node.attr] and f"{module}.{name}" not in listed)
+
+
+def stale_attribute_entries(sources: dict[str, str], listed: dict[str, str]) -> list[str]:
+    """The listed entries that name no self.x assignment."""
+    assigned = {f"{module}.{name}" for module, source in sources.items()
+                for name, _ in self_assignments(ast.parse(source))}
+    return sorted(set(listed) - assigned)
+
+
+def test_every_assigned_attribute_is_read_or_listed():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert (unread_attributes(sources, UNREAD_ATTRIBUTES),
+            stale_attribute_entries(sources, UNREAD_ATTRIBUTES)) == ([], [])
+
+
+def test_scan_sees_an_unread_attribute():
+    sources = {
+        "a": ("class Box:\n"
+              "    def __init__(self, x):\n"
+              "        self.x, self.y = x, 0\n"
+              "        self.kept: int = 1\n"
+              "        self.spare = self.x\n"
+              "        spare = 2\n"
+              "def f(box):\n    return box.y\n"),
+        "b": "from .a import Box\nprint(Box(1).kept)\n",
+    }
+    # a read in any module counts, a store or a local of the same name does not
+    assert unread_attributes(sources, {}) == ["a.Box.spare"]
+    listed = {"a.Box.spare": "a reason"}
+    assert unread_attributes(sources, listed) == []
+    assert stale_attribute_entries(sources, listed) == []
+    listed["a.Box.gone"] = "a reason"
+    assert stale_attribute_entries(sources, listed) == ["a.Box.gone"]

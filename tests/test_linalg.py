@@ -11,7 +11,7 @@ from sdga import linalg
 from sdga.core import AlgebraError, as_scalar
 from sdga.model import ChainMap, Complex
 
-from panels import assert_entry_form
+from panels import assert_entry_form, dense_block, sparse_rows
 
 
 def random_matrix(rng, rows, cols, span=4):
@@ -20,10 +20,6 @@ def random_matrix(rng, rows, cols, span=4):
 
 
 # dense rows are the tests' own form: linalg takes sparse rows and blocks
-
-
-def sparse_rows(mat):
-    return [{j: x for j, x in enumerate(row) if x} for row in mat]
 
 
 def dense_row(row, ncols):
@@ -40,10 +36,6 @@ def dense_rows(rows, ncols):
 def block_of(mat, ncols):
     """The sparse columns of a dense matrix with ncols columns."""
     return [{r: row[j] for r, row in enumerate(mat) if row[j]} for j in range(ncols)]
-
-
-def dense_of(block, nrows):
-    return [[col.get(r, Fraction(0)) for col in block] for r in range(nrows)]
 
 
 def dense_mat_vec(mat, vec):
@@ -414,7 +406,7 @@ def naive_mat_mul(a, b):
 def block_product(a, b, ncols):
     """a @ b for dense a and b, b with ncols columns, through blocks."""
     middle = len(b)
-    return dense_of(linalg.mat_mul(block_of(a, middle), block_of(b, ncols)), len(a))
+    return dense_block(linalg.mat_mul(block_of(a, middle), block_of(b, ncols)), len(a))
 
 
 def product_oracle(a, b, ncols):

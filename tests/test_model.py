@@ -288,6 +288,17 @@ def test_solve_lift_negative_with_certificate():
     assert cert["rank"] < cert["rank_augmented"]
 
 
+
+def test_solve_lift_certifies_a_top_map_that_b_cannot_carry():
+    """i: S0 -> 0, p: S0 -> 0, top = id, bottom = 0: h i = 0 cannot be the
+    identity.  The system has a zero row with right-hand side 1, and the
+    certificate carries its ranks."""
+    s, z = sphere_complex(0, 0), zero_complex()
+    h, cert = solve_lift(zero_chain_map(s, z), zero_chain_map(s, z),
+                         identity_chain_map(s), zero_chain_map(z, z))
+    assert h is None
+    assert cert == {"rank": 0, "rank_augmented": 1, "consistent": False}
+
 # -- invariance and Kunneth -----------------------------------------------------------
 
 

@@ -22,12 +22,12 @@ from sdga.core import (
     partial,
 )
 from sdga.dg import DGAlgebra, Derivation
-from sdga.forms import FormsAlgebra
+from sdga.forms import Cylinder, FormsAlgebra
 from sdga.simplicial import (
-    TENSOR_FORMS_CACHE_SIZE,
     ZERO_ALGEBRA,
     SimplexForms,
     SubShapeCotensor,
+    TensorForms,
     barycentric_table,
     barycentric_whitney,
     cotensor_report,
@@ -47,7 +47,6 @@ from sdga.simplicial import (
     simplex_forms,
     simplex_integral,
     simplicial_coboundary,
-    tensor_forms,
     whitney,
     whitney_differential_identity,
     whitney_expansion,
@@ -55,14 +54,8 @@ from sdga.simplicial import (
     whitney_tuples,
 )
 from sdga import cli, linalg, sampling, simplicial
-from panels import assert_entry_form
+from panels import assert_entry_form, line_dga
 from test_linalg import dense_row, oracle_nullspace, oracle_rank
-
-
-def line_dga():
-    tab = GeneratorTable([Generator("x", 0, 0), Generator("xi", 1, 1)])
-    d = Derivation(tab, {"x": Element.generator(tab, "xi")}, 1, 1)
-    return DGAlgebra(tab, d)
 
 
 def rational_dga():
@@ -659,26 +652,22 @@ def test_poincare_witnesses():
 # -- coefficients, cotensors, fillings ----------------------------------------------
 
 
+def include_forms(T, element):
+    """Omega_n into B tensor Omega_n, each t_k and dt_k to itself."""
+    images = {x: Element.generator(T.table, x) for x in T.forms.table.names}
+    return AlgebraMap(T.forms.table, T.table, images)(element)
+
+
 def test_tensor_forms_differential():
     rng = random.Random(50)
-    T = tensor_forms(line_dga(), 1)
+    T = TensorForms(line_dga(), 1)
     for _ in range(8):
         w = sampling.random_element(rng, T.table, max_degree=3)
-        assert T.dga.d(T.dga.d(w)).is_zero()
+        assert T.total.d(T.total.d(w)).is_zero()
     b = Element.generator(line_dga().table, "x")
-    assert T.dga.d(T.include_base(b)) == T.include_base(line_dga().d(b))
+    assert T.total.d(T.include(b)) == T.include(line_dga().d(b))
     fw = T.forms.t(1)
-    assert T.dga.d(T.include_forms(fw)) == T.include_forms(T.forms.d(fw))
-
-
-def test_tensor_forms_cache_is_bounded():
-    # a long-lived process keeps at most the bound, however many algebras it sees
-    algebras = [line_dga() for _ in range(100)]
-    for dga in algebras:
-        assert tensor_forms(dga, 1).coefficients is dga
-    info = tensor_forms.cache_info()
-    assert info.maxsize == TENSOR_FORMS_CACHE_SIZE
-    assert info.currsize <= TENSOR_FORMS_CACHE_SIZE
+    assert T.total.d(include_forms(T, fw)) == include_forms(T, T.forms.d(fw))
 
 
 def operator_pullback_tensor(src, dst, phi):
@@ -688,8 +677,8 @@ def operator_pullback_tensor(src, dst, phi):
     images = {g.name: Element.generator(dst.table, g.name)
               for g in src.coefficients.table.generators}
     for k in range(1, src.n + 1):
-        images[f"t{k}"] = dst.include_forms(fmap.image_of(f"t{k}"))
-        images[f"dt{k}"] = dst.include_forms(fmap.image_of(f"dt{k}"))
+        images[f"t{k}"] = include_forms(dst, fmap.image_of(f"t{k}"))
+        images[f"dt{k}"] = include_forms(dst, fmap.image_of(f"dt{k}"))
     return AlgebraMap(src.table, dst.table, images, check=False)
 
 
@@ -697,7 +686,7 @@ def face_restriction_oracle(T, i):
     """The restriction of B tensor Omega_n to the facet opposite vertex i, as
     an algebra map on the whole tensor table: the reference for
     TensorForms.face_terms, which acts on the form factor of one monomial."""
-    target = tensor_forms(T.coefficients, T.n - 1)
+    target = TensorForms(T.coefficients, T.n - 1)
     return operator_pullback_tensor(T, target, face_tuple(T.n, i))
 
 
@@ -708,20 +697,44 @@ def restrict_linearly(T, i, element):
     for mono, c in element.terms.items():
         for m, x in restrict(mono).items():
             terms[m] = terms.get(m, 0) + c * x
-    target = tensor_forms(T.coefficients, T.n - 1)
+    target = TensorForms(T.coefficients, T.n - 1)
     return Element(target.table, {m: c for m, c in terms.items() if c})
 
 
 def test_face_restriction_is_chain_map():
     rng = random.Random(51)
     for B, n in ((line_dga(), 1), (line_dga(), 2), (face_panel_dgas()[1], 2)):
-        T, T1 = tensor_forms(B, n), tensor_forms(B, n - 1)
+        T, T1 = TensorForms(B, n), TensorForms(B, n - 1)
         for i in range(n + 1):
             for _ in range(5):
                 w = sampling.random_element(rng, T.table, max_degree=3)
-                assert restrict_linearly(T, i, T.dga.d(w)) == \
-                    T1.dga.d(restrict_linearly(T, i, w))
+                assert restrict_linearly(T, i, T.total.d(w)) == \
+                    T1.total.d(restrict_linearly(T, i, w))
 
+
+def test_cylinder_and_tensor_forms_are_one_construction():
+    """Cylinder(A, "t1") and TensorForms(A, 1) are one algebra with one
+    differential, and the faces of A tensor Omega_1 are the cylinder's ends:
+    face 1 sets t1 = 0 (p0) and face 0 sets t1 = 1 (p1)."""
+    rng = random.Random(52)
+    A = line_dga()
+    cyl, T = Cylinder(A, "t1"), TensorForms(A, 1)
+    assert cyl.table == T.table
+    assert all(cyl.differential.image_of(x) == T.differential.image_of(x)
+               for x in T.table.names)
+    for _ in range(50):
+        w = sampling.random_element(rng, T.table, max_degree=3)
+        assert restrict_linearly(T, 1, w) == cyl.p0(w)
+        assert restrict_linearly(T, 0, w) == cyl.p1(w)
+
+
+
+def test_tensor_forms_names_the_colliding_variable():
+    tab = GeneratorTable([Generator("x", 0, EVEN), Generator("dt2", 1, ODD)])
+    B = DGAlgebra(tab, Derivation(tab, {}, 1, ODD))
+    assert TensorForms(B, 1).table.names[-2:] == ("t1", "dt1")
+    with pytest.raises(AlgebraError, match="variable 'dt2' collides with a generator"):
+        TensorForms(B, 2)
 
 def face_panel_dgas():
     """Coefficient algebras for the face panel: an even generator with an
@@ -740,7 +753,7 @@ def test_face_terms_match_the_algebra_map(n):
     restriction gives the algebra map's image, with int coefficients."""
     cap = 3 if n < 4 else 2
     for B in face_panel_dgas():
-        T = tensor_forms(B, n)
+        T = TensorForms(B, n)
         for i in range(n + 1):
             restrict, oracle = T.face_terms(i), face_restriction_oracle(T, i)
             t, dt = T.table.position(f"t{max(i, 1)}"), T.table.position(f"dt{max(i, 1)}")
@@ -782,7 +795,7 @@ def test_horn_cotensor_of_interval_is_a_factor():
 def test_cotensor_report_simplex_and_zero():
     B = line_dga()
     rep = cotensor_report(B, 1, "simplex", None, 0, 2, 3)
-    T = tensor_forms(B, 1)
+    T = TensorForms(B, 1)
     for entry in rep["entries"]:
         p = 0 if entry["parity"] == "even" else 1
         assert entry["dim"] == len(monomial_basis(T.table, entry["weight"], p, 3))
@@ -873,7 +886,7 @@ def filling_oracle(cot, w_min, w_max, cap, max_extra=3):
     """filling_report's entries from the dense kernel oracle, the algebra-map
     restriction and dense ranks: a target family is reached when adding it
     to the restricted domain monomials leaves the rank unchanged."""
-    total = tensor_forms(cot.coefficients, cot.n)
+    total = TensorForms(cot.coefficients, cot.n)
     maps = [face_restriction_oracle(total, j) for j in cot.facets]
     entries = []
     for w in range(w_min, w_max + 1):
