@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
@@ -34,7 +33,6 @@ from .core import (
     parse,
     render,
 )
-from .dg import DGAlgebra, Derivation
 
 
 class InputError(Exception):
@@ -87,6 +85,7 @@ def build_algebra(doc: dict) -> tuple[DGAlgebra | None, dict | None]:
     fails a mathematical check (a bidegree violation or d*d != 0); schema
     problems raise InputError instead.
     """
+    from .dg import DGAlgebra, Derivation
     table = build_table(doc)
     diff_doc = doc.get("differential", {})
     if not isinstance(diff_doc, dict):
@@ -284,6 +283,7 @@ def cmd_cohomology(args) -> dict:
 
 def cmd_forms_omega(args) -> dict:
     from . import forms
+    from .dg import DGAlgebra
     doc = _load_json(args.input)
     dga = _require_algebra(doc)
     omega = forms.FormsAlgebra(dga.table)

@@ -9,14 +9,18 @@ equality is dictionary equality and printing is deterministic.
 
 Every coefficient, like every matrix entry of `linalg` and `model`, is an
 int when integral and a Fraction otherwise: `as_scalar` puts a scalar in
-that form, arithmetic keeps it, and `_quotient` divides within it.
+that form, arithmetic keeps it, and `_quotient` divides within it.  The
+`fractions` module, with the `decimal` and `numbers` it imports, loads with
+the first Fraction: `_quotient` is the one place sdga builds one from
+ints, and `_is_fraction` asks for one without loading the module, so a
+request whose scalars all stay integral never loads it.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right, insort
-from fractions import Fraction
 from itertools import accumulate, compress
 from operator import add
 
@@ -53,14 +57,26 @@ def parity_name(parity: int) -> str:
     return "odd" if parity & 1 else "even"
 
 
-def _rational(text: str) -> Fraction:
-    """text as an optional sign, digits and optionally /digits, the one
-    reader of a string as a Fraction: a decimal point or an exponent, which
-    Fraction() would expand exactly, is a ValueError, as is a literal longer
-    than int() reads, and a zero denominator a ZeroDivisionError."""
+def _is_fraction(x, exact: bool = False) -> bool:
+    """Whether x is a Fraction (of that very class, not a subclass, when
+    exact), asked without importing `fractions`: while it is not loaded, no
+    Fraction exists."""
+    fractions = sys.modules.get("fractions")
+    if fractions is None:
+        return False
+    return type(x) is fractions.Fraction if exact else isinstance(x, fractions.Fraction)
+
+
+def _rational(text: str) -> int | Fraction:
+    """text as an optional sign, digits and optionally /digits, in the form
+    `as_scalar` gives, the one reader of a string as a scalar: a decimal
+    point or an exponent, which Fraction() would expand exactly, is a
+    ValueError, as is a literal longer than int() reads, and a zero
+    denominator a ZeroDivisionError."""
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational: {text!r}")
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    return _quotient(int(num), int(den)) if den else int(num)
 
 
 def as_scalar(value) -> int | Fraction:
@@ -72,20 +88,24 @@ def as_scalar(value) -> int | Fraction:
         return value
     if type(value) is str:
         try:
-            value = _rational(value)
+            return _rational(value)
         except (ValueError, ZeroDivisionError):
             pass
-    if type(value) is not Fraction:
+    if not _is_fraction(value, exact=True):
         raise AlgebraError(f"not an exact rational: {value!r}")
     return value.numerator if value.denominator == 1 else value
 
 
 def _quotient(a: int | Fraction, b: int) -> int | Fraction:
     """a / b in that form, for a in it and a nonzero int b: the one rule for
-    a true division of coefficients, since an int / int is a float."""
+    a true division of coefficients, since an int / int is a float, and the
+    one place sdga builds a Fraction from ints."""
     if type(a) is int and not a % b:
         return a // b
-    return Fraction(a, b)
+    fractions = sys.modules.get("fractions")  # a lookup costs less than an import
+    if fractions is None:
+        import fractions
+    return fractions.Fraction(a, b)
 
 
 def _as_scalars(values: dict) -> dict:
@@ -331,11 +351,13 @@ class Element:
         if self.table != other.table:
             raise AlgebraError("elements live over different generator tables")
 
+    # Element by Element first in each operator, so that it asks no scalar test
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Element.scalar(self.table, other)
         if not isinstance(other, Element):
-            return NotImplemented
+            if not (isinstance(other, int) or _is_fraction(other)):
+                return NotImplemented
+            other = Element.scalar(self.table, other)
         self._require_same_table(other)
         return Element(self.table, _add_into(dict(self.terms), other.terms))
 
@@ -345,41 +367,47 @@ class Element:
         return Element(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Element.scalar(self.table, other)
         if not isinstance(other, Element):
-            return NotImplemented
+            if not (isinstance(other, int) or _is_fraction(other)):
+                return NotImplemented
+            other = Element.scalar(self.table, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Element):
+            self._require_same_table(other)
+            return Element(self.table, _mul_terms(self.table, self.terms, other.terms))
+        if isinstance(other, int) or _is_fraction(other):
             return Element(self.table, _add_into({}, self.terms, as_scalar(other)))
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same_table(other)
-        return Element(self.table, _mul_terms(self.table, self.terms, other.terms))
+        return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             return self.__mul__(other)
         return NotImplemented
 
     def __pow__(self, exponent: int):
+        """By repeated squaring: the powers of one element commute, so the
+        product of the squares the exponent's bits pick is self ** exponent."""
         if not isinstance(exponent, int) or exponent < 0:
             raise AlgebraError("exponents must be non-negative integers")
-        result = Element.one(self.table)
-        for _ in range(exponent):
-            result = result * self
+        result, square = Element.one(self.table), self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     def __eq__(self, other) -> bool:
-        if type(other) in (int, Fraction):
-            other = Element.scalar(self.table, other)
         if not isinstance(other, Element):
-            return NotImplemented
+            if not (type(other) is int or _is_fraction(other, exact=True)):
+                return NotImplemented
+            other = Element.scalar(self.table, other)
         return self.table == other.table and self.terms == other.terms
 
     def __hash__(self):
@@ -535,7 +563,7 @@ def _image_table(source: GeneratorTable, target: GeneratorTable, images: dict,
         img = images.get(g.name, default)
         if img is None:
             raise AlgebraError(f"no image given for generator {g.name!r}")
-        if isinstance(img, (int, Fraction)):
+        if isinstance(img, int) or _is_fraction(img):
             img = Element.scalar(target, img)
         if img.table != target:
             raise AlgebraError(f"image of {g.name!r} lives over the wrong table")
@@ -677,7 +705,7 @@ class _Parser:
             raise ParseError(f"expected {op!r}, got {value!r}")
 
     @staticmethod
-    def number(value: str) -> Fraction:
+    def number(value: str) -> int | Fraction:
         """A number token, which the tokenizer matched as `_NUMBER`."""
         try:
             return _rational(value)
@@ -722,7 +750,7 @@ class _Parser:
             kind, value = self.take()
             if kind != "number" or "/" in value:
                 raise ParseError("exponent must be a non-negative integer")
-            return atom ** self.number(value).numerator
+            return atom ** self.number(value)
         return atom
 
     def parse_atom(self) -> Element:

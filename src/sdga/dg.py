@@ -15,13 +15,12 @@ provably exhaust their weight spaces.
 
 A differential block is a `linalg.Block`, a list of sparse columns, one per
 source monomial.  `linalg.kernel` gives its kernel, the columns into a
-weight space are its image as they stand, and a representative is
-rendered from its own sparse row, so no block or vector is written out dense.
+weight space, read at the kernel's free columns, are the image in kernel
+coordinates, and a representative is rendered from its own sparse row, so
+no block or vector is written out dense.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import linalg
 from .core import (
@@ -279,6 +278,19 @@ def _differential_matrix(table: GeneratorTable, d: Derivation,
     return columns
 
 
+def _class_positions(kernel: list[linalg.SparseRow], image: linalg.Block) -> list[int]:
+    """The positions `quotient_representatives(kernel, image)` gives, for a
+    `nullspace` basis and an image inside its span, found in the kernel's
+    own coordinates.  A kernel vector has 1 at its free column, its largest
+    key, and 0 at the others, so an image vector's entries at the free
+    columns are its coordinates in the kernel basis: the kernel vectors
+    become unit rows and the image those entries, rows as wide as the
+    kernel rather than the space."""
+    position = {max(vec): i for i, vec in enumerate(kernel)}
+    coordinates = [{position[j]: x for j, x in col.items() if j in position} for col in image]
+    return linalg.quotient_representatives([{i: 1} for i in range(len(kernel))], coordinates)
+
+
 def compute_cohomology(table: GeneratorTable, d: Derivation,
                        w_min: int, w_max: int, cap: int) -> CohomologyReport:
     if w_min > w_max:
@@ -308,7 +320,7 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
             nxt = bases[(w + 1, (p + 1) % 2)]
             columns = outgoing[(p + 1) % 2] = _differential_matrix(table, d, cur, nxt)
             kernel = linalg.kernel(columns, len(nxt))
-            reps = [kernel[i] for i in linalg.quotient_representatives(kernel, incoming[p])]
+            reps = [kernel[i] for i in _class_positions(kernel, incoming[p])]
             bound_cur = bounds[w]
             bound_prev = bounds[w - 1]
             exact = (

@@ -21,8 +21,6 @@ as homotopic, all with exact rational coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import (
     EVEN,
     ODD,
@@ -33,6 +31,7 @@ from .core import (
     GeneratorTable,
     TableExtension,
     _add_into,
+    _is_fraction,
     _quotient,
     as_scalar,
 )
@@ -54,7 +53,7 @@ def substitute(element: Element, values: dict[str, Element | int | Fraction]) ->
         pos = table.index.get(name)
         if pos is None:
             continue
-        if not isinstance(val, (int, Fraction, str)):
+        if not (isinstance(val, (int, str)) or _is_fraction(val)):
             return _substitute_by_map(element, values)
         scalars[pos] = as_scalar(val)
     terms: dict[tuple[int, ...], int | Fraction] = {}
@@ -76,7 +75,7 @@ def _substitute_by_map(element: Element, values: dict) -> Element:
     for g in table.generators:
         if g.name in values:
             val = values[g.name]
-            if isinstance(val, (int, Fraction, str)):
+            if isinstance(val, (int, str)) or _is_fraction(val):
                 val = Element.scalar(table, val)
             images[g.name] = val
         else:
@@ -207,7 +206,7 @@ class FormsAlgebra(TableExtension):
 class CoordinateForms(TableExtension):
     """A dg algebra A with even weight-0 coordinates c and their odd
     differentials dc adjoined, all c before all dc: d is d_A on A and
-    c -> dc, and `total` is the dg algebra it makes."""
+    c -> dc.  `dga` is A and `total` the dg algebra d makes."""
 
     def __init__(self, dga: DGAlgebra, coordinates: list[str]):
         base = dga.table

@@ -33,12 +33,11 @@ so ranks, kernels and solutions carry no floating-point doubt.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .core import _as_scalars, _quotient
 
-SparseRow = dict[int, int | Fraction]  # column -> nonzero entry
+SparseRow = dict[int, "int | Fraction"]  # column -> nonzero entry
 Block = list[SparseRow]  # column j -> the image of source basis vector j
 Basis = dict[int, dict[int, int]]  # pivot column -> primitive integer row
 

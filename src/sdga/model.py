@@ -25,8 +25,6 @@ algebra on cohomology can be tested dimension by dimension.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .core import (
     EVEN,
@@ -40,7 +38,6 @@ from .core import (
     monomial_basis,
     parity_name,
 )
-from .dg import DGAlgebra, Derivation
 
 Key = tuple[int, int]
 
@@ -529,6 +526,7 @@ def _free_table(dims: dict[Key, int],
 
 def sym_dga(v: Complex) -> tuple[DGAlgebra, dict[tuple[Key, int], str]]:
     """The free graded-commutative algebra on a complex, as a dg algebra."""
+    from .dg import DGAlgebra, Derivation
     table, names = _free_table(v.dims, "v")
     images: dict[str, Element] = {}
     for key in sorted(v.dims):

@@ -9,22 +9,23 @@ rationals, of denominator 1 to 3, which the element constructors keep as
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .core import (
     Element,
     GeneratorTable,
+    _quotient,
     monomial_basis,
     monomials_of_degree_at_most,
 )
 from .dg import Derivation
 
 
-def random_scalar(rng: random.Random, span: int = 5) -> Fraction:
-    """A nonzero-biased small rational: integer numerator, denominator 1..3."""
+def random_scalar(rng: random.Random, span: int = 5) -> int | Fraction:
+    """A nonzero-biased small rational: integer numerator, denominator 1..3,
+    in the form `core.as_scalar` gives."""
     num = rng.randint(-span, span)
     den = rng.randint(1, 3)
-    return Fraction(num, den)
+    return _quotient(num, den)
 
 
 def _draw(rng: random.Random, table: GeneratorTable, pool: list,

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
@@ -116,7 +115,8 @@ def _coordinates(indices) -> GeneratorTable:
 
 
 class SimplexForms(FormsAlgebra):
-    """Polynomial forms on the n-simplex in eliminated coordinates.
+    """Polynomial forms on the n-simplex in eliminated coordinates; `total`
+    is Omega_n as a dg algebra, as on `CoordinateForms`.
 
     Per-monomial results of the simplicial operators are kept in the
     `_*_cache` dicts.  The Dupont homotopy and the Whitney projection keep
@@ -135,7 +135,7 @@ class SimplexForms(FormsAlgebra):
         self.n = n
         super().__init__(_coordinates(range(1, n + 1)))
         self.differential = self.de_rham
-        self.dga = DGAlgebra(self.table, self.differential)
+        self.total = DGAlgebra(self.table, self.differential)
         self._whitney_cache: dict[tuple[int, ...], Element] = {}
         self._integral_cache: dict[tuple, int | Fraction] = {}
         self._dilation_cache: dict[int, tuple[Cylinder, AlgebraMap]] = {}
@@ -491,7 +491,7 @@ def dilation(forms: SimplexForms, i: int) -> tuple[Cylinder, AlgebraMap]:
     cached = forms._dilation_cache.get(i)
     if cached is not None:
         return cached
-    cyl = Cylinder(forms.dga, var="u")
+    cyl = Cylinder(forms.total, var="u")
     u = cyl.t()
     du = cyl.dt()
     one = Element.one(cyl.table)
@@ -670,11 +670,11 @@ def poincare_defect(forms: SimplexForms, element: Element) -> Element:
 
 
 class TensorForms(CoordinateForms):
-    """B tensor Omega_n for a coefficient dg algebra B: the coordinates
-    t1..tn of simplex_forms(n) adjoined to B, whose whole algebra is `total`."""
+    """B tensor Omega_n for a coefficient dg algebra B, its `dga`: the
+    coordinates t1..tn of simplex_forms(n) adjoined to B, whose whole
+    algebra is `total`."""
 
     def __init__(self, coefficients: DGAlgebra, n: int):
-        self.coefficients = coefficients
         self.n = n
         self.forms = simplex_forms(n)
         super().__init__(coefficients, [f"t{i}" for i in range(1, n + 1)])

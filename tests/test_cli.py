@@ -78,21 +78,34 @@ def test_cli_import_leaves_inspect_out():
 # a well-formed request is read from its row: argparse, and the gettext and
 # locale that argparse's messages load, are for help and usage errors only
 PARSER_MODULES = {"argparse", "gettext", "locale"}
+# `fractions` loads with the first Fraction, and `decimal` with it
+FRACTION_MODULES = {"fractions", "decimal"}
+# what the requests below must load, by their first word, so that the test
+# sees both sides: the Dupont homotopy divides by factorials, and its
+# Fractions load the module
+LOADED = {"cohomology": {"sdga.dg"}, "cotensor": {"sdga.dg", "sdga.simplicial"},
+          "complex": {"sdga.model"}, "simplicial": {"sdga.dg", *FRACTION_MODULES}}
 
 
 @pytest.mark.parametrize("argv, doc, absent", [
     (("cohomology",), KOSZUL_DOC,
      {"sdga.simplicial", "sdga.forms", "sdga.model", "sdga.sampling", "random",
       *PARSER_MODULES}),
+    # a complex request loads model and linalg, and no dg algebra code
     (("complex", "cohomology"), {"dims": {"0,even": 1}},
-     {"sdga.simplicial", "sdga.forms", *PARSER_MODULES}),
+     {"sdga.dg", "sdga.simplicial", "sdga.forms", *PARSER_MODULES}),
     (("simplicial", "dupont", "--n", "2", "--form", "-3 * t1 * dt2"), None,
      {"sdga.model", "sdga.sampling", *PARSER_MODULES}),
+    (("cotensor", "--n", "2", "--shape", "horn", "--horn-vertex", "0"), LINE_DOC,
+     {"sdga.model", "sdga.sampling", *FRACTION_MODULES, *PARSER_MODULES}),
+    (("complex", "factorize", "--mode", "acyclic_cofibration_fibration"), SPHERE_TO_DISK_DOC,
+     {"sdga.dg", "sdga.simplicial", "sdga.forms", *FRACTION_MODULES, *PARSER_MODULES}),
+    (("complex", "classify"), SPHERE_TO_DISK_DOC, {"sdga.dg", *PARSER_MODULES}),
 ])
 def test_request_imports_only_its_modules(argv, doc, absent):
     """Start-up cost: a request imports the modules its command uses, not
-    every module some command needs, and not argparse.  -S: what site
-    imports is not counted."""
+    every module some command needs, not argparse, and not `fractions` until
+    it makes a Fraction.  -S: what site imports is not counted."""
     code = ("import json, sys, sdga.cli; code = sdga.cli.main(sys.argv[1:]); "
             "sys.stderr.write(json.dumps(sorted(sys.modules))); sys.exit(code)")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdga.__file__))}
@@ -100,7 +113,22 @@ def test_request_imports_only_its_modules(argv, doc, absent):
                            input=json.dumps(doc), capture_output=True, text=True, env=env)
     assert child.returncode == 0
     assert json.loads(child.stdout)["ok"] is True
-    assert absent.isdisjoint(json.loads(child.stderr))
+    loaded = set(json.loads(child.stderr))
+    assert (absent & loaded, LOADED[argv[0]] - loaded) == (set(), set())
+
+
+def test_fractions_loads_with_the_first_fraction():
+    """An integral literal, "4/2" among them, reads as an int and loads no
+    `fractions`; the first literal that is no integer loads it."""
+    code = ("import sys; from sdga.core import Generator, GeneratorTable, parse; "
+            "t = GeneratorTable([Generator('x', 0, 0)]); "
+            "a = parse(t, '4/2 * x^3 - 6/3'); before = 'fractions' in sys.modules; "
+            "b = parse(t, '1/2 * x'); "
+            "print(before, a.terms, 'fractions' in sys.modules, repr(b.terms))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sdga.__file__))}
+    child = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                           text=True, env=env)
+    assert child.stdout == "False {(3,): 2, (0,): -2} True {(1,): Fraction(1, 2)}\n"
 
 
 def test_check_reports_cohomology(tmp_path, capsys):

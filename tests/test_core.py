@@ -448,6 +448,25 @@ def test_scalar_strings_in_the_rational_grammar():
         7, Fraction(-3, 7), 2, 2, 7, 0]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_power_by_squaring_is_repeated_multiplication(table, seed):
+    """x ** e, by repeated squaring, equals the product of e copies of x, on
+    seeded multi-term elements over even and odd generators."""
+    rng = random.Random(700 + seed)
+    x = sampling.random_element(rng, table, max_degree=2) + parse(table, "1 - y + 2 * xi")
+    power = Element.one(table)
+    for e in range(13):
+        assert x ** e == power, e
+        power = power * x
+
+
+def test_a_large_exponent_takes_a_few_squarings(table):
+    """The parser's ^ squares its way to the power: x^99999999 is 27
+    squarings, not 99999999 products."""
+    assert parse(table, "x^99999999").terms == {(99999999, 0, 0, 0): 1}
+    assert parse(table, "(xi + x)^3") == parse(table, "x^3 + 3 * x^2 * xi")
+
+
 @pytest.mark.parametrize("value, parity", [(0, EVEN), (1, ODD), ("0", EVEN), ("1", ODD),
                                            ("even", EVEN), ("odd", ODD)])
 def test_parity_of_reads_six_spellings(value, parity):

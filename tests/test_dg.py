@@ -30,12 +30,13 @@ from sdga.dg import (
     Derivation,
     KahlerModule,
     SquareZeroExtension,
+    _class_positions,
     _differential_matrix,
     compute_cohomology,
     euler_derivation,
     leibniz_defect,
 )
-from sdga import sampling
+from sdga import linalg, sampling
 import panels
 from test_linalg import oracle_nullspace, oracle_rank
 
@@ -331,6 +332,28 @@ def test_cohomology_matches_dense_oracle(seed):
     table, d, w_min, w_max, cap = random_dga_panel(seed)
     report = compute_cohomology(table, d, w_min, w_max, cap).to_dict()
     assert report == dense_cohomology_oracle(table, d, w_min, w_max, cap)
+
+
+def test_class_positions_match_the_full_width_call():
+    """Cohomology picks its representatives in the kernel's own coordinates:
+    on every panel bidegree the positions are those quotient_representatives
+    gives on the full-width kernel vectors and image columns, and the panel
+    has bidegrees where the image is nonzero and where it leaves classes."""
+    seen = set()
+    for seed in range(25):
+        table, d, w_min, w_max, cap = random_dga_panel(seed)
+        growth = max([0] + [img.degree() - 1 for img in d.images if img.terms])
+        caps = {w: cap + growth * (w - w_min + 1) for w in range(w_min - 1, w_max + 2)}
+        bases = monomial_bases(table, caps)
+        for w in range(w_min, w_max + 1):
+            for p in (EVEN, ODD):
+                cur, nxt = bases[(w, p)], bases[(w + 1, 1 - p)]
+                image = _differential_matrix(table, d, bases[(w - 1, 1 - p)], cur)
+                kernel = linalg.kernel(_differential_matrix(table, d, cur, nxt), len(nxt))
+                positions = _class_positions(kernel, image)
+                assert positions == linalg.quotient_representatives(kernel, image)
+                seen.add((any(image), bool(positions), len(positions) < len(kernel)))
+    assert {(True, True, True), (False, True, False)} <= seen
 
 
 def test_dense_oracle_panel_covers_its_cases():

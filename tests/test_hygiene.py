@@ -313,7 +313,6 @@ def test_scan_sees_an_unread_assignment():
 UNREAD_ATTRIBUTES = {
     "simplicial.SimplexForms._s_cache": "perfbench/tracer.py reads every _*_cache",
     "simplicial.SimplexForms._p_cache": "perfbench/tracer.py reads every _*_cache",
-    "simplicial.TensorForms.coefficients": "library API: the coefficient algebra B",
     "simplicial.SubShapeCotensor.coefficients": "library API: the coefficient algebra B",
 }
 

@@ -675,7 +675,7 @@ def operator_pullback_tensor(src, dst, phi):
     each B generator to itself, each t_k and dt_k to its pullback image."""
     fmap = pullback(phi, src.forms, dst.forms)
     images = {g.name: Element.generator(dst.table, g.name)
-              for g in src.coefficients.table.generators}
+              for g in src.dga.table.generators}
     for k in range(1, src.n + 1):
         images[f"t{k}"] = include_forms(dst, fmap.image_of(f"t{k}"))
         images[f"dt{k}"] = include_forms(dst, fmap.image_of(f"dt{k}"))
@@ -686,7 +686,7 @@ def face_restriction_oracle(T, i):
     """The restriction of B tensor Omega_n to the facet opposite vertex i, as
     an algebra map on the whole tensor table: the reference for
     TensorForms.face_terms, which acts on the form factor of one monomial."""
-    target = TensorForms(T.coefficients, T.n - 1)
+    target = TensorForms(T.dga, T.n - 1)
     return operator_pullback_tensor(T, target, face_tuple(T.n, i))
 
 
@@ -697,7 +697,7 @@ def restrict_linearly(T, i, element):
     for mono, c in element.terms.items():
         for m, x in restrict(mono).items():
             terms[m] = terms.get(m, 0) + c * x
-    target = TensorForms(T.coefficients, T.n - 1)
+    target = TensorForms(T.dga, T.n - 1)
     return Element(target.table, {m: c for m, c in terms.items() if c})
 
 
