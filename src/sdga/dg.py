@@ -14,10 +14,11 @@ dimension carries an `exact` flag that is True only when the truncated bases
 provably exhaust their weight spaces.
 
 A differential block is a `linalg.Block`, a list of sparse columns, one per
-source monomial.  `linalg.kernel` gives its kernel, the columns into a
-weight space, read at the kernel's free columns, are the image in kernel
-coordinates, and a representative is rendered from its own sparse row, so
-no block or vector is written out dense.
+source monomial.  One elimination, `linalg.kernel`, gives both its kernel
+and the rows where its image ends; a kernel vector of the next block
+represents a class exactly when its free column is not such an end, and a
+representative is rendered from its own sparse row, so no block is
+eliminated twice and no block or vector is written out dense.
 """
 
 from __future__ import annotations
@@ -278,19 +279,6 @@ def _differential_matrix(table: GeneratorTable, d: Derivation,
     return columns
 
 
-def _class_positions(kernel: list[linalg.SparseRow], image: linalg.Block) -> list[int]:
-    """The positions `quotient_representatives(kernel, image)` gives, for a
-    `nullspace` basis and an image inside its span, found in the kernel's
-    own coordinates.  A kernel vector has 1 at its free column, its largest
-    key, and 0 at the others, so an image vector's entries at the free
-    columns are its coordinates in the kernel basis: the kernel vectors
-    become unit rows and the image those entries, rows as wide as the
-    kernel rather than the space."""
-    position = {max(vec): i for i, vec in enumerate(kernel)}
-    coordinates = [{position[j]: x for j, x in col.items() if j in position} for col in image]
-    return linalg.quotient_representatives([{i: 1} for i in range(len(kernel))], coordinates)
-
-
 def compute_cohomology(table: GeneratorTable, d: Derivation,
                        w_min: int, w_max: int, cap: int) -> CohomologyReport:
     if w_min > w_max:
@@ -307,28 +295,24 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
     }
 
     report = CohomologyReport(w_min, w_max, cap)
-    # d into (w, p) is d out of (w - 1, p + 1), keyed by its target parity p:
-    # the first weight's is built here, the others carried over.  Its columns
-    # span the image, which lies in the kernel, so len(reps) is dim H.
-    incoming = {p: _differential_matrix(table, d, bases[(w_min - 1, (p + 1) % 2)],
-                                        bases[(w_min, p)])
-                for p in (EVEN, ODD)}
-    for w in range(w_min, w_max + 1):
-        outgoing: dict[int, linalg.Block] = {}
+    # One elimination of d out of (w, p) gives its kernel and the rows of
+    # (w + 1, 1 - p) where its image ends; below the window only the ends
+    # are used.  A kernel vector is 1 at its free column, its largest key,
+    # and 0 at the other vectors' free columns, and the image lies in the
+    # kernel, so reps, the vectors whose free column is no image end, are
+    # those quotient_representatives(kernel, image) picks: len(reps) is dim H.
+    incoming: dict[int, set[int]] = {}
+    for w in range(w_min - 1, w_max + 1):
+        outgoing: dict[int, set[int]] = {}
         for p in (EVEN, ODD):
             cur = bases[(w, p)]
-            nxt = bases[(w + 1, (p + 1) % 2)]
-            columns = outgoing[(p + 1) % 2] = _differential_matrix(table, d, cur, nxt)
-            kernel = linalg.kernel(columns, len(nxt))
-            reps = [kernel[i] for i in _class_positions(kernel, incoming[p])]
-            bound_cur = bounds[w]
-            bound_prev = bounds[w - 1]
-            exact = (
-                bound_cur is not None
-                and caps[w] >= bound_cur
-                and bound_prev is not None
-                and caps[w - 1] >= bound_prev
-            )
+            nxt = bases[(w + 1, 1 - p)]
+            kernel, outgoing[1 - p] = linalg.kernel(
+                _differential_matrix(table, d, cur, nxt), len(nxt))
+            if w < w_min:
+                continue
+            reps = [vec for vec in kernel if max(vec) not in incoming[p]]
+            exact = all(bounds[v] is not None and caps[v] >= bounds[v] for v in (w - 1, w))
             report.entries[(w, p)] = {
                 "dim": len(reps),
                 "exact": exact,

@@ -5,12 +5,13 @@ entry, so a zero is never stored, scanned, multiplied or negated.  An entry
 is in the one scalar form of sdga, the form `core.as_scalar` gives: an
 `int` when it is integral and a `Fraction` otherwise, never a float, a bool
 or a stored zero.  One routine, `_add`, eliminates: it reduces rows against
-a fully reduced basis keyed by pivot column.  `rref` reads one out by
-pivot, `rank` counts it, `nullspace` and `solve_with_certificate` read
-`rref`, and `quotient_representatives` grows one, a `RowSpan`, to pick by
-position the rows independent modulo a span.  Each takes sparse rows; a
-sparse row does not know its width, so the functions that need the column
-count take it as `ncols`.
+a fully reduced basis keyed by pivot column, and says which of the rows
+grew it.  `rref` reads one out by pivot, `rank` counts the rows that grew
+it, `nullspace` and `solve_with_certificate` read `rref`, and
+`quotient_representatives` grows one, a `RowSpan`, to pick by position the
+rows independent modulo a span.  Each takes sparse rows; a sparse row does
+not know its width, so the functions that need the column count take it as
+`ncols`.
 
 Elimination is fraction-free.  Each row is first scaled to a primitive
 integer row: times the lcm of its denominators, then divided by its content
@@ -26,9 +27,10 @@ A linear map is a `Block`: a list of sparse columns, one per source basis
 vector, column j the image of basis vector j in target coordinates.  Its
 length is the source dimension; the target dimension is the caller's to
 know.  `apply` and `mat_mul` act with blocks, `kernel(block, nrows)` gives
-a block's kernel, and `rank(block)` is the block's rank as it stands, since
-column rank equals row rank.  Every pivot decision is exact,
-so ranks, kernels and solutions carry no floating-point doubt.
+a block's kernel and, from the same elimination, the rows where its image
+ends, and `rank(block)` is the block's rank as it stands, since column rank
+equals row rank.  Every pivot decision is exact, so ranks, kernels and
+solutions carry no floating-point doubt.
 """
 
 from __future__ import annotations
@@ -121,14 +123,14 @@ def _divided(row: dict[int, int], col: int) -> SparseRow:
     return {j: _quotient(x, a) for j, x in row.items()}
 
 
-def _add(basis: Basis, rows: list[SparseRow]) -> int:
-    """Grow basis by rows; returns how many grew the span.  A row is reduced
-    at the pivots it holds; a nonzero remainder's leftmost column is its
-    pivot, cleared from the basis rows holding it, so each basis row has
-    nothing left of its pivot and 0 at the others."""
-    grew = 0
-    for row in filter(None, rows):  # a zero row adds nothing
-        v = _primitive(row)
+def _add(basis: Basis, rows: list[SparseRow]) -> list[int]:
+    """Grow basis by rows; returns the positions of the rows that grew the
+    span.  A row is reduced at the pivots it holds; a nonzero remainder's
+    leftmost column is its pivot, cleared from the basis rows holding it,
+    so each basis row has nothing left of its pivot and 0 at the others."""
+    grew = []
+    for i, row in enumerate(rows):
+        v = _primitive(row) if row else {}  # a zero row adds nothing
         for col in [col for col in v if col in basis]:  # no pivot entry appears
             _eliminate(v, col, basis[col])
         if v:
@@ -137,49 +139,57 @@ def _add(basis: Basis, rows: list[SparseRow]) -> int:
                 if col in other:
                     _eliminate(other, col, v)
             basis[col] = v
-            grew += 1
+            grew.append(i)
     return grew
 
 
-def rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot column list).
+def rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int], list[int]]:
+    """Reduced row echelon form; returns (reduced rows, pivot column list,
+    positions of the rows that grew the span).
 
     The input rows are not modified.  The result has as many rows as the
     input, the zero rows ({}) last.  It is the basis `_add` keeps, read out
     by pivot and divided by the pivot entries: a row space has one reduced
-    echelon form, so the order in which rows are added changes nothing.
+    echelon form, so the order in which rows are added changes nothing but
+    the positions.
     """
     basis: Basis = {}
-    _add(basis, rows)
+    grew = _add(basis, rows)
     pivots = sorted(basis)
     reduced = [_divided(basis[col], col) for col in pivots]
-    return reduced + [{} for _ in range(len(rows) - len(pivots))], pivots
+    return reduced + [{} for _ in range(len(rows) - len(pivots))], pivots, grew
 
 
 def rank(rows: list[SparseRow]) -> int:
-    return _add({}, rows)
+    return len(_add({}, rows))
 
 
-def kernel(block: Block, nrows: int) -> list[SparseRow]:
-    """The nullspace of a block's rows, nrows the block's target dimension."""
-    return nullspace(transpose(block, nrows), len(block))
+def kernel(block: Block, nrows: int) -> tuple[list[SparseRow], set[int]]:
+    """The nullspace of a block's rows, nrows the block's target dimension,
+    and the rows where its image ends: added last first, row r grows the
+    span exactly when some image vector's last nonzero entry is at r."""
+    vectors, grew = nullspace(transpose(block, nrows)[::-1], len(block))
+    return vectors, {nrows - 1 - i for i in grew}
 
 
-def nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
-    """Basis of the right kernel {x : rows @ x = 0} in ncols unknowns.
+def nullspace(rows: list[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
+    """Basis of the right kernel {x : rows @ x = 0} in ncols unknowns, and
+    the positions of the rows that grew the row span.
 
     One vector per free column, in column order: 1 at the free column and
     minus the reduced rows' entries there at their pivots.  A reduced row's
-    entries off its pivot all sit in free columns.
+    entries off its pivot all sit in free columns, right of its pivot, so a
+    vector's free column is its largest key and no other vector is nonzero
+    there.
     """
-    reduced, pivots = rref(rows)
+    reduced, pivots, grew = rref(rows)
     pivot_set = set(pivots)
     basis = {free: {free: 1} for free in range(ncols) if free not in pivot_set}
     for row, col in zip(reduced, pivots):
         for free, x in row.items():
             if free != col:
                 basis[free][col] = -x
-    return list(basis.values())
+    return list(basis.values()), grew
 
 
 def solve_with_certificate(rows: list[SparseRow], rhs: list[int | Fraction],
@@ -193,7 +203,7 @@ def solve_with_certificate(rows: list[SparseRow], rhs: list[int | Fraction],
     for row, b in zip(aug, rhs):
         if b:
             row[ncols] = b
-    reduced, pivots = rref(aug)
+    reduced, pivots, _ = rref(aug)
     rank_aug = len(pivots)
     if pivots and pivots[-1] == ncols:
         cert = {"rank": rank_aug - 1, "rank_augmented": rank_aug, "consistent": False}
@@ -212,7 +222,7 @@ class RowSpan:
         self._basis: Basis = {}
 
     def add(self, row: SparseRow) -> bool:
-        return _add(self._basis, [row]) == 1
+        return bool(_add(self._basis, [row]))
 
 
 def quotient_representatives(rows: list[SparseRow], image: list[SparseRow]) -> list[int]:

@@ -416,7 +416,7 @@ class _MiddleBuilder:
 
     def kernel(self, key: Key) -> list[linalg.SparseRow]:
         """The cocycles of the current middle complex at key."""
-        return linalg.kernel(self.dcols.get(key, []), self.dim(_next_key(key)))
+        return linalg.kernel(self.dcols.get(key, []), self.dim(_next_key(key)))[0]
 
     def materialize(self) -> tuple[ChainMap, ChainMap]:
         """(j, q): the inclusion of the base and the map to B."""
@@ -462,7 +462,7 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
     for key in _all_keys(A, B):
         if B.dim(key) == 0:
             continue
-        kernel_b = linalg.kernel(B.d_block(key), B.dim(_next_key(key)))
+        kernel_b = linalg.kernel(B.d_block(key), B.dim(_next_key(key)))[0]
         if not kernel_b:
             continue
         hit = B.d_block(_prev_key(key)) + linalg.mat_mul(builder.qcols.get(key, []),
@@ -487,7 +487,7 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         prev_b = B.dim(prev)
         minus_db = [{r: -x for r, x in col.items()} for col in B.d_block(prev)]
         stacked = minus_db + linalg.mat_mul(builder.qcols[key], kernel_m)
-        pairs = linalg.kernel(stacked, B.dim(key))
+        pairs = linalg.kernel(stacked, B.dim(key))[0]
         zs = linalg.mat_mul(kernel_m, [{j - prev_b: x for j, x in pair.items() if j >= prev_b}
                                        for pair in pairs])
         for i in linalg.quotient_representatives(zs, builder.dcols.get(prev, [])):

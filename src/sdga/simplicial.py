@@ -795,7 +795,7 @@ class SubShapeCotensor:
                         for m, c in image.items():
                             block[oidx[m]][b * len(fb) + bi] = -c
                     rows.extend(block)
-            vectors = linalg.nullspace(rows, ncols)
+            vectors, _ = linalg.nullspace(rows, ncols)
         return vectors, fb
 
 
@@ -870,7 +870,7 @@ def filling_report(coefficients, n: int, shape: str, horn_vertex: int | None,
                 # since the pivots of the leading columns alone are those of
                 # the augmented system that fall among them
                 aug = linalg.transpose([*columns.values(), *targets], len(coords))
-                _, pivots = linalg.rref(aug)
+                _, pivots, _ = linalg.rref(aug)
                 if all(col < len(columns) for col in pivots):
                     entry["surjective"] = True
                     entry["cap_used"] = cap_dom

@@ -116,7 +116,7 @@ def invert_matrix(block: linalg.Block) -> linalg.Block:
     # row i of [M^T | I] reduces to row i of [I | (M^-1)^T], column i of M^-1
     n = len(block)
     aug = [col | {n + i: 1} for i, col in enumerate(block)]
-    reduced, pivots = linalg.rref(aug)
+    reduced, pivots, _ = linalg.rref(aug)
     if pivots[:n] != list(range(n)):
         raise AlgebraError("matrix is not invertible")
     return [{j - n: x for j, x in row.items() if j >= n} for row in reduced]
@@ -144,7 +144,7 @@ def random_complex(rng: random.Random, max_cells: int = 3,
 def random_chain_map(rng: random.Random, source: Complex, target: Complex) -> ChainMap:
     """A random rational point of the space of chain maps source -> target."""
     offsets, total = _unknowns(source, target)
-    kernel = linalg.nullspace(_chain_equations(source, target, offsets), total)
+    kernel, _ = linalg.nullspace(_chain_equations(source, target, offsets), total)
     scalars = [rng.randint(-3, 3) for _ in kernel]
     flat = linalg.apply(kernel, {i: lam for i, lam in enumerate(scalars) if lam})
     return ChainMap(source, target, _unflatten(flat, offsets, source, target))

@@ -194,7 +194,7 @@ def test_criterion_04_poincare_lemma():
         image = forms.d(Element.monomial(forms.table, mono))
         for m, c in image.terms.items():
             mat[index1[m]][j] += c
-    kernel0 = linalg.nullspace(sparse_rows(mat), len(basis0))
+    kernel0, _ = linalg.nullspace(sparse_rows(mat), len(basis0))
     assert len(kernel0) == 1
     constant = tuple(0 for _ in forms.table.generators)
     for vec in kernel0:
@@ -210,7 +210,7 @@ def test_criterion_04_poincare_lemma():
             image = forms.d(Element.monomial(forms.table, mono))
             for m, c in image.terms.items():
                 mat[index[m]][j] += c
-        for vec in linalg.nullspace(sparse_rows(mat), len(basis)):
+        for vec in linalg.nullspace(sparse_rows(mat), len(basis))[0]:
             omega = Element(forms.table, {basis[j]: c for j, c in vec.items()})
             assert forms.d(omega).is_zero()
             assert forms.d(dilation_homotopy(forms, 0, omega)) == omega

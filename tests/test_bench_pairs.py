@@ -20,10 +20,10 @@ def load_bench_pairs():
     return module
 
 
-def fake_run(bad_call=None, outcome=None):
+def fake_run(bad_call=None, outcome=None, read_result=None):
     """A stand-in for `run`: the calls go base, change, change, base, ...,
-    and call number bad_call (from 1) gets outcome, a result dict or an
-    exception."""
+    and call number bad_call (from 1) gets outcome, a result dict, an
+    exception, or perfbench's output as a string, which read_result reads."""
     metrics = {m["name"]: 1.0 for m in json.loads((ROOT / "BENCHMARK.json").read_text())[
         "end_to_end"]}
     calls = []
@@ -33,6 +33,8 @@ def fake_run(bad_call=None, outcome=None):
         if len(calls) == bad_call:
             if isinstance(outcome, Exception):
                 raise outcome
+            if isinstance(outcome, str):
+                return read_result(outcome)
             return outcome
         return {"correct": True, "attempted": 5, "failed": 0, "metrics": dict(metrics)}
 
@@ -63,10 +65,13 @@ def test_correct_runs_are_summarised(bench, monkeypatch, tmp_path):
      "correct: True, failed: 2"),
     (1, "base", subprocess.CalledProcessError(3, ["perfbench/run.py"]),
      "perfbench/run.py exited 3"),
+    (2, "change", "", "perfbench/run.py printed no JSON result (empty output)"),
+    (4, "base", "workload cohomology\nTraceback (most recent call last):\n",
+     "perfbench/run.py printed no JSON result (Expecting value"),
 ])
 def test_a_wrong_or_failed_run_writes_nothing(bench, monkeypatch, tmp_path, capsys,
                                               bad_call, side, outcome, reason):
-    monkeypatch.setattr(bench, "run", fake_run(bad_call, outcome))
+    monkeypatch.setattr(bench, "run", fake_run(bad_call, outcome, bench.read_result))
     assert bench.main() == 1
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err

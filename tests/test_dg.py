@@ -30,7 +30,6 @@ from sdga.dg import (
     Derivation,
     KahlerModule,
     SquareZeroExtension,
-    _class_positions,
     _differential_matrix,
     compute_cohomology,
     euler_derivation,
@@ -335,13 +334,15 @@ def test_cohomology_matches_dense_oracle(seed):
 
 
 def test_class_positions_match_the_full_width_call():
-    """Cohomology picks its representatives in the kernel's own coordinates:
-    on every panel bidegree the positions are those quotient_representatives
-    gives on the full-width kernel vectors and image columns, and the panel
-    has bidegrees where the image is nonzero and where it leaves classes."""
+    """Cohomology keeps the kernel vectors whose free column is no end of the
+    incoming image: on every panel bidegree these are the vectors
+    quotient_representatives picks on the full-width kernel vectors and image
+    columns, in the report's order, and the panel has bidegrees where the
+    image is nonzero and where it leaves classes."""
     seen = set()
     for seed in range(25):
         table, d, w_min, w_max, cap = random_dga_panel(seed)
+        report = compute_cohomology(table, d, w_min, w_max, cap)
         growth = max([0] + [img.degree() - 1 for img in d.images if img.terms])
         caps = {w: cap + growth * (w - w_min + 1) for w in range(w_min - 1, w_max + 2)}
         bases = monomial_bases(table, caps)
@@ -349,11 +350,32 @@ def test_class_positions_match_the_full_width_call():
             for p in (EVEN, ODD):
                 cur, nxt = bases[(w, p)], bases[(w + 1, 1 - p)]
                 image = _differential_matrix(table, d, bases[(w - 1, 1 - p)], cur)
-                kernel = linalg.kernel(_differential_matrix(table, d, cur, nxt), len(nxt))
-                positions = _class_positions(kernel, image)
-                assert positions == linalg.quotient_representatives(kernel, image)
+                kernel, _ = linalg.kernel(_differential_matrix(table, d, cur, nxt), len(nxt))
+                positions = linalg.quotient_representatives(kernel, image)
+                assert report.representatives(w, p) == [
+                    render(Element(table, {cur[i]: c for i, c in kernel[i].items()}))
+                    for i in positions]
                 seen.add((any(image), bool(positions), len(positions) < len(kernel)))
     assert {(True, True, True), (False, True, False)} <= seen
+
+
+def test_one_elimination_per_differential_block(monkeypatch):
+    """compute_cohomology eliminates each differential block once: one
+    `linalg._add` call per block out of each bidegree of the window and of
+    the weight below it, so 2 + 2 * (number of weights)."""
+    calls = []
+    add = linalg._add
+
+    def counted(basis, rows):
+        calls.append(len(rows))
+        return add(basis, rows)
+
+    monkeypatch.setattr(linalg, "_add", counted)
+    for seed in range(25):
+        table, d, w_min, w_max, cap = random_dga_panel(seed)
+        calls.clear()
+        compute_cohomology(table, d, w_min, w_max, cap)
+        assert len(calls) == 2 + 2 * (w_max - w_min + 1), seed
 
 
 def test_dense_oracle_panel_covers_its_cases():

@@ -59,7 +59,8 @@ LIBRARY_API = {
     "simplicial.simplicial_coboundary": "the simplicial cochains the elementary subcomplex matches",
     "simplicial.dupont_defect": "Dupont's identity d s + s d = id - P, as a checkable defect",
     "simplicial.poincare_defect": "the Poincare lemma on the simplex, as a checkable defect",
-    "simplicial.dilation": "fills SimplexForms._dilation_cache, which perfbench/tracer.py reads",
+    "simplicial.dilation": "the straight-line pullback toward a vertex, which"
+                           " dilation_homotopy_oracle checks the closed form against",
     "simplicial.SimplexForms.vertex_value": "evaluation of a form's function part at a vertex",
     "simplicial.SubShapeCotensor.dimension": "the cotensor's dimension at one bidegree",
     "simplicial.SubShapeCotensor.basis": "the compatible families as lists of facet components",

@@ -47,7 +47,7 @@ def entries(rows):
 
 
 def test_rref_identity():
-    reduced, pivots = linalg.rref([{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}])
+    reduced, pivots, _ = linalg.rref([{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}])
     assert reduced == [{0: 1}, {1: 1}, {2: 1}]
     assert pivots == [0, 1, 2]
 
@@ -63,7 +63,7 @@ def test_nullspace_annihilates(seed):
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 5), rng.randint(1, 5)
     mat = random_matrix(rng, rows, cols)
-    basis = linalg.nullspace(sparse_rows(mat), cols)
+    basis, _ = linalg.nullspace(sparse_rows(mat), cols)
     assert len(basis) == cols - linalg.rank(sparse_rows(mat))
     assert_entry_form(entries(basis))
     for vec in basis:
@@ -72,7 +72,7 @@ def test_nullspace_annihilates(seed):
 
 def test_nullspace_of_zero_row_matrix_needs_explicit_columns():
     """A 0 x n matrix has no rows to infer n from; the kernel is everything."""
-    basis = linalg.nullspace([], 3)
+    basis, _ = linalg.nullspace([], 3)
     assert len(basis) == 3
 
 
@@ -269,7 +269,7 @@ def test_sparse_kernel_matches_dense_oracle(seed):
     inconsistent = 0
     for name, mat, ncols in oracle_panel(seed):
         rows = sparse_rows(mat)
-        reduced, pivots = linalg.rref(rows)
+        reduced, pivots, _ = linalg.rref(rows)
         assert rows == sparse_rows(mat), name
         assert (dense_rows(reduced, ncols), pivots) == dense_rref_oracle(mat), name
         assert_entry_form(entries(reduced), name)
@@ -278,13 +278,13 @@ def test_sparse_kernel_matches_dense_oracle(seed):
         assert columns == block_of(mat, ncols), name
         assert linalg.transpose(columns, len(rows)) == rows, name
         compact = compact_shuffled(rng, rows)
-        reduced_c, pivots_c = linalg.rref(compact)
+        reduced_c, pivots_c, _ = linalg.rref(compact)
         assert pivots_c == pivots, name
         assert [row for row in reduced_c if row] == [row for row in reduced if row], name
         assert linalg.rank(rows) == linalg.rank(compact) == oracle_rank(mat), name
-        kernel = linalg.nullspace(rows, ncols)
+        kernel, _ = linalg.nullspace(rows, ncols)
         assert dense_rows(kernel, ncols) == oracle_nullspace(mat, ncols), name
-        assert linalg.nullspace(compact, ncols) == kernel, name
+        assert linalg.nullspace(compact, ncols)[0] == kernel, name
         assert_entry_form(entries(kernel), name)
         x = [_entry(rng, 0.7) for _ in range(ncols)]
         rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in mat]
@@ -308,6 +308,27 @@ def test_sparse_kernel_matches_dense_oracle(seed):
             assert cert == {"rank": aug_rank - 1, "rank_augmented": aug_rank,
                             "consistent": False}, name
     assert inconsistent, "the panel should hold an inconsistent system"
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_positions_and_ends_match_prefix_ranks(seed):
+    """rref and nullspace name the rows that grew the span, those where the
+    oracle rank of the rows so far grows; kernel, adding the block's rows
+    last first, names the rows where its image ends, those where the rank of
+    the rows from there on grows.  Each nullspace vector has 1 at its largest
+    key, its free column, and no other vector is nonzero there."""
+    for name, mat, ncols in oracle_panel(seed):
+        rows = sparse_rows(mat)
+        grew = [i for i in range(len(mat)) if oracle_rank(mat[: i + 1]) > oracle_rank(mat[:i])]
+        assert linalg.rref(rows)[2] == grew, name
+        vectors, positions = linalg.nullspace(rows, ncols)
+        assert positions == grew, name
+        ends = {r for r in range(len(mat)) if oracle_rank(mat[r:]) > oracle_rank(mat[r + 1:])}
+        assert linalg.kernel(block_of(mat, ncols), len(mat)) == (vectors, ends), name
+        for vec in vectors:
+            free = max(vec)
+            assert vec[free] == 1, name
+            assert [other for other in vectors if free in other] == [vec], name
 
 
 # -- rref against the column-order elimination it replaced ---------------------
@@ -385,13 +406,13 @@ def test_rref_matches_column_order_oracle(seed):
     for name, rows in rref_panel(seed):
         given = [dict(row) for row in rows]
         expected, pivots = column_order_rref(rows)
-        reduced, got = linalg.rref(rows)
+        reduced, got, _ = linalg.rref(rows)
         assert rows == given, name
         assert (typed(reduced), got) == (typed(expected), pivots), name
         assert linalg.rank(rows) == len(pivots), name
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        reduced, got = linalg.rref(shuffled)
+        reduced, got, _ = linalg.rref(shuffled)
         assert (typed(reduced), got) == (typed(expected), pivots), name
         assert typed(column_order_rref(shuffled)[0]) == typed(expected), name
 

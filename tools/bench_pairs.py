@@ -8,9 +8,10 @@ the other, and the side that runs first alternates from pair to pair.  The
 result goes to BENCH_<workload>.json in the current directory: every run's
 end-to-end metrics, and per metric the median and quartiles of each side and
 the number of pairs the change won (by the direction BENCHMARK.json gives).
-A run that exits nonzero, or reports a wrong output (`correct` not true) or
-a failed request, stops the comparison: the script names the pair and the
-side, exits 1 and writes no file.
+A run that exits nonzero, prints no JSON result on its last line, or reports
+a wrong output (`correct` not true) or a failed request, stops the
+comparison: the script names the pair and the side, exits 1 and writes no
+file.
 """
 
 from __future__ import annotations
@@ -28,7 +29,16 @@ def run(checkout: str, args) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
             "--seed", str(args.seed), "--seconds", str(args.seconds)]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return read_result(out.stdout)
+
+
+def read_result(stdout: str) -> dict:
+    """The result perfbench/run.py prints as JSON on its last line; a
+    ValueError when it printed nothing or its last line is not JSON."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("empty output")
+    result = json.loads(lines[-1])  # a JSONDecodeError is a ValueError
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
@@ -60,6 +70,8 @@ def main() -> int:
                 result = run(getattr(args, side), args)
             except subprocess.CalledProcessError as exc:
                 problem = f"perfbench/run.py exited {exc.returncode}"
+            except ValueError as exc:
+                problem = f"perfbench/run.py printed no JSON result ({exc})"
             else:
                 problem = None
                 if result["correct"] is not True or result["failed"]:
