@@ -472,10 +472,12 @@ def cmd_simplicial_project(args) -> dict:
 def cmd_simplicial_dupont(args) -> dict:
     from . import simplicial
     forms = simplicial.simplex_forms(args.n)
-    element = _simplicial_expr(args, forms)
-    s_image = simplicial.dupont_homotopy(forms, element)
-    d = forms.d
-    identity = (d(s_image) + simplicial.dupont_homotopy(forms, d(element))
+    # the walk runs on the form as parsed, and on its redundant d
+    redundant = parse(simplicial.barycentric_table(args.n), args.form)
+    element = simplicial.eliminate(forms, redundant)
+    d_redundant = simplicial.barycentric_forms(args.n).de_rham(redundant)
+    s_image = simplicial.dupont_homotopy(forms, redundant)
+    identity = (forms.d(s_image) + simplicial.dupont_homotopy(forms, d_redundant)
                 == element - simplicial.whitney_projection(forms, element))
     if not identity:
         raise _Verification({

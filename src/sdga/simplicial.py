@@ -35,20 +35,25 @@ these are what the operators evaluate; s itself is one walk over them:
   along the vertex map I, by the same image construction as every other
   face of Omega, and integrates one variable at a time instead; the two
   methods stay independent.
-* Dilation homotopy.  With p = |a| - a_i + k - 1,
+* Dilation homotopy.  On the redundant presentation t0..tn, dt0..dtn, in
+  which vertex i is coordinate i, with p = |a| - a_i + k - 1,
 
       h^i(t^a dt_J) = sum_r (-1)^(r-1) (t_{j_r} - delta_{i j_r}) dt_{J - j_r}
                       * t^a|_{a_i = 0} * sum_m C(a_i, m) t_i^m
-                        (p+m)! (a_i-m)! / (p+a_i+1)!,
+                        (p+m)! (a_i-m)! / (p+a_i+1)!.
 
-  which for i = 0 is the Poincare-lemma factor 1/(|a| + k).
-* Dupont homotopy: one prefix walk on integer terms.  The closed form of h^i
-  is an integer polynomial over D = (p+a_i+1)!, so the dilations sum integer
-  multiples over a common denominator.  s visits each increasing vertex
-  prefix I once, applying h^{i_k} to the whole value of its parent prefix,
-  and adds w_I times the result.  Each prefix's value h^I(x) is carried as
-  integer numerators over one denominator, so no Fraction is built until
-  the sum of the walk.
+  The dilation maps the relations 1 - sum t and sum dt into their ideal, so
+  h^i descends to Omega_n, where an element enters with zero exponents at
+  t0 and dt0.
+* Dupont homotopy: one prefix walk on integer terms, on the redundant
+  presentation too.  The closed form of h^i is an integer polynomial over
+  D = (p+a_i+1)!, so the dilations sum integer multiples over a common
+  denominator.  s visits each increasing vertex prefix I once, applying
+  h^{i_k} to the whole value of its parent prefix, and adds the redundant
+  w_I times the result.  Each prefix's value h^I(x) is carried as integer
+  numerators over one denominator.  The sum of the walk is eliminated once
+  while it is integer, t0 -> 1 - sum(t) by Horner's rule and
+  dt0 -> -sum(dt), then divided once.
 
 B tensor Omega_n is forms.CoordinateForms on t1..tn, the one construction of
 A tensor Omega, which the cylinder A[t, dt] shares.  Tensoring with a
@@ -85,6 +90,7 @@ from .core import (
     Generator,
     GeneratorTable,
     _add_into,
+    _as_scalars,
     _mul_terms,
     _quotient,
     as_scalar,
@@ -119,14 +125,17 @@ class SimplexForms(FormsAlgebra):
     is Omega_n as a dg algebra, as on `CoordinateForms`.
 
     Per-monomial results of the simplicial operators are kept in the
-    `_*_cache` dicts.  The Dupont homotopy and the Whitney projection keep
-    none of their own: `_s_cache` and `_p_cache` are never filled and stay
-    for perfbench/tracer.py, which reads every `_*_cache`.  A face integral
-    or a dilation homotopy missing from its cache is evaluated by the closed
-    forms of the module docstring, with no algebra map, substitution or
-    polynomial integration.  The t and dt of the n + 1 vertices are built
-    once, and the iterated integral keeps its face map, the pullback onto
-    simplex_forms(k) along a face I, per I in `_face_maps`.
+    `_*_cache` dicts; `_h_cache` keys a dilation homotopy by its vertex and
+    a monomial of the redundant presentation.  The Dupont homotopy and the
+    Whitney projection keep none of their own: `_s_cache` and `_p_cache`
+    are never filled and stay for perfbench/tracer.py, which reads every
+    `_*_cache`.  A face integral or a dilation homotopy missing from its
+    cache is evaluated by the closed forms of the module docstring, with no
+    algebra map, substitution or polynomial integration.  The t and dt of
+    the n + 1 vertices are built once, and so is the redundant w_I of each
+    prefix I of the Dupont walk, in `_barycentric_whitney`; the iterated
+    integral keeps its face map, the pullback onto simplex_forms(k) along a
+    face I, per I in `_face_maps`.
     """
 
     def __init__(self, n: int):
@@ -141,6 +150,7 @@ class SimplexForms(FormsAlgebra):
         self._dilation_cache: dict[int, tuple[Cylinder, AlgebraMap]] = {}
         self._face_maps: dict[tuple[int, ...], AlgebraMap] = {}
         self._h_cache: dict[tuple[int, tuple[int, ...]], tuple[dict, int]] = {}
+        self._barycentric_whitney: dict[tuple[int, ...], dict] = {}
         # never filled (see above)
         self._s_cache: dict[tuple[int, ...], Element] = {}
         self._p_cache: dict[tuple[int, ...], Element] = {}
@@ -292,9 +302,15 @@ def whitney_differential_identity(forms: SimplexForms, indices: tuple[int, ...])
 
 
 @lru_cache(maxsize=None)
+def barycentric_forms(n: int) -> FormsAlgebra:
+    """The free forms on t0..tn, the redundant presentation before its two
+    relations: its exponent tuples put t0..tn first and dt0..dtn after."""
+    return FormsAlgebra(_coordinates(range(n + 1)))
+
+
 def barycentric_table(n: int) -> GeneratorTable:
     """Generators t0..tn and dt0..dtn of the redundant presentation."""
-    return FormsAlgebra(_coordinates(range(n + 1))).table
+    return barycentric_forms(n).table
 
 
 def eliminate(forms: SimplexForms, element: Element) -> Element:
@@ -302,15 +318,56 @@ def eliminate(forms: SimplexForms, element: Element) -> Element:
 
     Substitutes t0 = 1 - t1 - ... - tn and dt0 = -dt1 - ... - dtn; the two
     defining relations map to zero, so this is well defined on the quotient.
+    One kernel, `_eliminated`, does it on term dicts.
     """
-    table = barycentric_table(forms.n)
-    if element.table != table:
+    if element.table != barycentric_table(forms.n):
         raise AlgebraError("element is not in the redundant presentation")
-    images: dict[str, Element] = {}
-    for i in range(forms.n + 1):
-        images[f"t{i}"] = forms.t(i)
-        images[f"dt{i}"] = forms.dt(i)
-    return AlgebraMap(table, forms.table, images)(element)
+    return Element(forms.table, _eliminated(forms, element.terms))
+
+
+def _eliminated(forms: SimplexForms, terms: dict) -> dict:
+    """Redundant terms sent to Omega_n: t0^a dt0^e * rest goes to
+    (1 - sum t)^a (-sum dt)^e * rest.  t0 and dt0 come first in their blocks,
+    so a monomial is that product with no sign.  The terms of each e are
+    summed over a by Horner's rule, then the dt0 part is multiplied by
+    -sum dt once."""
+    n = forms.n
+    parts: tuple[dict, dict] = ({}, {})
+    for mono, c in terms.items():
+        parts[mono[n + 1]].setdefault(mono[0], {})[mono[1:n + 1] + mono[n + 2:]] = c
+    out = _horner(n, parts[0])
+    if parts[1]:
+        _add_into(out, _mul_terms(forms.table, forms._dt[0].terms, _horner(n, parts[1])))
+    return out
+
+
+def _horner(n: int, by_power: dict[int, dict]) -> dict:
+    """sum_a (1 - t1 - ... - tn)^a R_a over Omega_n, for R_a the terms at a:
+    from the top power down, the sum so far is multiplied by 1 - sum t and
+    R_a added."""
+    acc: dict[tuple[int, ...], int | Fraction] = {}
+    for a in range(max(by_power, default=0), -1, -1):
+        if acc:
+            step = dict(acc)
+            for m, c in acc.items():
+                for j in range(n):
+                    key = m[:j] + (m[j] + 1,) + m[j + 1:]
+                    step[key] = step.get(key, 0) - c
+            acc = step
+        for m, c in by_power.get(a, {}).items():
+            acc[m] = acc.get(m, 0) + c
+    return _as_scalars({m: c for m, c in acc.items() if c})
+
+
+def _redundant(forms: SimplexForms, element: Element) -> Element:
+    """element over the redundant table: an element of Omega_n gets zero
+    exponents at t0 and dt0."""
+    n, table = forms.n, barycentric_table(forms.n)
+    if element.table == table:
+        return element
+    if element.table != forms.table:
+        raise AlgebraError("element is over neither presentation of the simplex forms")
+    return Element(table, {(0,) + m[:n] + (0,) + m[n:]: c for m, c in element.terms.items()})
 
 
 def barycentric_whitney(n: int, indices: tuple[int, ...]) -> Element:
@@ -515,30 +572,37 @@ def dilation_homotopy(forms: SimplexForms, i: int, element: Element, *,
                       denominator: int | None = None) -> Element | tuple[Element, int]:
     """h^i = int_0^1 (d/du) dilation_i; h^i d + d h^i = id - (vertex i).
 
-    Each monomial t^a dt_{j_1} ... dt_{j_k} is sent to its closed form
+    element is in either presentation, and h^i is evaluated on the redundant
+    one, t0..tn with vertex i at coordinate i.  Each monomial
+    t^a dt_{j_1} ... dt_{j_k} is sent to its closed form
 
         sum_r (-1)^(r-1) (t_{j_r} - delta_{i j_r}) dt_{J - j_r}
               * t^a|_{a_i = 0} * sum_m C(a_i, m) t_i^m (p+m)! (a_i-m)! / (p+a_i+1)!
 
     with p = |a| - a_i + k - 1: the u-integral of the pullback along
-    `dilation`, a Beta integral once (u t_i + 1 - u)^{a_i} is expanded.  For
-    i = 0 (a_i = 0, no delta) the factor is 1/(|a| + k).
+    `dilation`, a Beta integral once (u t_i + 1 - u)^{a_i} is expanded.  The
+    dilation maps the relations 1 - sum t and sum dt into their ideal, so
+    this descends to Omega_n; on an element free of t0 and dt0 it is the
+    closed form on Omega_n, and at i = 0 the factor is 1/(|a| + k).
 
     The closed form is an integer polynomial over D = (p+a_i+1)!, cached per
-    (i, monomial) as that pair.  A term c t^a dt_J contributes the polynomial
-    times the numerator of c over D times the denominator of c; the
-    contributions are summed as integer multiples over the lcm of those
-    denominators, and each output coefficient is divided by it once.
+    (i, redundant monomial) as that pair.  A term c t^a dt_J contributes the
+    polynomial times the numerator of c over D times the denominator of c;
+    the contributions are summed as integer multiples over the lcm of those
+    denominators, t0 is eliminated from that sum, and each coefficient is
+    divided by the lcm once.
 
     Given a denominator q, element stands for element / q, and the image
     comes back as the pair (integer numerators, their denominator) with the
-    numerators held in an Element: the Dupont walk stays on integers from
-    one prefix to the next.
+    numerators held in an Element of the redundant presentation: the Dupont
+    walk stays on integers from one prefix to the next.
     """
+    if not 0 <= i <= forms.n:
+        raise AlgebraError(f"vertex index {i} out of range for n={forms.n}")
     cache = forms._h_cache
     over = denominator or 1
     parts = []
-    for mono, c in element.terms.items():
+    for mono, c in _redundant(forms, element).terms.items():
         key = (i, mono)
         cached = cache.get(key)
         if cached is None:
@@ -546,8 +610,8 @@ def dilation_homotopy(forms: SimplexForms, i: int, element: Element, *,
         image, den = cached
         if image:
             parts.append((c.numerator, image, c.denominator * den * over))
-    image = _sum_over_lcm(forms.table, parts)
-    return _divided(*image) if denominator is None else image
+    image = _sum_over_lcm(barycentric_table(forms.n), parts)
+    return _descended(forms, *image) if denominator is None else image
 
 
 def _sum_over_lcm(table: GeneratorTable, parts) -> tuple[Element, int]:
@@ -563,19 +627,21 @@ def _sum_over_lcm(table: GeneratorTable, parts) -> tuple[Element, int]:
     return Element(table, {m: v for m, v in acc.items() if v}), common
 
 
-def _divided(numerators: Element, den: int) -> Element:
-    """numerators / den, with one exact quotient per term."""
-    return Element(numerators.table, {m: _quotient(v, den) for m, v in numerators.terms.items()})
+def _descended(forms: SimplexForms, numerators: Element, den: int) -> Element:
+    """Redundant integer numerators over den, in Omega_n: t0 is eliminated
+    while the coefficients are integers, then each is divided once."""
+    return Element(forms.table, {m: _quotient(v, den)
+                                 for m, v in _eliminated(forms, numerators.terms).items()})
 
 
 def _dilation_of_monomial(n: int, i: int, mono: tuple[int, ...]) -> tuple[dict, int]:
-    """h^i(t^a dt_J) as (integer terms, D): the closed form of dilation_homotopy
-    is the terms over D = (p+a_i+1)!."""
-    J = [j for j in range(1, n + 1) if mono[n + j - 1]]
+    """h^i(t^a dt_J) on a redundant monomial as (integer terms, D): the
+    closed form of dilation_homotopy is the terms over D = (p+a_i+1)!."""
+    J = [j for j in range(n + 1) if mono[n + 1 + j]]
     if not J:
         return {}, 1
-    ai = mono[i - 1] if i else 0
-    p = sum(mono[:n]) - ai + len(J) - 1
+    ai = mono[i]
+    p = sum(mono[:n + 1]) - ai + len(J) - 1
     # sum_m weights[m] t_i^m: the u-integral times D, by the power of t_i it leaves
     weights = [math.comb(ai, m) * math.factorial(p + m) * math.factorial(ai - m)
                for m in range(ai + 1)]
@@ -583,18 +649,17 @@ def _dilation_of_monomial(n: int, i: int, mono: tuple[int, ...]) -> tuple[dict, 
     for r, j in enumerate(J):
         sign = -1 if r % 2 else 1
         out = list(mono)
-        out[n + j - 1] = 0
+        out[n + 1 + j] = 0
         if j == i:
             # (t_i - 1) * sum_m weights[m] t_i^m has t_i^q with weights[q-1] - weights[q]
             for q, c in enumerate(map(sub, [0] + weights, weights + [0])):
                 if c:
-                    out[i - 1] = q
+                    out[i] = q
                     terms[tuple(out)] = sign * c
             continue
-        out[j - 1] += 1
+        out[j] += 1
         for m, w in enumerate(weights):
-            if i:
-                out[i - 1] = m
+            out[i] = m
             terms[tuple(out)] = sign * w
     return terms, math.factorial(p + ai + 1)
 
@@ -603,14 +668,21 @@ def dupont_homotopy(forms: SimplexForms, element: Element) -> Element:
     """The simplicial contraction s with d s + s d = id - P.
 
     s is linear, so s(x) = sum_I (-1)^(|I|-1) w_I * h^I(x) with
-    h^I = h^{i_k} o ... o h^{i_0} (see _DUPONT_SIGN).  One depth-first walk
-    over the increasing vertex prefixes I applies h^{i_k} once per prefix, to
-    the whole value its parent prefix left, and stops a branch whose value
-    is zero.  Each h^i lowers form weight by one, so the walk goes no deeper
-    than the element's top form weight, nor than n.
+    h^I = h^{i_k} o ... o h^{i_0} (see _DUPONT_SIGN).  element is in either
+    presentation, and s runs on the redundant one and descends to Omega_n as
+    h^i does.  One depth-first walk over the increasing vertex prefixes I
+    applies h^{i_k} once per prefix, to the whole value its parent prefix
+    left, and stops a branch whose value is zero.  Each h^i lowers form
+    weight by one, so the walk goes no deeper than the element's top form
+    weight, nor than n.  Each prefix is multiplied by the redundant Whitney
+    form barycentric_whitney(n, I), kept per I, and the sum is eliminated
+    and divided once.
     """
-    n, table = forms.n, forms.table
-    depth = min(n, max(map(forms.form_weight_of, element.terms), default=0))
+    n = forms.n
+    redundant = barycentric_forms(n)
+    table = redundant.table
+    element = _redundant(forms, element)
+    depth = min(n, max(map(redundant.form_weight_of, element.terms), default=0))
     parts = []
     # each prefix with h^I(x) as integer numerators over one denominator
     stack: list[tuple[tuple[int, ...], Element, int]] = [((), element, 1)] if depth else []
@@ -622,11 +694,13 @@ def dupont_homotopy(forms: SimplexForms, element: Element) -> Element:
             if not image.terms:
                 continue
             I = prefix + (vertex,)
-            w = whitney(forms, I).terms  # integer coefficients, as h^I(x)'s numerators
+            w = forms._barycentric_whitney.get(I)
+            if w is None:
+                w = forms._barycentric_whitney[I] = barycentric_whitney(n, I).terms
             parts.append((sign, _mul_terms(table, w, image.terms), image_den))
             if len(I) < depth:
                 stack.append((I, image, image_den))
-    return _divided(*_sum_over_lcm(table, parts))
+    return _descended(forms, *_sum_over_lcm(table, parts))
 
 
 def dupont_defect(forms: SimplexForms, element: Element) -> Element:

@@ -386,6 +386,34 @@ def test_simplicial_dupont(capsys):
     assert env["report"]["identity_check"] is True
 
 
+def test_simplicial_dupont_walks_the_form_as_parsed(capsys, monkeypatch):
+    """Both Dupont walks of the request, on x and on dx, take elements of
+    the redundant presentation the form is parsed in."""
+    tables = []
+    inner = simplicial.dupont_homotopy
+
+    def spy(forms, element):
+        tables.append(element.table)
+        return inner(forms, element)
+
+    monkeypatch.setattr(simplicial, "dupont_homotopy", spy)
+    code, env = run_json(capsys, "simplicial", "dupont", "--n", "3",
+                         "--form", "t0^2 * dt1 - 1/2 * t3 * dt0 * dt2")
+    assert code == 0
+    assert env["report"]["identity_check"] is True
+    assert tables == [simplicial.barycentric_table(3)] * 2
+
+
+def test_simplicial_dupont_of_a_form_in_the_relations_is_zero(capsys):
+    """(t0 + t1 + t2 - 1) dt1 is zero on the 2-simplex, and so is its s."""
+    code, env = run_json(capsys, "simplicial", "dupont", "--n", "2",
+                         "--form", "t0*dt1+t1*dt1+t2*dt1-dt1")
+    assert code == 0
+    assert env["report"]["form"] == "0"
+    assert env["report"]["s_image"] == "0"
+    assert env["report"]["identity_check"] is True
+
+
 def test_simplicial_duality(capsys):
     code, env = run_json(capsys, "simplicial", "duality", "--n", "2")
     assert code == 0

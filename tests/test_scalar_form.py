@@ -28,6 +28,7 @@ from sdga.dg import DGAlgebra, Derivation, _differential_matrix
 from sdga.forms import Cylinder, integrate
 from sdga.simplicial import (
     SimplexForms,
+    barycentric_table,
     dupont_homotopy,
     simplex_integral,
     whitney,
@@ -130,6 +131,14 @@ def layer_panel(rng: random.Random):
         for h in model.factorize(g, mode):
             for block in [*h.blocks.values(), *h.source.diff.values(), *h.target.diff.values()]:
                 yield "factorize", [x for col in block for x in col.values()]
+
+    # the walk on a form with t0 and dt0 in it, as the CLI parses one;
+    # drawn last, so the panels above keep their draws
+    t0, dt0 = (Element.generator(barycentric_table(n), name) for name in ("t0", "dt0"))
+    redundant = (sampling.random_element(rng, barycentric_table(n), 3, 6)
+                 + half * t0 * t0 * dt0 + third * t0 * dt0)
+    for x in (redundant, redundant * 720):
+        yield "dupont", dupont_homotopy(forms, x).terms.values()
 
 
 @pytest.mark.parametrize("seed", range(8))

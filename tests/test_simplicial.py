@@ -28,6 +28,7 @@ from sdga.simplicial import (
     SimplexForms,
     SubShapeCotensor,
     TensorForms,
+    barycentric_forms,
     barycentric_table,
     barycentric_whitney,
     cotensor_report,
@@ -418,6 +419,52 @@ def test_barycentric_whitney_matches():
     assert barycentric_table(2).position("dt0") >= 0
 
 
+def eliminate_oracle(forms: SimplexForms, element: Element) -> Element:
+    """What eliminate used to run: the AlgebraMap from the redundant table
+    sending t_i and dt_i to forms.t(i) and forms.dt(i)."""
+    images: dict[str, Element] = {}
+    for i in range(forms.n + 1):
+        images[f"t{i}"] = forms.t(i)
+        images[f"dt{i}"] = forms.dt(i)
+    return AlgebraMap(barycentric_table(forms.n), forms.table, images)(element)
+
+
+def redundant_panel(rng: random.Random, n: int) -> tuple[list[Element], list[Element]]:
+    """Forms of the redundant presentation of the n-simplex, with t and dt of
+    every vertex, exponents up to 2 and int or Fraction coefficients, and
+    forms in the ideal of its relations: (t0 + ... + tn - 1) w,
+    (dt0 + ... + dtn) w and their sum.  The last form is the first plus an
+    ideal one, so its terms cancel."""
+    table = barycentric_table(n)
+    rel, drel = simplex_relations(n)
+
+    def form() -> Element:
+        out = Element.zero(table)
+        for _ in range(rng.randint(1, 3)):
+            mono = tuple([rng.randint(0, 2) for _ in range(n + 1)]
+                         + [int(rng.random() < 0.4) for _ in range(n + 1)])
+            out = out + Element.monomial(table, mono, rng.choice([1, -2, 3, *PANEL_COEFFICIENTS]))
+        return out
+
+    ideal = [rel * form(), drel * form(), rel * form() + drel * form()]
+    forms = [form(), form()]
+    return forms + [forms[0] + ideal[2]], ideal
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eliminate_matches_the_substitution_oracle(seed):
+    rng = random.Random(9400 + seed)
+    for n in range(5):
+        forms = simplex_forms(n)
+        xs, ideal = redundant_panel(rng, n)
+        for x in xs + ideal:
+            got = eliminate(forms, x)
+            assert got == eliminate_oracle(forms, x), (n, x)
+            assert_entry_form(got.terms.values(), n)
+        assert all(eliminate(forms, x).is_zero() for x in ideal)
+        assert eliminate(forms, xs[2]) == eliminate(forms, xs[0])
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_simplex_tables_are_forms_of_their_coordinates(n):
     def forms_table(indices):
@@ -624,6 +671,37 @@ def test_dupont_walk_is_bounded_by_form_weight(monkeypatch):
     assert 0 < len(calls) <= 13
     assert not s.is_zero()
     assert dupont_defect(forms, x).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_walk_descends_from_the_redundant_presentation(seed):
+    """s and h^i on a redundant form are s and h^i on its normal form, and s
+    of its redundant d is s of d of the normal form: the dilation maps the
+    relations into their ideal.  A form in the ideal has s = h^i = 0."""
+    rng = random.Random(9500 + seed)
+    for n in range(5):
+        forms = SimplexForms(n)
+        xs, ideal = redundant_panel(rng, n)
+        for x in xs + ideal:
+            normal = eliminate(forms, x)
+            got = dupont_homotopy(forms, x)
+            assert got == dupont_homotopy(forms, normal), (n, x)
+            assert_entry_form(got.terms.values(), n)
+            for i in range(n + 1):
+                assert dilation_homotopy(forms, i, x) == dilation_homotopy(forms, i, normal), (n, i, x)
+            dx = barycentric_forms(n).de_rham(x)
+            assert dupont_homotopy(forms, dx) == dupont_homotopy(forms, forms.d(normal)), (n, x)
+        for x in ideal:
+            assert dupont_homotopy(forms, x).is_zero()
+            assert all(dilation_homotopy(forms, i, x).is_zero() for i in range(n + 1))
+
+
+def test_the_walk_refuses_a_form_over_another_table():
+    forms = simplex_forms(2)
+    with pytest.raises(AlgebraError, match="neither presentation"):
+        dupont_homotopy(forms, Element.generator(simplex_forms(1).table, "t1"))
+    with pytest.raises(AlgebraError, match="out of range"):
+        dilation_homotopy(forms, 3, forms.t(1))
 
 
 def test_dupont_naturality_under_faces():

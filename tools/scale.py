@@ -1,4 +1,4 @@
-"""The scale pins: eleven larger sdga requests and the digest of each report.
+"""The scale pins: twelve larger sdga requests and the digest of each report.
 
     python3 tools/scale.py check
 
@@ -17,7 +17,9 @@ complex, Q a Koszul algebra whose weight-0 even generators make every weight
 space infinite, and L a solvable lifting square of four 48-cell complexes.
 `simplicial duality --n 6` integrates by both methods over all 127 faces of
 the 6-simplex, and the n = 6 horn is the one horn request whose filling
-system is large enough to exercise its transposed elimination.  Change a pin
+system is large enough to exercise its transposed elimination.  `simplicial
+dupont --n 7` walks the Dupont homotopy over the 7-simplex on a form with t0
+and dt0 in it, which the walk eliminates once, at its end.  Change a pin
 only with a deliberate report change recorded in CHANGES.md.
 """
 
@@ -54,6 +56,9 @@ PINS = [
      "78a2ec2d5c1228b59fdbc50c68daf385a9bcd7753c005914689795625c3a1d3c"),
     ("-", ["simplicial", "duality", "--n", "6"],
      "c15406bef98ad22945e36f873521150847ba66de55a81f7bc861b6b6b4a37b51"),
+    ("-", ["simplicial", "dupont", "--n", "7", "--form",
+           "t0^4 * t1^2 * dt2 * dt3 + 3 * t2^3 * t5 * dt0 * dt1 * dt4 - 2 * t3^2 * dt1"],
+     "3f1bf7486b8de7f15f4789615a2c12de7cd23260906d584b072768863720aa00"),
     ("K", ["sym-kunneth", "--window=-1:4", "--degcap", "6"],
      "3b30b06c7ce2b81d0a7d919a9d2d2f43d13871dedc16ebb4ff15f3a95951d8fa"),
     ("Q", ["cohomology", "--window=0:6", "--degcap", "10"],
