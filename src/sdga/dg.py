@@ -299,8 +299,8 @@ def compute_cohomology(table: GeneratorTable, d: Derivation,
     # (w + 1, 1 - p) where its image ends; below the window only the ends
     # are used.  A kernel vector is 1 at its free column, its largest key,
     # and 0 at the other vectors' free columns, and the image lies in the
-    # kernel, so reps, the vectors whose free column is no image end, are
-    # those quotient_representatives(kernel, image) picks: len(reps) is dim H.
+    # kernel, so the classes of reps, the vectors whose free column is no
+    # image end, are a basis of H: len(reps) is dim H.
     incoming: dict[int, set[int]] = {}
     for w in range(w_min - 1, w_max + 1):
         outgoing: dict[int, set[int]] = {}

@@ -8,10 +8,10 @@ or a stored zero.  One routine, `_add`, eliminates: it reduces rows against
 a fully reduced basis keyed by pivot column, and says which of the rows
 grew it.  `rref` reads one out by pivot, `rank` counts the rows that grew
 it, `nullspace` and `solve_with_certificate` read `rref`, and
-`quotient_representatives` grows one, a `RowSpan`, to pick by position the
-rows independent modulo a span.  Each takes sparse rows; a sparse row does
-not know its width, so the functions that need the column count take it as
-`ncols`.
+`quotient_representatives`, the reference for the picks by `kernel`'s image
+ends, grows a `RowSpan` to pick the rows independent modulo a span.  Each
+takes sparse rows; a sparse row does not know its width, so the functions
+that need the column count take it as `ncols`.
 
 Elimination is fraction-free.  Each row is first scaled to a primitive
 integer row: times the lcm of its denominators, then divided by its content
@@ -215,7 +215,7 @@ def solve_with_certificate(rows: list[SparseRow], rhs: list[int | Fraction],
 
 class RowSpan:
     """A row space grown one row at a time: `add` says whether the row
-    enlarged it.  `quotient_representatives` grows one; perfbench/tracer.py
+    enlarged it.  Only `quotient_representatives` grows one; perfbench/tracer.py
     counts the rows it takes by wrapping `add`."""
 
     def __init__(self):

@@ -414,9 +414,9 @@ class _MiddleBuilder:
         top_idx = self.add_generator(_next_key(key), {}, top_image)
         self.add_generator(key, {top_idx: 1}, b_image)
 
-    def kernel(self, key: Key) -> list[linalg.SparseRow]:
-        """The cocycles of the current middle complex at key."""
-        return linalg.kernel(self.dcols.get(key, []), self.dim(_next_key(key)))[0]
+    def kernel(self, key: Key) -> tuple[list[linalg.SparseRow], set[int]]:
+        """The cocycles of the middle complex at key, and where d's image ends."""
+        return linalg.kernel(self.dcols.get(key, []), self.dim(_next_key(key)))
 
     def materialize(self) -> tuple[ChainMap, ChainMap]:
         """(j, q): the inclusion of the base and the map to B."""
@@ -448,27 +448,32 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
     A, B = f.source, f.target
     builder = _MiddleBuilder(A, f, B)
 
+    # Each pass picks classes by image ends, as dg.compute_cohomology does.
+    # The vectors picked from have distinct largest keys and their span holds
+    # the image, so a vector is independent modulo the image and the vectors
+    # before it exactly when its largest key is no end of the image.
     # pass 1: attach disks until q is degreewise surjective
     for key in _all_keys(A, B):
-        units = _units(B.dim(key))
-        if units:
-            for r in linalg.quotient_representatives(units, builder.qcols.get(key, [])):
-                builder.attach_disk(key, units[r])
+        if B.dim(key):
+            ends = linalg.kernel(builder.qcols.get(key, []), B.dim(key))[1]
+            for r in range(B.dim(key)):
+                if r not in ends:
+                    builder.attach_disk(key, {r: 1})
 
     if mode == "acyclic_cofibration_fibration":
         return builder.materialize()
 
     # pass 2: attach closed generators until H(q) is surjective
     for key in _all_keys(A, B):
-        if B.dim(key) == 0:
-            continue
         kernel_b = linalg.kernel(B.d_block(key), B.dim(_next_key(key)))[0]
         if not kernel_b:
             continue
         hit = B.d_block(_prev_key(key)) + linalg.mat_mul(builder.qcols.get(key, []),
-                                                         builder.kernel(key))
-        for i in linalg.quotient_representatives(kernel_b, hit):
-            builder.add_generator(key, {}, kernel_b[i])
+                                                         builder.kernel(key)[0])
+        ends = linalg.kernel(hit, B.dim(key))[1]
+        for z in kernel_b:
+            if max(z) not in ends:
+                builder.add_generator(key, {}, z)
 
     # pass 3: kill the kernel of H(q).  One nullspace per key of the stacked
     # system [-d_B | q K], K the cocycles of the middle complex, gives every
@@ -476,11 +481,13 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
     # the columns of K kills is found too.  Each K c independent of the
     # boundaries gets a generator x with dx = K c and q(x) = y.  With the d_B
     # columns first, a column of K that q sends to a boundary on its own
-    # comes out as c = e_i with the y of the particular solution.
+    # comes out as c = e_i with the y of the particular solution.  Each dx is
+    # some K c, as q dx = d_B q x; d out of prev changes only while at key.
+    ends: dict[Key, set[int]] = {}
     for key in _all_keys(A, B):
         if builder.dim(key) == 0:
             continue
-        kernel_m = builder.kernel(key)
+        kernel_m, ends[key] = builder.kernel(key)
         if not kernel_m:
             continue
         prev = _prev_key(key)
@@ -490,8 +497,9 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
         pairs = linalg.kernel(stacked, B.dim(key))[0]
         zs = linalg.mat_mul(kernel_m, [{j - prev_b: x for j, x in pair.items() if j >= prev_b}
                                        for pair in pairs])
-        for i in linalg.quotient_representatives(zs, builder.dcols.get(prev, [])):
-            builder.add_generator(prev, zs[i], {j: x for j, x in pairs[i].items() if j < prev_b})
+        for z, pair in zip(zs, pairs):
+            if z and max(z) not in ends.get(prev, ()):
+                builder.add_generator(prev, z, {j: x for j, x in pair.items() if j < prev_b})
     return builder.materialize()
 
 

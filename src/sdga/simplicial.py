@@ -10,9 +10,10 @@ The Whitney forms
 
     w_I = k! * sum_q (-1)^q t_{i_q} dt_{i_0} ... (omit q) ... dt_{i_k}
 
-span a finite subcomplex isomorphic to simplicial cochains, and integration
-over the face spanned by I is exactly dual to them.  The dilation towards a
-vertex provides contraction operators h^i; the classical simplicial homotopy
+(written over t0..tn, dt0..dtn and reduced to Omega_n by eliminating t0) span
+a finite subcomplex isomorphic to simplicial cochains, and integration over
+the face spanned by I is exactly dual to them.  The dilation towards a vertex
+provides contraction operators h^i; the classical simplicial homotopy
 s = sum +- w_I h^{i_k} ... h^{i_0} assembled from them satisfies
 id - P = d s + s d for the Whitney projection P x = sum_I (int_I x) w_I
 (Dupont, Simplicial de Rham cohomology and characteristic classes of flat
@@ -69,8 +70,9 @@ cap appends columns to the system.  The face restrictions act on monomials:
   each term of delta_i^*(omega), with no sign.  For i >= 1, delta_i^*
   deletes a coordinate: a monomial holding t_i or dt_i goes to 0, any other
   loses those two positions with coefficient 1 (the remaining dt keep their
-  order).  For i = 0, t_1 -> 1 - sum(t) and dt_1 -> -sum(dt), the others
-  shift down by one; this image is computed once per form part omega.
+  order).  For i = 0, omega read over t0..t_{n-1}, dt0..dt_{n-1} is already
+  delta_0^*(omega) in the facet's redundant presentation (t_k -> t_{k-1}), so
+  its image, computed once per form part omega, eliminates t0 from it.
 """
 
 from __future__ import annotations
@@ -132,10 +134,9 @@ class SimplexForms(FormsAlgebra):
     `_*_cache`.  A face integral or a dilation homotopy missing from its
     cache is evaluated by the closed forms of the module docstring, with no
     algebra map, substitution or polynomial integration.  The t and dt of
-    the n + 1 vertices are built once, and so is the redundant w_I of each
-    prefix I of the Dupont walk, in `_barycentric_whitney`; the iterated
-    integral keeps its face map, the pullback onto simplex_forms(k) along a
-    face I, per I in `_face_maps`.
+    the n + 1 vertices are built once; the iterated integral keeps its face
+    map, the pullback onto simplex_forms(k) along a face I, per I in
+    `_face_maps`.
     """
 
     def __init__(self, n: int):
@@ -150,7 +151,6 @@ class SimplexForms(FormsAlgebra):
         self._dilation_cache: dict[int, tuple[Cylinder, AlgebraMap]] = {}
         self._face_maps: dict[tuple[int, ...], AlgebraMap] = {}
         self._h_cache: dict[tuple[int, tuple[int, ...]], tuple[dict, int]] = {}
-        self._barycentric_whitney: dict[tuple[int, ...], dict] = {}
         # never filled (see above)
         self._s_cache: dict[tuple[int, ...], Element] = {}
         self._p_cache: dict[tuple[int, ...], Element] = {}
@@ -241,35 +241,14 @@ def face_pullback(n: int, i: int) -> AlgebraMap:
 # -- Whitney forms -------------------------------------------------------------
 
 
-def _elementary(table: GeneratorTable, n: int, t, dt, I: tuple[int, ...]) -> Element:
-    """k! sum_q (-1)^q t(i_q) prod_{r != q} dt(i_r) for I = (i_0, ..., i_k) in
-    [0, n], given the t and dt of a vertex: w_I in either presentation.  Zero
-    when a vertex repeats."""
-    if not I:
-        raise AlgebraError("a face needs at least one vertex")
-    if any(not 0 <= i <= n for i in I):
-        raise AlgebraError("vertex index out of range")
-    acc = Element.zero(table)
-    if len(set(I)) != len(I):
-        return acc
-    k = len(I) - 1
-    for q in range(k + 1):
-        term = t(I[q])
-        for r in range(k + 1):
-            if r != q:
-                term = term * dt(I[r])
-        acc = acc + term * ((-1) ** q)
-    return acc * math.factorial(k)
-
-
 def whitney(forms: SimplexForms, indices: tuple[int, ...]) -> Element:
-    """The elementary form w_I; antisymmetric in I, zero on repeats.  Kept
-    per sorted I, with the sign of the sorting; a zero is not kept."""
+    """w_I in normal form; antisymmetric in I, zero on repeats.  Kept per
+    sorted I, with the sign of the sorting; a zero is not kept."""
     I = tuple(indices)
     order = tuple(sorted(I))
     cached = forms._whitney_cache.get(order)
     if cached is None:
-        cached = _elementary(forms.table, forms.n, forms.t, forms.dt, order)
+        cached = eliminate(forms, barycentric_whitney(forms.n, order))
         if cached.is_zero():
             return cached
         forms._whitney_cache[order] = cached
@@ -371,10 +350,24 @@ def _redundant(forms: SimplexForms, element: Element) -> Element:
 
 
 def barycentric_whitney(n: int, indices: tuple[int, ...]) -> Element:
-    """w_I in the redundant presentation: k! sum_q (-1)^q t_{i_q} dt...dt."""
-    table = barycentric_table(n)
-    return _elementary(table, n, lambda i: Element.generator(table, f"t{i}"),
-                       lambda i: Element.generator(table, f"dt{i}"), tuple(indices))
+    """w_I in the redundant presentation, written term by term: for sorted I
+    the term q is (-1)^q k! t_{i_q} times the dt of the other vertices, and
+    the whole is times the sign of sorting I.  Zero when a vertex repeats."""
+    I = tuple(indices)
+    if not I:
+        raise AlgebraError("a face needs at least one vertex")
+    if any(not 0 <= i <= n for i in I):
+        raise AlgebraError("vertex index out of range")
+    terms = {}
+    if len(set(I)) == len(I):
+        scale = math.factorial(len(I) - 1) * _permutation_sign(I)
+        for q, i in enumerate(sorted(I)):
+            mono = [0] * (2 * n + 2)
+            for j in I:
+                mono[n + 1 + j] = 1
+            mono[i], mono[n + 1 + i] = 1, 0
+            terms[tuple(mono)] = -scale if q % 2 else scale
+    return Element(barycentric_table(n), terms)
 
 
 def elementary_subcomplex(n: int) -> dict:
@@ -675,8 +668,8 @@ def dupont_homotopy(forms: SimplexForms, element: Element) -> Element:
     left, and stops a branch whose value is zero.  Each h^i lowers form
     weight by one, so the walk goes no deeper than the element's top form
     weight, nor than n.  Each prefix is multiplied by the redundant Whitney
-    form barycentric_whitney(n, I), kept per I, and the sum is eliminated
-    and divided once.
+    form w_I, read from its closed form, and the sum is eliminated and
+    divided once.
     """
     n = forms.n
     redundant = barycentric_forms(n)
@@ -694,9 +687,7 @@ def dupont_homotopy(forms: SimplexForms, element: Element) -> Element:
             if not image.terms:
                 continue
             I = prefix + (vertex,)
-            w = forms._barycentric_whitney.get(I)
-            if w is None:
-                w = forms._barycentric_whitney[I] = barycentric_whitney(n, I).terms
+            w = barycentric_whitney(n, I).terms
             parts.append((sign, _mul_terms(table, w, image.terms), image_den))
             if len(I) < depth:
                 stack.append((I, image, image_den))
@@ -770,13 +761,13 @@ class TensorForms(CoordinateForms):
                 return {mono[:t] + mono[t + 1:dt] + mono[dt + 1:]: 1}
 
             return delete
-        face = pullback(face_tuple(n, 0), self.forms, simplex_forms(n - 1))
+        facet = simplex_forms(n - 1)
         images: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
         def substitute_first(mono: tuple[int, ...]) -> dict[tuple[int, ...], int]:
             form = mono[nb:]
             if form not in images:
-                images[form] = face(Element.monomial(self.forms.table, form)).terms
+                images[form] = _eliminated(facet, {form: 1})
             return {mono[:nb] + m: c for m, c in images[form].items()}
 
         return substitute_first

@@ -123,10 +123,10 @@ def invert_matrix(block: linalg.Block) -> linalg.Block:
 
 
 def random_complex(rng: random.Random, max_cells: int = 3,
-                   weight_range: tuple[int, int] = (-2, 2)) -> Complex:
+                   weight_range: tuple[int, int] = (-2, 2), min_cells: int = 1) -> Complex:
     """A random direct sum of disks and spheres in disguised coordinates."""
     total = zero_complex()
-    ncells = rng.randint(1, max_cells)
+    ncells = rng.randint(min_cells, max_cells)
     for _ in range(ncells):
         n = rng.randint(weight_range[0], weight_range[1])
         p = rng.randint(0, 1)

@@ -45,6 +45,9 @@ LIBRARY_API = {
     "forms.FormsAlgebra.restricts_to_base": "L_D restricts to D on the base, as a check",
     "forms.Cylinder.end_map": "evaluation at an end of the cylinder",
     "model.Complex.total_dim": "the dimension of the whole complex",
+    "linalg.quotient_representatives": "the rows independent modulo a span: the reference"
+                                       " the image-end picks of cohomology and factorize are"
+                                       " tested against, and perfbench/tracer.py binds it",
     "dg.leibniz_defect": "the super-Leibniz identity of a derivation, as a checkable defect",
     "forms.homotopy_from_cylinder_map": "the paper's chain homotopy from a map into A[t, dt]",
     "model.direct_sum": "the coproduct of complexes with its two inclusions",
@@ -315,6 +318,8 @@ UNREAD_ATTRIBUTES = {
     "simplicial.SimplexForms._s_cache": "perfbench/tracer.py reads every _*_cache",
     "simplicial.SimplexForms._p_cache": "perfbench/tracer.py reads every _*_cache",
     "simplicial.SubShapeCotensor.coefficients": "library API: the coefficient algebra B",
+    "simplicial.TensorForms.forms": "library API: the Omega_n factor of B tensor Omega_n,"
+                                    " which the tests build forms and oracles on",
 }
 
 

@@ -12,6 +12,11 @@ from sdga import linalg
 from sdga.model import (
     ChainMap,
     Complex,
+    _all_keys,
+    _MiddleBuilder,
+    _next_key,
+    _prev_key,
+    _units,
     cell_catalog,
     cohomology_dims,
     compose_chain_maps,
@@ -238,6 +243,82 @@ def test_factorize_crowded_panel(seed):
             report = verify_factorization(g, j, q, mode)
             assert report["ok"], (mode, report)
             assert_entry_form(map_entries(g, j, q, compose_chain_maps(q, j)), mode)
+
+
+def factorize_oracle(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap, int]:
+    """factorize as it ran when every pass grew a linalg.RowSpan: the classes
+    come from quotient_representatives, which picks by position the vectors
+    independent modulo a span and the vectors before them.  Returns j, q and
+    the number of generators the third pass attached."""
+    A, B = f.source, f.target
+    builder = _MiddleBuilder(A, f, B)
+    for key in _all_keys(A, B):
+        units = _units(B.dim(key))
+        if units:
+            for r in linalg.quotient_representatives(units, builder.qcols.get(key, [])):
+                builder.attach_disk(key, units[r])
+    if mode == "acyclic_cofibration_fibration":
+        return (*builder.materialize(), 0)
+    for key in _all_keys(A, B):
+        if B.dim(key) == 0:
+            continue
+        kernel_b = linalg.kernel(B.d_block(key), B.dim(_next_key(key)))[0]
+        if not kernel_b:
+            continue
+        hit = B.d_block(_prev_key(key)) + linalg.mat_mul(builder.qcols.get(key, []),
+                                                         builder.kernel(key)[0])
+        for i in linalg.quotient_representatives(kernel_b, hit):
+            builder.add_generator(key, {}, kernel_b[i])
+    attached = 0
+    for key in _all_keys(A, B):
+        if builder.dim(key) == 0:
+            continue
+        kernel_m = builder.kernel(key)[0]
+        if not kernel_m:
+            continue
+        prev = _prev_key(key)
+        prev_b = B.dim(prev)
+        minus_db = [{r: -x for r, x in col.items()} for col in B.d_block(prev)]
+        stacked = minus_db + linalg.mat_mul(builder.qcols[key], kernel_m)
+        pairs = linalg.kernel(stacked, B.dim(key))[0]
+        zs = linalg.mat_mul(kernel_m, [{j - prev_b: x for j, x in pair.items() if j >= prev_b}
+                                       for pair in pairs])
+        for i in linalg.quotient_representatives(zs, builder.dcols.get(prev, [])):
+            builder.add_generator(prev, zs[i], {j: x for j, x in pairs[i].items() if j < prev_b})
+            attached += 1
+    return (*builder.materialize(), attached)
+
+
+def factorize_panel():
+    """Seeded chain maps for the factorize reference: 24 maps between small
+    random complexes, 12 between crowded ones, whose H(f) often has a
+    kernel, and one between two complexes of 36-44 cells."""
+    rng = random.Random(6500)
+    maps = []
+    for _ in range(24):
+        a, b = random_complex(rng), random_complex(rng)
+        maps.append(random_chain_map(rng, a, b))
+    for _ in range(12):
+        keys = [(n, rng.randint(0, 1)) for n in rng.sample(range(-2, 2), 2)]
+        a, b = crowded_complex(rng, keys), crowded_complex(rng, keys)
+        maps.append(random_chain_map(rng, a, b))
+    a, b = (random_complex(rng, max_cells=44, min_cells=36) for _ in range(2))
+    maps.append(random_chain_map(rng, a, b))
+    return maps
+
+
+def test_factorize_picks_the_classes_the_row_span_picks():
+    """Picking by image ends attaches the same cells, in the same order, as
+    the row-span picks: the same j and q in both modes, the third pass
+    attaching generators too."""
+    attached = []
+    for f in factorize_panel():
+        for mode in MODES:
+            j, q, n_attached = factorize_oracle(f, mode)
+            assert factorize(f, mode) == (j, q), mode
+            attached.append(n_attached)
+    assert sum(map(bool, attached)) >= 5, attached
+    assert attached[-1] > 0  # the large map
 
 
 def test_two_out_of_three():

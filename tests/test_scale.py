@@ -43,11 +43,11 @@ def scale(monkeypatch):
     return module
 
 
-def test_the_table_pins_twelve_requests_on_six_documents():
+def test_the_table_pins_thirteen_requests_on_six_documents():
     module = load_scale()
     docs = module.documents()
     assert sorted(docs) == ["F", "K", "L", "O", "Q", "S"]
-    assert len({(doc, tuple(argv)) for doc, argv, _ in module.PINS}) == 12
+    assert len({(doc, tuple(argv)) for doc, argv, _ in module.PINS}) == 13
     assert {doc for doc, _, _ in module.PINS} == set(docs) | {"-"}
 
 

@@ -408,15 +408,45 @@ def test_barycentric_section_is_a_section():
         assert eliminate(forms, barycentric_section(forms, w)) == w
 
 
+def whitney_oracle(table: GeneratorTable, t, dt, I: tuple[int, ...]) -> Element:
+    """k! sum_q (-1)^q t(i_q) prod_{r != q} dt(i_r) for I = (i_0, ..., i_k) in
+    any order, by Element products, given the t and dt of a vertex: w_I in
+    either presentation, zero when a vertex repeats."""
+    acc = Element.zero(table)
+    k = len(I) - 1
+    for q in range(k + 1):
+        term = t(I[q])
+        for r in range(k + 1):
+            if r != q:
+                term = term * dt(I[r])
+        acc = acc + term * ((-1) ** q)
+    return acc * math.factorial(k)
+
+
 def test_barycentric_whitney_matches():
-    for n in (1, 2):
-        forms = simplex_forms(n)
+    """whitney and barycentric_whitney give the Element products of w_I over
+    forms.t and forms.dt, and over the redundant generators, for n <= 5 on
+    every sorted I, a shuffle of each and tuples with a repeated vertex."""
+    rng = random.Random(44)
+    for n in range(6):
+        forms, table = simplex_forms(n), barycentric_table(n)
+        tuples = []
         for k in range(n + 1):
             for I in whitney_tuples(n, k):
-                redundant = barycentric_whitney(n, I)
-                assert eliminate(forms, redundant) == whitney(forms, I)
+                tuples += [I, tuple(rng.sample(I, len(I)))]
+                tuples.append(I + (rng.choice(I),))
+        for I in tuples:
+            redundant = whitney_oracle(table, lambda i: Element.generator(table, f"t{i}"),
+                                       lambda i: Element.generator(table, f"dt{i}"), I)
+            assert barycentric_whitney(n, I) == redundant, (n, I)
+            assert whitney(forms, I) == whitney_oracle(forms.table, forms.t, forms.dt, I), \
+                (n, I)
+            assert eliminate(forms, redundant) == whitney(forms, I), (n, I)
     assert barycentric_whitney(2, (1, 1)).is_zero()
     assert barycentric_table(2).position("dt0") >= 0
+    for call in (lambda: barycentric_whitney(2, (0, 3)), lambda: whitney(forms, (-1,))):
+        with pytest.raises(AlgebraError, match="vertex index out of range"):
+            call()
 
 
 def eliminate_oracle(forms: SimplexForms, element: Element) -> Element:

@@ -1,4 +1,4 @@
-"""The scale pins: twelve larger sdga requests and the digest of each report.
+"""The scale pins: thirteen larger sdga requests and the digest of each report.
 
     python3 tools/scale.py check
 
@@ -19,7 +19,9 @@ space infinite, and L a solvable lifting square of four 48-cell complexes.
 the 6-simplex, and the n = 6 horn is the one horn request whose filling
 system is large enough to exercise its transposed elimination.  `simplicial
 dupont --n 7` walks the Dupont homotopy over the 7-simplex on a form with t0
-and dt0 in it, which the walk eliminates once, at its end.  Change a pin
+and dt0 in it, which the walk eliminates once, at its end, and `simplicial
+whitney --n 8 --barycentric` prints all 511 Whitney forms of the 8-simplex
+in both presentations, each written term by term and eliminated.  Change a pin
 only with a deliberate report change recorded in CHANGES.md.
 """
 
@@ -59,6 +61,8 @@ PINS = [
     ("-", ["simplicial", "dupont", "--n", "7", "--form",
            "t0^4 * t1^2 * dt2 * dt3 + 3 * t2^3 * t5 * dt0 * dt1 * dt4 - 2 * t3^2 * dt1"],
      "3f1bf7486b8de7f15f4789615a2c12de7cd23260906d584b072768863720aa00"),
+    ("-", ["simplicial", "whitney", "--n", "8", "--barycentric"],
+     "cf592be3c5ec82d3214bc451a95cb35050b3234001c88ed669f212a02cc99ff9"),
     ("K", ["sym-kunneth", "--window=-1:4", "--degcap", "6"],
      "3b30b06c7ce2b81d0a7d919a9d2d2f43d13871dedc16ebb4ff15f3a95951d8fa"),
     ("Q", ["cohomology", "--window=0:6", "--degcap", "10"],
