@@ -387,7 +387,10 @@ class _MiddleBuilder:
     """A complex grown from a base by attaching cell generators, with a map to B.
 
     dcols[key] and qcols[key] are the blocks of d and q at key; each key
-    starts with as many columns as its dimension and gains one per generator.
+    starts with as many columns as its dimension and gains one per generator,
+    appended, so earlier columns keep their places.  factorize grows it in
+    one walk over the keys: at a key, disks (whose tops land at the next
+    key), closed generators at the key and relations at the key before.
     """
 
     def __init__(self, base: Complex, f: ChainMap, B: Complex):
@@ -448,58 +451,52 @@ def factorize(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap]:
     A, B = f.source, f.target
     builder = _MiddleBuilder(A, f, B)
 
-    # Each pass picks classes by image ends, as dg.compute_cohomology does.
-    # The vectors picked from have distinct largest keys and their span holds
-    # the image, so a vector is independent modulo the image and the vectors
-    # before it exactly when its largest key is no end of the image.
-    # pass 1: attach disks until q is degreewise surjective
-    for key in _all_keys(A, B):
-        if B.dim(key):
-            ends = linalg.kernel(builder.qcols.get(key, []), B.dim(key))[1]
-            for r in range(B.dim(key)):
-                if r not in ends:
-                    builder.attach_disk(key, {r: 1})
-
-    if mode == "acyclic_cofibration_fibration":
-        return builder.materialize()
-
-    # pass 2: attach closed generators until H(q) is surjective
-    for key in _all_keys(A, B):
-        kernel_b = linalg.kernel(B.d_block(key), B.dim(_next_key(key)))[0]
-        if not kernel_b:
-            continue
-        hit = B.d_block(_prev_key(key)) + linalg.mat_mul(builder.qcols.get(key, []),
-                                                         builder.kernel(key)[0])
-        ends = linalg.kernel(hit, B.dim(key))[1]
-        for z in kernel_b:
-            if max(z) not in ends:
-                builder.add_generator(key, {}, z)
-
-    # pass 3: kill the kernel of H(q).  One nullspace per key of the stacked
-    # system [-d_B | q K], K the cocycles of the middle complex, gives every
-    # pair (y, c) with q(K c) = d_B y, so a class that only a combination of
-    # the columns of K kills is found too.  Each K c independent of the
-    # boundaries gets a generator x with dx = K c and q(x) = y.  With the d_B
-    # columns first, a column of K that q sends to a boundary on its own
-    # comes out as c = e_i with the y of the particular solution.  Each dx is
-    # some K c, as q dx = d_B q x; d out of prev changes only while at key.
+    # One walk over the keys in sorted order.  At each key: attach disks until
+    # q is surjective there; then, in the second mode, with K the cocycles of
+    # the middle complex at key, one kernel of [d_B | q K] (d_B out of prev)
+    # gives the ends of its image and the pairs (y, c), d_B y + q(K c) = 0.  A
+    # cocycle of B whose largest key is no end gets a closed generator; a
+    # z = K c independent of the boundaries gets a relation x at prev with
+    # dx = z and q(x) = -y, so that d_B q(x) = q dx (the tests' reference
+    # eliminates [-d_B | q K], whose pairs are the (-y, c)).  Each dx is some
+    # K c, as q dx = d_B q x.  Pairs whose free column is a d_B column (these
+    # come first) have c = 0.  Classes are picked by image ends, as
+    # dg.compute_cohomology does: the vectors picked from have distinct
+    # largest keys and their span holds the image, so a vector is independent
+    # modulo the image and the vectors before it exactly when its largest key
+    # is no end.  Order: a step writes only to key, to the next key (disk
+    # tops) and to prev (relations), and reads only key and prev, which the
+    # walk has visited, so each key gets the generators of three passes
+    # (disks, closed generators, relations), in their order.  The closed
+    # generators' columns are cocycles independent of [d_B | q K] and of each
+    # other: they would add pivots and no free column, so the relations need
+    # no second elimination.  d out of prev changes only while at key, so the
+    # ends taken at prev hold.
     ends: dict[Key, set[int]] = {}
     for key in _all_keys(A, B):
-        if builder.dim(key) == 0:
+        if B.dim(key):
+            reached = linalg.kernel(builder.qcols.get(key, []), B.dim(key))[1]
+            for r in range(B.dim(key)):
+                if r not in reached:
+                    builder.attach_disk(key, {r: 1})
+        if mode == "acyclic_cofibration_fibration":
             continue
         kernel_m, ends[key] = builder.kernel(key)
-        if not kernel_m:
+        kernel_b = linalg.kernel(B.d_block(key), B.dim(_next_key(key)))[0]
+        if not kernel_m and not kernel_b:
             continue
         prev = _prev_key(key)
         prev_b = B.dim(prev)
-        minus_db = [{r: -x for r, x in col.items()} for col in B.d_block(prev)]
-        stacked = minus_db + linalg.mat_mul(builder.qcols[key], kernel_m)
-        pairs = linalg.kernel(stacked, B.dim(key))[0]
+        qk = linalg.mat_mul(builder.qcols.get(key, []), kernel_m)
+        pairs, hit = linalg.kernel(B.d_block(prev) + qk, B.dim(key))
+        for z in kernel_b:
+            if max(z) not in hit:
+                builder.add_generator(key, {}, z)
         zs = linalg.mat_mul(kernel_m, [{j - prev_b: x for j, x in pair.items() if j >= prev_b}
                                        for pair in pairs])
         for z, pair in zip(zs, pairs):
             if z and max(z) not in ends.get(prev, ()):
-                builder.add_generator(prev, z, {j: x for j, x in pair.items() if j < prev_b})
+                builder.add_generator(prev, z, {j: -x for j, x in pair.items() if j < prev_b})
     return builder.materialize()
 
 

@@ -141,10 +141,15 @@ def random_complex(rng: random.Random, max_cells: int = 3,
     return Complex(total.dims, diff)
 
 
-def random_chain_map(rng: random.Random, source: Complex, target: Complex) -> ChainMap:
-    """A random rational point of the space of chain maps source -> target."""
+def random_chain_map(rng: random.Random, source: Complex, target: Complex,
+                     density: float = 1.0) -> ChainMap:
+    """A random rational point of the space of chain maps source -> target;
+    below density 1 each scalar on a basis map is 0 with probability
+    1 - density, so the map is sparse."""
     offsets, total = _unknowns(source, target)
     kernel, _ = linalg.nullspace(_chain_equations(source, target, offsets), total)
-    scalars = [rng.randint(-3, 3) for _ in kernel]
+    # density 1 draws no extra number, so the seeded panels keep their maps
+    scalars = [rng.randint(-3, 3) if density == 1 or rng.random() < density else 0
+               for _ in kernel]
     flat = linalg.apply(kernel, {i: lam for i, lam in enumerate(scalars) if lam})
     return ChainMap(source, target, _unflatten(flat, offsets, source, target))

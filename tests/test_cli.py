@@ -569,7 +569,7 @@ def test_complex_factorize(tmp_path, capsys):
 
 def test_complex_factorize_kills_a_combination(tmp_path, capsys):
     """Two spheres onto one by [1 1]: only the combination (1, -1) of the
-    source cocycles dies in cohomology, so pass 3 must attach a cell for it."""
+    source cocycles dies in cohomology, so factorize must attach a relation for it."""
     doc = {"source": {"dims": {"-1,odd": 2}}, "target": {"dims": {"-1,odd": 1}},
            "blocks": {"-1,odd": [[1, 1]]}}
     path = write_doc(tmp_path, "two_spheres.json", doc)

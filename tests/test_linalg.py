@@ -331,6 +331,45 @@ def test_positions_and_ends_match_prefix_ranks(seed):
             assert [other for other in vectors if free in other] == [vec], name
 
 
+def test_kernel_under_appended_and_negated_columns():
+    """The two kernel facts model.factorize's walk relies on, on 400 seeded
+    blocks.  (a) Appending columns independent of the block's span and of
+    each other leaves the kernel unchanged: they add pivots, no free column.
+    (b) Negating the first p columns negates each kernel vector below p
+    when its largest key is p or more, and changes nothing else; a vector
+    whose largest key is below p has no entry from p on and stays as it is,
+    and the image ends stay."""
+    rng = random.Random(3400)
+    appended = negated = 0
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        # ncols combinations of r columns: rank at most r, so room on both sides
+        r = rng.randint(0, min(nrows, ncols))
+        basis = block_of(_fill(rng, nrows, r, rng.choice([0.3, 0.6, 1.0])), r)
+        combos = [{k: x for k in range(r) if (x := _entry(rng, 0.6))} for _ in range(ncols)]
+        block = linalg.mat_mul(basis, combos)
+        vectors, ends = linalg.kernel(block, nrows)
+        extra = []
+        for _ in range(rng.randint(1, 3)):
+            col = block_of(_fill(rng, nrows, 1, 0.7), 1)[0]
+            if linalg.rank(block + extra + [col]) > linalg.rank(block + extra):
+                extra.append(col)
+        assert linalg.kernel(block + extra, nrows)[0] == vectors
+        appended += bool(extra and vectors)
+        p = rng.randint(0, ncols)
+        flipped = [{i: -x for i, x in col.items()} for col in block[:p]] + block[p:]
+        flipped_vectors, flipped_ends = linalg.kernel(flipped, nrows)
+        assert flipped_ends == ends
+        assert len(flipped_vectors) == len(vectors)
+        for vec, new in zip(vectors, flipped_vectors):
+            if max(vec) >= p:
+                assert new == {j: -x if j < p else x for j, x in vec.items()}
+                negated += any(j < p for j in vec)
+            else:  # all of it lies in the negated columns
+                assert new == vec
+    assert appended >= 50 and negated >= 50, (appended, negated)
+
+
 # -- rref against the column-order elimination it replaced ---------------------
 
 

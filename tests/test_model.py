@@ -226,7 +226,7 @@ def crowded_complex(rng, keys):
 def test_factorize_crowded_panel(seed):
     """Several cells per bidegree and maps that are not injective: a class of
     the middle complex that q kills may need a combination of cocycles, which
-    the third pass must find (verify_factorization compares cohomology
+    the relations must find (verify_factorization compares cohomology
     dimensions and does not depend on the construction)."""
     rng = random.Random(6400 + seed)
     keys = [(n, rng.randint(0, 1)) for n in rng.sample(range(-2, 2), 2)]
@@ -245,11 +245,15 @@ def test_factorize_crowded_panel(seed):
             assert_entry_form(map_entries(g, j, q, compose_chain_maps(q, j)), mode)
 
 
-def factorize_oracle(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap, int]:
-    """factorize as it ran when every pass grew a linalg.RowSpan: the classes
+def factorize_oracle(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap, int, int]:
+    """The three-pass reference for factorize, as it ran when every pass
+    grew a linalg.RowSpan: pass 1 attaches disks, pass 2 closed generators
+    and pass 3 relations, each pass a walk over all keys, and the classes
     come from quotient_representatives, which picks by position the vectors
-    independent modulo a span and the vectors before them.  Returns j, q and
-    the number of generators the third pass attached."""
+    independent modulo a span and the vectors before them.  Returns j, q,
+    the number of relations pass 3 attached, and the number of keys whose
+    relations landed at prev(key) although the key got closed generators
+    too, the case where one walk orders the jobs differently."""
     A, B = f.source, f.target
     builder = _MiddleBuilder(A, f, B)
     for key in _all_keys(A, B):
@@ -258,7 +262,8 @@ def factorize_oracle(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap, int]:
             for r in linalg.quotient_representatives(units, builder.qcols.get(key, [])):
                 builder.attach_disk(key, units[r])
     if mode == "acyclic_cofibration_fibration":
-        return (*builder.materialize(), 0)
+        return (*builder.materialize(), 0, 0)
+    closed = set()
     for key in _all_keys(A, B):
         if B.dim(key) == 0:
             continue
@@ -269,7 +274,8 @@ def factorize_oracle(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap, int]:
                                                          builder.kernel(key)[0])
         for i in linalg.quotient_representatives(kernel_b, hit):
             builder.add_generator(key, {}, kernel_b[i])
-    attached = 0
+            closed.add(key)
+    attached = same_key = 0
     for key in _all_keys(A, B):
         if builder.dim(key) == 0:
             continue
@@ -283,16 +289,20 @@ def factorize_oracle(f: ChainMap, mode: str) -> tuple[ChainMap, ChainMap, int]:
         pairs = linalg.kernel(stacked, B.dim(key))[0]
         zs = linalg.mat_mul(kernel_m, [{j - prev_b: x for j, x in pair.items() if j >= prev_b}
                                        for pair in pairs])
-        for i in linalg.quotient_representatives(zs, builder.dcols.get(prev, [])):
+        picked = linalg.quotient_representatives(zs, builder.dcols.get(prev, []))
+        for i in picked:
             builder.add_generator(prev, zs[i], {j: x for j, x in pairs[i].items() if j < prev_b})
-            attached += 1
-    return (*builder.materialize(), attached)
+        attached += len(picked)
+        same_key += bool(picked) and key in closed
+    return (*builder.materialize(), attached, same_key)
 
 
 def factorize_panel():
     """Seeded chain maps for the factorize reference: 24 maps between small
     random complexes, 12 between crowded ones, whose H(f) often has a
-    kernel, and one between two complexes of 36-44 cells."""
+    kernel, one between two complexes of 36-44 cells, and 60 zero or sparse
+    maps between sums of up to 5 cells at weights -1..1, whose H(f) can
+    have a kernel and a cokernel at one key."""
     rng = random.Random(6500)
     maps = []
     for _ in range(24):
@@ -304,21 +314,28 @@ def factorize_panel():
         maps.append(random_chain_map(rng, a, b))
     a, b = (random_complex(rng, max_cells=44, min_cells=36) for _ in range(2))
     maps.append(random_chain_map(rng, a, b))
+    rng = random.Random(3434)
+    for n in range(60):
+        a, b = (random_complex(rng, max_cells=5, weight_range=(-1, 1)) for _ in range(2))
+        maps.append(zero_chain_map(a, b) if n % 2 else random_chain_map(rng, a, b, 0.2))
     return maps
 
 
 def test_factorize_picks_the_classes_the_row_span_picks():
-    """Picking by image ends attaches the same cells, in the same order, as
-    the row-span picks: the same j and q in both modes, the third pass
-    attaching generators too."""
-    attached = []
+    """The one walk by image ends attaches the same cells, in the same
+    order, as the three-pass row-span reference: the same j and q in both
+    modes, relations attached too, and at some key both closed generators
+    and relations at prev(key), where the walk interleaves the passes."""
+    attached, same_key = [], 0
     for f in factorize_panel():
         for mode in MODES:
-            j, q, n_attached = factorize_oracle(f, mode)
+            j, q, n_attached, n_same = factorize_oracle(f, mode)
             assert factorize(f, mode) == (j, q), mode
             attached.append(n_attached)
+            same_key += n_same
     assert sum(map(bool, attached)) >= 5, attached
-    assert attached[-1] > 0  # the large map
+    assert attached[2 * 36 + 1] > 0  # the large map
+    assert same_key >= 1
 
 
 def test_two_out_of_three():
@@ -379,6 +396,64 @@ def test_solve_lift_certifies_a_top_map_that_b_cannot_carry():
                          identity_chain_map(s), zero_chain_map(z, z))
     assert h is None
     assert cert == {"rank": 0, "rank_augmented": 1, "consistent": False}
+
+
+def factorized_pair(rng, max_cells):
+    """Two seeded random maps and both factorizations of each, checked by
+    MC5: verify_factorization is ok in both modes on every map drawn."""
+    out = []
+    for _ in range(2):
+        f = random_chain_map(rng, random_complex(rng, max_cells), random_complex(rng, max_cells))
+        modes = {mode: factorize(f, mode) for mode in MODES}
+        for mode, (j, q) in modes.items():
+            report = verify_factorization(f, j, q, mode)
+            assert report["ok"], (mode, report)
+        out.append(modes)
+    return out
+
+
+def mc4_square(rng, half, max_cells):
+    """A lifting square (i, p, top, bottom) that MC4 says has a lift.
+
+    Half 1: i a cofibration (the j of the second mode), p an acyclic
+    fibration (its q on another map), bottom random, and top a lift of
+    bottom i along p from 0 -> A.  Half 2: i an acyclic cofibration (the j
+    of the first mode), p a fibration (the q of either mode), top random,
+    and bottom a lift of p top along Y -> 0 from i.  Each helper lift is
+    itself an MC4 instance."""
+    first, second = factorized_pair(rng, max_cells)
+    if half == 1:
+        i, p = first[MODES[1]][0], second[MODES[1]][1]
+        bottom = random_chain_map(rng, i.target, p.target)
+        top, cert = solve_lift(zero_chain_map(zero_complex(), i.source), p,
+                               zero_chain_map(zero_complex(), p.source),
+                               compose_chain_maps(bottom, i))
+        assert top is not None, cert
+    else:
+        i, p = first[MODES[0]][0], second[rng.choice(MODES)][1]
+        top = random_chain_map(rng, i.source, p.source)
+        bottom, cert = solve_lift(i, zero_chain_map(p.target, zero_complex()),
+                                  compose_chain_maps(p, top),
+                                  zero_chain_map(i.target, zero_complex()))
+        assert bottom is not None, cert
+    return i, p, top, bottom
+
+
+@pytest.mark.parametrize("half", [1, 2])
+def test_model_axioms_mc4_and_mc5(half):
+    """MC4 end to end: every square of a cofibration against an acyclic
+    fibration, or of an acyclic cofibration against a fibration, has a
+    lift, so solve_lift must find h with h i = top and p h = bottom; MC5
+    is checked on every map drawn.  The tests above that certify no lift
+    are the controls."""
+    rng = random.Random(3500 + half)
+    for max_cells in [3] * 30 + [8] * 3:
+        i, p, top, bottom = mc4_square(rng, half, max_cells)
+        h, cert = solve_lift(i, p, top, bottom)
+        assert h is not None, cert
+        assert compose_chain_maps(h, i) == top
+        assert compose_chain_maps(p, h) == bottom
+
 
 # -- invariance and Kunneth -----------------------------------------------------------
 

@@ -12,7 +12,10 @@ recompiles sdga).  It prints each pin's digest and its child CPU, from
 `os.wait4`.  On a wrong digest or a nonzero exit it names the pin and exits 1.
 
 S and O are ROADMAP's scale algebras, F a chain map between two 120-cell
-complexes, which both factorize modes take, K a 12-dimensional 8-cell
+complexes, which both factorize modes take (the cofibration mode attaches 1
+closed generator and 6 relations, never both at one key: that case, relations
+at the key before one that got closed generators, is covered only by the
+tier-1 tests), K a 12-dimensional 8-cell
 complex, Q a Koszul algebra whose weight-0 even generators make every weight
 space infinite, and L a solvable lifting square of four 48-cell complexes.
 `simplicial duality --n 6` integrates by both methods over all 127 faces of
